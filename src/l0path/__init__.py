@@ -20,6 +20,7 @@ from .errors import (
     ParseError,
     SegmentNotPD,
     SingularSupport,
+    TemplateMismatch,
     TooLarge,
 )
 from .instance import (
@@ -46,7 +47,6 @@ from .cover import (
     b2_subgraph_general,
     break_cycles,
     brute_force_pstar,
-    cycle_cover_general,
     make_ordering,
     path_cover,
 )
@@ -74,6 +74,7 @@ __all__ = [
     "NotSymmetricStorage", "NotDiagonallyDominant", "InvalidPermutation",
     "NoObservations", "NotBipartite", "HasCycle", "TooLarge",
     "NotPositiveDefinite", "SegmentNotPD", "SingularSupport", "InfeasiblePair",
+    "TemplateMismatch",
     "Instance", "Term", "DDForm", "SupportGraph",
     "validate", "support_graph", "permute", "big_m",
     "gen_tridiagonal", "gen_signal1d", "gen_lattice2d",
@@ -82,7 +83,7 @@ __all__ = [
     "arc_weight_row", "to_tridiagonal",
     "DualTriple", "f_star", "f_star_subgradient", "tight_duals",
     "f_star_bruteforce",
-    "CoverSolution", "Ordering", "cycle_cover_general",
+    "CoverSolution", "Ordering",
     "b2_subgraph_bipartite", "b2_subgraph_general", "break_cycles",
     "make_ordering", "path_cover", "brute_force_pstar",
     "Relaxation", "RunConfig", "DualState", "IterationRecord", "RunResult",

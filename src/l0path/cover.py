@@ -3,9 +3,10 @@
 The support-graph preprocessing picks a maximum-weight set of edges that
 forms vertex-disjoint paths; those edges become the retained tridiagonal
 couplings and everything else is dualized. Pipeline: solve the degree-<=2
-maximum-weight subgraph exactly (min-cost flow on bipartite graphs, a
-gadget reduction to matching otherwise), break each surviving cycle at its
-lightest edge, and concatenate the paths into a variable ordering.
+maximum-weight subgraph exactly as a maximum-weight matching on an edge
+gadget (a sparse assignment on bipartite graphs, where the gadget is
+bipartite too; a general matching otherwise), break each surviving cycle
+at its lightest edge, and concatenate the paths into a variable ordering.
 
 Breaking a cycle of length L >= 3 loses at most 1/3 (bipartite: L >= 4,
 at most 1/4) of its weight, and the degree-<=2 optimum dominates the best
@@ -15,12 +16,13 @@ optimal path-cover weight.
 
 from __future__ import annotations
 
-import heapq
+from collections import Counter, deque
 from dataclasses import dataclass
 
 import networkx as nx
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .errors import HasCycle, NotBipartite, TooLarge
 from .instance import SupportGraph
@@ -56,98 +58,25 @@ class Ordering:
 
 def _bipartition(g: SupportGraph):
     """2-coloring by BFS; None when some component has an odd cycle."""
-    adj: dict[int, list[int]] = {v: [] for v in range(g.n)}
+    adj: list[list[int]] = [[] for _ in range(g.n)]
     for i, j, _ in g.edges:
         adj[i].append(j)
         adj[j].append(i)
-    color = np.full(g.n, -1, dtype=np.int64)
+    color = [-1] * g.n
     for start in range(g.n):
         if color[start] >= 0:
             continue
         color[start] = 0
-        queue = [start]
+        queue = deque([start])
         while queue:
-            u = queue.pop(0)
+            u = queue.popleft()
             for v in adj[u]:
                 if color[v] < 0:
                     color[v] = 1 - color[u]
                     queue.append(v)
                 elif color[v] == color[u]:
                     return None
-    return color
-
-
-class _MinCostFlow:
-    """Successive-shortest-paths min-cost flow with float costs.
-
-    Arc insertion order must be topological (its one-pass relaxation
-    seeds the node potentials); augmentation continues while the cheapest
-    source-sink path has negative cost, which yields the minimum-cost
-    flow over all flow values.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.cost: list[float] = []
-
-    def add(self, u: int, v: int, cap: int, cost: float) -> int:
-        idx = len(self.to)
-        self.to += [v, u]
-        self.cap += [cap, 0]
-        self.cost += [cost, -cost]
-        self.head[u].append(idx)
-        self.head[v].append(idx + 1)
-        return idx
-
-    def run(self, src: int, sink: int) -> None:
-        inf = float("inf")
-        pot = [inf] * self.n
-        pot[src] = 0.0
-        for arc in range(0, len(self.to), 2):
-            u, v = self.to[arc + 1], self.to[arc]
-            if self.cap[arc] > 0 and pot[u] + self.cost[arc] < pot[v]:
-                pot[v] = pot[u] + self.cost[arc]
-        while True:
-            dist = [inf] * self.n
-            dist[src] = 0.0
-            prevarc = [-1] * self.n
-            heap = [(0.0, src)]
-            while heap:
-                du, u = heapq.heappop(heap)
-                if du > dist[u]:
-                    continue
-                for arc in self.head[u]:
-                    if self.cap[arc] <= 0:
-                        continue
-                    v = self.to[arc]
-                    nd = du + self.cost[arc] + pot[u] - pot[v]
-                    if nd < dist[v] - 1e-15:
-                        dist[v] = nd
-                        prevarc[v] = arc
-                        heapq.heappush(heap, (nd, v))
-            if dist[sink] == inf or dist[sink] + pot[sink] - pot[src] >= -1e-12:
-                return
-            for v in range(self.n):
-                if dist[v] < inf:
-                    pot[v] += dist[v]
-            bottleneck = min(
-                self._walk(src, sink, prevarc, lambda arc: self.cap[arc])
-            )
-            for arc in self._walk(src, sink, prevarc, lambda arc: arc):
-                self.cap[arc] -= bottleneck
-                self.cap[arc ^ 1] += bottleneck
-
-    def _walk(self, src, sink, prevarc, fn):
-        out = []
-        v = sink
-        while v != src:
-            arc = prevarc[v]
-            out.append(fn(arc))
-            v = self.to[arc ^ 1]
-        return out
+    return np.array(color, dtype=np.int64)
 
 
 def _decode_simple(g: SupportGraph, chosen: list[tuple[int, int, float]]):
@@ -190,126 +119,102 @@ def _cover_from_chosen(g: SupportGraph, chosen: list[tuple[int, int, float]]):
     )
 
 
+def _edge_arrays(g: SupportGraph):
+    e = np.array(g.edges, dtype=np.float64).reshape(-1, 3)
+    return e[:, 0].astype(np.int64), e[:, 1].astype(np.int64), e[:, 2]
+
+
+def _gadget(n: int, tail: np.ndarray, head: np.ndarray, w: np.ndarray):
+    """Arcs (x, y, weight) of the edge gadget.
+
+    Copy c of vertex v is node 2v + c. Edge e gets nodes a_e = 2n + e and
+    b_e = 2n + m + e, joined by arcs tail copies - a_e, a_e - b_e and
+    b_e - head copies, each of weight w_e. Matching a_e and b_e to vertex
+    copies selects the edge (contributing 2w_e), matching a_e - b_e skips
+    it (contributing w_e), so a maximum-weight matching exceeds the
+    constant sum(w) by exactly the best degree-<=2 subgraph weight. x holds
+    tail copies and b nodes, y holds a nodes and head copies: when every
+    tail is on one side of a bipartite graph, x and y are the two sides of
+    the gadget.
+    """
+    m = len(w)
+    a = 2 * n + np.arange(m)
+    b = a + m
+    x = np.concatenate([2 * tail, 2 * tail + 1, b, b, b])
+    y = np.concatenate([a, a, a, 2 * head, 2 * head + 1])
+    return x, y, np.tile(w, 5)
+
+
+def _decode_matching(g: SupportGraph, x: np.ndarray, y: np.ndarray) -> CoverSolution:
+    """Keep the edges whose gadget nodes a_e and b_e both match vertex copies."""
+    n, m = g.n, len(g.edges)
+    on_copy = np.zeros(2 * n + 2 * m, dtype=bool)
+    touches_copy = (x < 2 * n) | (y < 2 * n)
+    on_copy[x[touches_copy]] = True
+    on_copy[y[touches_copy]] = True
+    keep = on_copy[2 * n : 2 * n + m] & on_copy[2 * n + m :]
+    return _cover_from_chosen(g, [g.edges[e] for e in np.flatnonzero(keep)])
+
+
 def b2_subgraph_bipartite(g: SupportGraph) -> CoverSolution:
     """Exact maximum-weight degree-<=2 subgraph of a bipartite graph.
 
-    Min-cost flow on the degree-bounded subgraph network (source -> left
-    side with capacity 2, one unit arc of cost -w per edge, right side ->
-    sink with capacity 2); the constraint matrix is totally unimodular,
-    so the flow optimum is integral and exact.
+    With every edge oriented from the left side, the edge gadget is
+    bipartite: rows are the b nodes and the left vertex copies, columns
+    the right vertex copies and the a nodes. Each row also gets a dummy
+    column of cost C = 2 max(w), and each real arc costs C - w, so the
+    minimum-cost full assignment (sparse Jonker-Volgenant) is a
+    maximum-weight matching of the gadget.
     """
     color = _bipartition(g)
     if color is None:
         raise NotBipartite("support graph has an odd cycle")
-    left = [v for v in range(g.n) if color[v] == 0]
-    lpos = {v: 2 + k for k, v in enumerate(left)}
-    right = [v for v in range(g.n) if color[v] == 1]
-    rpos = {v: 2 + len(left) + k for k, v in enumerate(right)}
-    net = _MinCostFlow(2 + g.n)
-    for v in left:
-        net.add(0, lpos[v], 2, 0.0)
-    arcs = []
-    for i, j, w in g.edges:
-        u, v = (i, j) if color[i] == 0 else (j, i)
-        arcs.append(net.add(lpos[u], rpos[v], 1, -w))
-    for v in right:
-        net.add(rpos[v], 1, 2, 0.0)
-    net.run(0, 1)
-    chosen = [e for e, arc in zip(g.edges, arcs) if net.cap[arc] == 0]
-    return _cover_from_chosen(g, chosen)
+    if not g.edges:
+        return _cover_from_chosen(g, [])
+    i, j, w = _edge_arrays(g)
+    n, m = g.n, len(w)
+    from_left = color[i] == 0
+    x, y, wx = _gadget(n, np.where(from_left, i, j), np.where(from_left, j, i), w)
+    left_copies = (2 * np.flatnonzero(color == 0)[:, None] + [0, 1]).ravel()
+    right_copies = (2 * np.flatnonzero(color == 1)[:, None] + [0, 1]).ravel()
+    # b nodes before the left copies: on equal weights (lattices) this
+    # tie-break leaves fewer cycles to break than the reverse order
+    rows = np.concatenate([2 * n + m + np.arange(m), left_copies])
+    cols = np.concatenate([right_copies, 2 * n + np.arange(m)])
+    nr, nc = rows.size, cols.size
+    pos = np.empty(2 * n + 2 * m, dtype=np.int64)
+    pos[rows] = np.arange(nr)
+    pos[cols] = np.arange(nc)
+    big = 2.0 * w.max()
+    dummy = np.arange(nr)
+    cost = csr_array(
+        (
+            np.concatenate([big - wx, np.full(nr, big)]),
+            (np.concatenate([pos[x], dummy]), np.concatenate([pos[y], nc + dummy])),
+        ),
+        shape=(nr, nc + nr),
+    )
+    r, c = min_weight_full_bipartite_matching(cost)
+    real = c < nc
+    return _decode_matching(g, rows[r[real]], cols[c[real]])
 
 
 def b2_subgraph_general(g: SupportGraph) -> CoverSolution:
-    """Exact maximum-weight degree-<=2 subgraph of any graph.
-
-    Each edge (u, v, w) becomes a two-node gadget a-b: matching a and b to
-    vertex copies selects the edge (contributing 2w), matching a-b skips
-    it (contributing w), so a maximum-weight matching exceeds the constant
-    sum(w) by exactly the best degree-<=2 subgraph weight.
-    """
+    """Exact maximum-weight degree-<=2 subgraph of any graph: a general
+    maximum-weight matching on the edge gadget (see `_gadget`)."""
+    i, j, w = _edge_arrays(g)
+    x, y, wx = _gadget(g.n, i, j, w)
     gm = nx.Graph()
-    for v in range(g.n):
-        gm.add_node(("v", v, 0))
-        gm.add_node(("v", v, 1))
-    for e, (i, j, w) in enumerate(g.edges):
-        for copy in range(2):
-            gm.add_edge(("v", i, copy), ("a", e), weight=w)
-            gm.add_edge(("b", e), ("v", j, copy), weight=w)
-        gm.add_edge(("a", e), ("b", e), weight=w)
-    matching = nx.max_weight_matching(gm)
-    hit: dict[tuple, int] = {}
-    for u, v in matching:
-        for node in (u, v):
-            if node[0] in ("a", "b"):
-                other = v if node is u else u
-                if other[0] == "v":
-                    hit[node] = hit.get(node, 0) + 1
-    chosen = [
-        (i, j, w)
-        for e, (i, j, w) in enumerate(g.edges)
-        if hit.get(("a", e)) and hit.get(("b", e))
-    ]
-    return _cover_from_chosen(g, chosen)
-
-
-def cycle_cover_general(g: SupportGraph) -> CoverSolution:
-    """Maximum-weight cycle cover via node-splitting assignment.
-
-    Every node gets a successor slot; an assignment i -> j along an edge
-    keeps that edge as an arc. Antiparallel arc pairs are legal and decode
-    as a length-two cycle whose edge weight counts twice. Self and
-    non-edge assignments cost nothing and decode as "no successor".
-    """
-    if not g.edges:
-        return CoverSolution(edges=(), components=(), weight=0.0)
-    wmat = {}
-    cost = np.zeros((g.n, g.n))
-    for i, j, w in g.edges:
-        cost[i, j] = cost[j, i] = -w
-        wmat[(i, j)] = wmat[(j, i)] = w
-    rows, cols = linear_sum_assignment(cost)
-    succ = {}
-    pred = {}
-    for u, v in zip(rows, cols):
-        if u != v and (int(u), int(v)) in wmat:
-            succ[int(u)] = int(v)
-            pred[int(v)] = int(u)
-    edges: list[tuple[int, int, float]] = []
-    comps = []
-    seen: set[int] = set()
-
-    def follow(start: int) -> list[int]:
-        nodes = [start]
-        seen.add(start)
-        cur = start
-        while cur in succ and succ[cur] not in seen:
-            cur = succ[cur]
-            seen.add(cur)
-            nodes.append(cur)
-        return nodes
-
-    for v in sorted(succ):
-        if v not in seen and v not in pred:
-            comps.append(("path", tuple(follow(v))))
-    for v in sorted(succ):
-        if v not in seen:
-            comps.append(("cycle", tuple(follow(v))))
-    weight = 0.0
-    for kind, nodes in comps:
-        pairs = list(zip(nodes, nodes[1:]))
-        if kind == "cycle":
-            pairs.append((nodes[-1], nodes[0]))
-        for u, v in pairs:
-            w = wmat[(u, v)]
-            edges.append((min(u, v), max(u, v), w))
-            weight += w
-    return CoverSolution(edges=tuple(sorted(edges)), components=tuple(comps), weight=weight)
+    gm.add_weighted_edges_from(zip(x.tolist(), y.tolist(), wx.tolist()))
+    pairs = np.array(sorted(nx.max_weight_matching(gm)), dtype=np.int64).reshape(-1, 2)
+    return _decode_matching(g, pairs[:, 0], pairs[:, 1])
 
 
 def break_cycles(cs: CoverSolution) -> CoverSolution:
     """Drop the lightest edge of every cycle (ties: smallest (i, j));
     a length-two cycle collapses to its single edge."""
-    edges = list(cs.edges)
+    wmap = {(i, j): w for i, j, w in cs.edges}
+    dropped = []
     comps = []
     for kind, nodes in cs.components:
         if kind == "path":
@@ -318,19 +223,13 @@ def break_cycles(cs: CoverSolution) -> CoverSolution:
         pairs = list(zip(nodes, nodes[1:])) + [(nodes[-1], nodes[0])]
         if len(nodes) == 2:
             pairs = pairs[:1]  # the duplicated edge, listed once per copy
-        lookup = {}
-        for u, v in pairs:
-            key = (min(u, v), max(u, v))
-            for e in edges:
-                if (e[0], e[1]) == key:
-                    lookup[key] = e[2]
-                    break
-        drop = min(pairs, key=lambda p: (lookup[(min(p), max(p))], min(p), max(p)))
+        drop = min(pairs, key=lambda p: (wmap[(min(p), max(p))], min(p), max(p)))
         k = pairs.index(drop)
         path_nodes = nodes[k + 1 :] + nodes[: k + 1]
         key = (min(drop), max(drop))
-        edges.remove((key[0], key[1], lookup[key]))
+        dropped.append((key[0], key[1], wmap[key]))
         comps.append(("path", tuple(path_nodes)))
+    edges = list((Counter(cs.edges) - Counter(dropped)).elements())
     return CoverSolution(
         edges=tuple(sorted(edges)),
         components=tuple(comps),
@@ -362,7 +261,8 @@ def make_ordering(cs: CoverSolution, g: SupportGraph) -> Ordering:
     retained = sorted(
         (min(u, v), max(u, v)) for _, nodes in ranked for u, v in zip(nodes, nodes[1:])
     )
-    relaxed = sorted((i, j) for i, j, _ in g.edges if (i, j) not in set(retained))
+    kept = set(retained)
+    relaxed = sorted((i, j) for i, j, _ in g.edges if (i, j) not in kept)
     return Ordering(
         pi=np.array(pi, dtype=np.int64),
         retained=tuple(retained),
@@ -372,9 +272,9 @@ def make_ordering(cs: CoverSolution, g: SupportGraph) -> Ordering:
 
 def path_cover(g: SupportGraph) -> Ordering:
     """Full pipeline: exact degree-<=2 subgraph, cycle breaking, ordering."""
-    if _bipartition(g) is not None:
+    try:
         cs = b2_subgraph_bipartite(g)
-    else:
+    except NotBipartite:
         cs = b2_subgraph_general(g)
     return make_ordering(break_cycles(cs), g)
 

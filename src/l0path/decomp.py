@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cover import path_cover
-from .errors import InfeasiblePair, InputError, SegmentNotPD
+from .errors import InfeasiblePair, InputError, SegmentNotPD, TemplateMismatch
 from .fenchel import DualTriple, f_star, f_star_subgradient
 from .instance import DDForm, Instance, Term, support_graph, validate
 from .oracle import fixed_z_qp
@@ -192,7 +192,7 @@ def build_relaxation(
         for t in rel_pos:
             rhs += 0.5 * t.w * (x_ord[t.i] + t.sign * x_ord[t.j]) ** 2
         if abs(lhs - rhs) > 1e-9 * (1.0 + abs(lhs)):
-            raise AssertionError(
+            raise TemplateMismatch(
                 f"segment templates do not reproduce the quadratic form "
                 f"({lhs} vs {rhs})"
             )

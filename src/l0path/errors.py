@@ -70,6 +70,10 @@ class SegmentNotPD(NumericalError):
         super().__init__(f"segment [{start}, {end}) is not positive definite")
 
 
+class TemplateMismatch(NumericalError):
+    """The relaxation's segment templates fail to reproduce the quadratic form."""
+
+
 class SingularSupport(NumericalError):
     """The quadratic restricted to the requested support is singular."""
 

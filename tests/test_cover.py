@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from l0path import (
+    CoverSolution,
     HasCycle,
     NotBipartite,
     TooLarge,
@@ -9,9 +10,10 @@ from l0path import (
     b2_subgraph_general,
     break_cycles,
     brute_force_pstar,
-    cycle_cover_general,
+    gen_lattice2d,
     make_ordering,
     path_cover,
+    support_graph,
 )
 from l0path.instance import SupportGraph
 
@@ -72,22 +74,6 @@ def check_degrees(cs):
     assert all(d <= 2 for d in deg.values())
 
 
-def test_cycle_cover_star_prefers_two_cycle():
-    cs = cycle_cover_general(STAR)
-    assert cs.weight == 3.0
-    assert cs.components == (("cycle", (0, 1)),)
-    assert cs.edges == ((0, 1, 1.5), (0, 1, 1.5))
-
-
-def test_cycle_cover_single_edge_and_empty():
-    single = SupportGraph(n=2, edges=((0, 1, 2.0),))
-    cs = cycle_cover_general(single)
-    assert cs.weight == 4.0
-    assert break_cycles(cs).weight == 2.0
-    empty = cycle_cover_general(SupportGraph(n=3, edges=()))
-    assert empty.weight == 0.0 and empty.components == ()
-
-
 def test_b2_star():
     cs = b2_subgraph_bipartite(STAR)
     assert cs.weight == 2.5
@@ -140,6 +126,40 @@ def test_b2_matches_exhaustive():
         assert abs(cs.weight - exhaustive_b2(g)) <= 1e-9
 
 
+@pytest.mark.parametrize("side", [20, 40])
+def test_b2_bipartite_lattice_reaches_degree_bound(side):
+    # lattice couplings all weigh 2; degree <= 2 allows at most n edges,
+    # and a Hamiltonian cycle of the even grid reaches that bound
+    g = support_graph(gen_lattice2d(side, side, 0.3, 0.1, 0))
+    cs = b2_subgraph_bipartite(g)
+    check_degrees(cs)
+    assert cs.weight == 2.0 * side * side
+
+
+def test_b2_bipartite_matches_general_beyond_exhaustive_cap():
+    rng = rng_for(54)
+    for _ in range(10):
+        nl, nr = rng.integers(10, 21, size=2)
+        g = random_bipartite(rng, int(nl), int(nr), density=0.25)
+        cs = b2_subgraph_bipartite(g)
+        check_degrees(cs)
+        assert abs(cs.weight - b2_subgraph_general(g).weight) <= 1e-9
+
+
+def test_path_cover_deterministic():
+    rng = rng_for(55)
+    graphs = [
+        support_graph(gen_lattice2d(12, 12, 0.3, 0.1, 1)),
+        random_bipartite(rng, 15, 15, density=0.3),
+        random_graph(rng, 25, density=0.2),
+    ]
+    for g in graphs:
+        first, second = path_cover(g), path_cover(g)
+        assert np.array_equal(first.pi, second.pi)
+        assert first.retained == second.retained
+        assert first.relaxed == second.relaxed
+
+
 def test_break_cycles_minimum_edge_and_ties():
     cs = b2_subgraph_bipartite(FOUR_CYCLE)
     after = break_cycles(cs)
@@ -151,6 +171,13 @@ def test_break_cycles_minimum_edge_and_ties():
     after = break_cycles(b2_subgraph_bipartite(even))
     assert (0, 1, 2.0) not in after.edges
     assert after.weight == 6.0
+    # a length-two cycle lists its edge twice and keeps one copy
+    two = CoverSolution(
+        edges=((0, 1, 2.0), (0, 1, 2.0)), components=(("cycle", (0, 1)),), weight=4.0
+    )
+    after = break_cycles(two)
+    assert after.edges == ((0, 1, 2.0),) and after.weight == 2.0
+    assert after.components == (("path", (1, 0)),)
 
 
 def test_break_cycles_keeps_paths():

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from l0path import (
+    DDForm,
     InfeasiblePair,
     InputError,
+    NumericalError,
     RunConfig,
+    TemplateMismatch,
     assemble_psi,
     build_relaxation,
     default_relaxation,
@@ -65,6 +68,15 @@ def test_build_relaxation_input_checks(example_instance):
         build_relaxation(example_instance, dd, np.arange(4), [(1, 3)])
     with pytest.raises(InputError):
         build_relaxation(example_instance, dd, np.arange(4), [(0, 2)])
+
+
+def test_build_relaxation_template_mismatch_is_numerical(example_instance, monkeypatch):
+    dd = validate(example_instance)
+    true_quad = DDForm.quad
+    monkeypatch.setattr(DDForm, "quad", lambda self, x: true_quad(self, x) + 1.0)
+    with pytest.raises(TemplateMismatch) as info:
+        build_relaxation(example_instance, dd, np.arange(4), [(0, 1), (1, 2)])
+    assert isinstance(info.value, NumericalError)
 
 
 def test_build_relaxation_random_lattice_identity():
