@@ -38,15 +38,14 @@ from .instance import (
     validate,
     write_instance,
 )
-from .tridiag import SPSolution, TridiagProblem, arc_weight_row, solve, solve_fixed_z, to_tridiagonal
-from .fenchel import DualTriple, f_star, f_star_bruteforce, f_star_subgradient, tight_duals
+from .tridiag import SPSolution, TridiagProblem, solve, solve_fixed_z, to_tridiagonal
+from .fenchel import DualTriple, f_star, f_star_subgradient
 from .cover import (
     CoverSolution,
     Ordering,
     b2_subgraph_bipartite,
     b2_subgraph_general,
     break_cycles,
-    brute_force_pstar,
     make_ordering,
     path_cover,
 )
@@ -80,12 +79,11 @@ __all__ = [
     "gen_tridiagonal", "gen_signal1d", "gen_lattice2d",
     "read_instance", "write_instance",
     "TridiagProblem", "SPSolution", "solve", "solve_fixed_z",
-    "arc_weight_row", "to_tridiagonal",
-    "DualTriple", "f_star", "f_star_subgradient", "tight_duals",
-    "f_star_bruteforce",
+    "to_tridiagonal",
+    "DualTriple", "f_star", "f_star_subgradient",
     "CoverSolution", "Ordering",
     "b2_subgraph_bipartite", "b2_subgraph_general", "break_cycles",
-    "make_ordering", "path_cover", "brute_force_pstar",
+    "make_ordering", "path_cover",
     "Relaxation", "RunConfig", "DualState", "IterationRecord", "RunResult",
     "build_relaxation", "default_relaxation", "assemble_psi", "h_eval",
     "subgradient", "upper_bound", "run", "write_iteration_log",

@@ -78,7 +78,6 @@ def _cmd_solve_decomp(args) -> int:
         ratio=args.ratio,
         eps=args.eps,
         max_iter=args.max_iter,
-        threads=args.threads,
     )
     res = run(inst, default_relaxation(inst), config)
     if args.log:
@@ -199,7 +198,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sd.add_argument("--ratio", type=float, default=1.01, help="geometric step base")
     sd.add_argument("--eps", type=float, default=1e-4, help="relative gap target")
     sd.add_argument("--max-iter", type=int, default=100)
-    sd.add_argument("--threads", type=int, default=1)
     sd.add_argument("--log", help="write per-iteration CSV here")
     sd.add_argument("-o", "--output", help="write solution JSON here")
     sd.set_defaults(func=_cmd_solve_decomp)

@@ -24,11 +24,8 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
-from .errors import HasCycle, NotBipartite, TooLarge
+from .errors import HasCycle, NotBipartite
 from .instance import SupportGraph
-
-MAX_BRUTE_EDGES = 20
-
 
 @dataclass(frozen=True, eq=False)
 class CoverSolution:
@@ -277,50 +274,3 @@ def path_cover(g: SupportGraph) -> Ordering:
     except NotBipartite:
         cs = b2_subgraph_general(g)
     return make_ordering(break_cycles(cs), g)
-
-
-def brute_force_pstar(g: SupportGraph) -> float:
-    """Exhaustive maximum-weight vertex-disjoint path cover (small |E|)."""
-    m = len(g.edges)
-    if m > MAX_BRUTE_EDGES:
-        raise TooLarge(f"|E| = {m} exceeds the exhaustive cap {MAX_BRUTE_EDGES}")
-    if m == 0:
-        return 0.0
-    masks = np.arange(1 << m, dtype=np.uint32)
-    ok = np.ones(masks.shape, dtype=bool)
-    for v in range(g.n):
-        inc = 0
-        for e, (i, j, _) in enumerate(g.edges):
-            if v in (i, j):
-                inc |= 1 << e
-        if inc:
-            ok &= np.bitwise_count(masks & np.uint32(inc)) <= 2
-    best = 0.0
-    weights = [w for _, _, w in g.edges]
-    for mask in np.flatnonzero(ok):
-        mask = int(mask)
-        parent: dict[int, int] = {}
-
-        def find(v: int) -> int:
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        acyclic = True
-        total = 0.0
-        for e in range(m):
-            if not mask & (1 << e):
-                continue
-            i, j, w = g.edges[e]
-            parent.setdefault(i, i)
-            parent.setdefault(j, j)
-            ri, rj = find(i), find(j)
-            if ri == rj:
-                acyclic = False
-                break
-            parent[ri] = rj
-            total += w
-        if acyclic and total > best:
-            best = total
-    return best

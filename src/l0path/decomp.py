@@ -16,7 +16,6 @@ import csv
 import logging
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,13 +26,11 @@ from .fenchel import DualTriple, f_star, f_star_subgradient
 from .instance import DDForm, Instance, Term, support_graph, validate
 from .oracle import fixed_z_qp
 from .tridiag import TridiagProblem, solve as solve_tridiag
-from ._kernels import PIVOT_TOL
 from .errors import NotPositiveDefinite, SingularSupport
 
 logger = logging.getLogger(__name__)
 
 GAP_DIV_GUARD = 1e-8
-POLISH_SUPPORT_CAP = 600  # dense refit is cubic in the support size
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,7 +62,6 @@ class RunConfig:
     ratio: float = 1.01
     eps: float = 1e-4
     max_iter: int = 100
-    threads: int = 1
 
 
 @dataclass(eq=False)
@@ -198,13 +194,10 @@ def build_relaxation(
             )
 
     for (s, e), dg, of in zip(segments, seg_diag, seg_off):
-        piv = dg[0]
-        if piv <= PIVOT_TOL:
-            raise SegmentNotPD(s, e)
-        for t in range(1, e - s):
-            piv = dg[t] - of[t - 1] ** 2 / piv
-            if piv <= PIVOT_TOL:
-                raise SegmentNotPD(s, e)
+        try:
+            TridiagProblem(m=e - s, a=a_ord[s:e], c=c_ord[s:e], diag=dg, off=of)
+        except NotPositiveDefinite as exc:
+            raise SegmentNotPD(s, e) from exc
 
     return Relaxation(
         n=n,
@@ -261,9 +254,7 @@ def _solve_segment(r, k, a_psi, c_psi):
         raise SegmentNotPD(s, e) from exc
 
 
-def h_eval(
-    r: Relaxation, duals: np.ndarray, threads: int = 1
-) -> tuple[float, np.ndarray, np.ndarray]:
+def h_eval(r: Relaxation, duals: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Dual function value and the inner minimizer, in original indices.
 
     h = -(1/2) sum of w*f_star(triple) + sum of segment optima under the
@@ -275,12 +266,7 @@ def h_eval(
         alpha, b1, b2 = duals[t]
         conj += term.w * f_star(DualTriple(alpha, b1, b2, term.sign))
 
-    idx = range(len(r.segments))
-    if threads > 1 and len(r.segments) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            sols = list(ex.map(lambda k: _solve_segment(r, k, a_psi, c_psi), idx))
-    else:
-        sols = [_solve_segment(r, k, a_psi, c_psi) for k in idx]
+    sols = [_solve_segment(r, k, a_psi, c_psi) for k in range(len(r.segments))]
 
     h = -0.5 * conj
     x_pos = np.zeros(r.n)
@@ -332,8 +318,10 @@ def run(instance: Instance, r: Relaxation, config: RunConfig) -> RunResult:
     with every coupling term dropped. Geometric steps ratio^(1-k) move
     along the normalized direction; harmonic steps 1/k are applied raw.
     Every inner minimizer is evaluated as an incumbent, and each newly
-    seen support additionally gets its restricted QP re-solved, which can
-    only tighten the upper bound. Stops when the certified gap reaches
+    seen support, whatever its size, additionally gets its restricted QP
+    re-solved by the sparse fixed_z_qp (singular supports are skipped).
+    The refit can only tighten the upper bound and never feeds the dual
+    update. Stops when the certified gap reaches
     config.eps, the direction vanishes (dual-stationary), or max_iter is
     hit.
     """
@@ -354,7 +342,7 @@ def run(instance: Instance, r: Relaxation, config: RunConfig) -> RunResult:
 
     for k in range(1, config.max_iter + 1):
         state.k = k
-        h, xbar, zbar = h_eval(r, state.duals, threads=config.threads)
+        h, xbar, zbar = h_eval(r, state.duals)
         h = float(h)
         if h > state.best_lower:
             state.best_lower = h
@@ -363,7 +351,7 @@ def run(instance: Instance, r: Relaxation, config: RunConfig) -> RunResult:
         # refit x on each support the inner solve proposes; any feasible
         # pair is a valid incumbent and the refit only improves it
         key = zbar.tobytes()
-        if key not in polished and np.count_nonzero(zbar) <= POLISH_SUPPORT_CAP:
+        if key not in polished:
             polished.add(key)
             try:
                 xfit, vfit = fixed_z_qp(instance, zbar)

@@ -16,10 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-RHO_CAP = 1e6
-
 
 @dataclass(frozen=True)
 class DualTriple:
@@ -56,58 +52,3 @@ def f_star_subgradient(d: DualTriple) -> tuple[float, float, float]:
     if d.beta1 >= d.beta2:
         return (0.5 * d.alpha, 0.0, -1.0)
     return (0.5 * d.alpha, -1.0, 0.0)
-
-
-def tight_duals(
-    x1: float, x2: float, z1: float, z2: float, sign: int
-) -> tuple[DualTriple, bool]:
-    """Duals making the conjugate inequality tight at (x, z).
-
-    Returns (triple, asymptotic). The asymptotic flag marks the z = 0,
-    x1 + sign*x2 != 0 case, where tightness is only reached in the limit;
-    the returned triple uses the finite cap RHO_CAP and the caller decides
-    whether that is acceptable.
-    """
-    s = x1 + sign * x2
-    sigma = z1 + z2
-    if sigma == 0.0:
-        if s == 0.0:
-            return DualTriple(0.0, 0.0, 0.0, sign), False
-        alpha = RHO_CAP * s
-        return DualTriple(alpha, 0.25 * alpha**2, 0.25 * alpha**2, sign), True
-    if sigma < 1.0:
-        alpha = 2.0 * s / sigma
-        beta = (s / sigma) ** 2
-        return DualTriple(alpha, beta, beta, sign), False
-    return DualTriple(2.0 * s, 0.0, 0.0, sign), False
-
-
-def f_star_bruteforce(
-    d: DualTriple, xmax: float = 10.0, xstep: float = 1e-3, zstep: float = 1e-2
-) -> float:
-    """Grid evaluation of the defining supremum; a lower bound on f_star
-    within O(xstep). Test oracle only.
-
-    The objective depends on x only through t = x1 + sign * x2 and on z
-    only through (z1, z2, min{1, z1 + z2}), so the grid maximum factors:
-    first the best t for every distinct denominator, then the best
-    (z1, z2) pair.
-    """
-    t = np.arange(-xmax, xmax + 0.5 * xstep, xstep)
-    zg = np.linspace(0.0, 1.0, round(1.0 / zstep) + 1)
-    sums = zg[:, None] + zg[None, :]
-    denom = np.minimum(1.0, sums)
-    steps = np.unique(np.round(denom / zstep).astype(np.int64))
-    steps = steps[steps > 0]
-    mu = steps * zstep
-    # best of alpha*t - t^2/mu per distinct denominator mu
-    best_t = np.max(d.alpha * t[None, :] - t[None, :] ** 2 / mu[:, None], axis=1)
-    lookup = np.full(int(steps.max()) + 1, -np.inf)
-    lookup[steps] = best_t
-    idx = np.round(denom / zstep).astype(np.int64)
-    vals = np.where(
-        sums > 0.0,
-        lookup[idx] - d.beta1 * zg[:, None] - d.beta2 * zg[None, :],
-        0.0,  # z = 0 forces t = 0, leaving no dual contribution
-    )
-    return float(max(vals.max(), 0.0))

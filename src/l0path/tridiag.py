@@ -130,28 +130,6 @@ def solve_fixed_z(p: TridiagProblem, zbar) -> tuple[np.ndarray, float]:
     return x, value
 
 
-def arc_weight_row(p: TridiagProblem, i: int):
-    """Yield (j, w_ij) for j = i+2 .. m+1 by the O(1)-per-step recurrence.
-
-    w_ij is the optimal value of the continuous subproblem on positions
-    i+1 .. j-1 plus their indicator penalties; the length-one arcs
-    (i, i+1) all have weight zero and are not emitted.
-    """
-    if not 0 <= i <= p.m - 1:
-        raise ValueError("i must be in 0 .. m-1")
-    cbar = 0.0
-    qbar = np.inf
-    wbar = 0.0
-    for j in range(i + 2, p.m + 2):
-        o = p.off[j - 3] if j >= 3 else 0.0
-        cbar = p.c[j - 2] - o * cbar / qbar
-        qbar = p.diag[j - 2] - o * o / qbar
-        if qbar <= PIVOT_TOL:
-            raise NotPositiveDefinite(f"pivot {qbar:.3g} while weighting column {j}")
-        wbar = wbar + p.a[j - 2] - 0.5 * cbar * cbar / qbar
-        yield j, wbar
-
-
 def to_tridiagonal(instance: Instance) -> TridiagProblem:
     """View an instance whose stored order is already a path as a
     TridiagProblem; rejects any entry beyond the first off-diagonal."""

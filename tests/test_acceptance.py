@@ -15,19 +15,18 @@ from l0path.cover import (
     b2_subgraph_bipartite,
     b2_subgraph_general,
     break_cycles,
-    brute_force_pstar,
     make_ordering,
     path_cover,
 )
 from l0path.decomp import RunConfig, default_relaxation, h_eval, run
-from l0path.fenchel import DualTriple, f_star, f_star_bruteforce, f_star_subgradient
+from l0path.fenchel import DualTriple, f_star, f_star_subgradient
 from l0path.instance import gen_lattice2d, gen_tridiagonal
 from l0path.oracle import enumerate_supports
 from l0path.tridiag import solve, to_tridiagonal
 
 from conftest import EXAMPLE_A, EXAMPLE_C, EXAMPLE_Q, make_instance, random_dd_instance, rng_for
-from test_cover import exhaustive_b2, random_bipartite, random_graph
-from test_fenchel import dual_value, persp, random_triple
+from test_cover import brute_force_pstar, exhaustive_b2, random_bipartite, random_graph
+from test_fenchel import dual_value, f_star_bruteforce, persp, random_triple
 
 # dual trajectory of the worked four-variable instance, one alpha per
 # iteration, frozen from an independent recomputation

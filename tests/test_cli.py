@@ -124,5 +124,14 @@ def test_exit_codes(tmp_path, capsys):
     }))
     assert run_cli("solve-path", str(indef)) == 3
 
+    # diagonally dominant but singular: the retained segment is not PD
+    singular = tmp_path / "singular.json"
+    singular.write_text(json.dumps({
+        "n": 2, "a": [0.0, 0.0], "c": [1.0, 1.0],
+        "Q": [[1, 1, 1.0], [1, 2, -1.0], [2, 2, 1.0]],
+    }))
+    assert run_cli("solve-decomp", str(singular)) == 3
+    assert "not positive definite" in capsys.readouterr().err
+
     assert run_cli("gen", "tridiag", "--n", "5") == 2  # missing -o
     capsys.readouterr()

@@ -9,7 +9,6 @@ from l0path import (
     b2_subgraph_bipartite,
     b2_subgraph_general,
     break_cycles,
-    brute_force_pstar,
     gen_lattice2d,
     make_ordering,
     path_cover,
@@ -24,6 +23,55 @@ TRIANGLE = SupportGraph(n=3, edges=((0, 1, 3.0), (0, 2, 2.0), (1, 2, 1.0)))
 FOUR_CYCLE = SupportGraph(
     n=4, edges=((0, 1, 4.0), (0, 3, 1.0), (1, 2, 3.0), (2, 3, 2.0))
 )
+
+
+MAX_BRUTE_EDGES = 20
+
+
+def brute_force_pstar(g: SupportGraph) -> float:
+    """Exhaustive maximum-weight vertex-disjoint path cover (small |E|)."""
+    m = len(g.edges)
+    if m > MAX_BRUTE_EDGES:
+        raise TooLarge(f"|E| = {m} exceeds the exhaustive cap {MAX_BRUTE_EDGES}")
+    if m == 0:
+        return 0.0
+    masks = np.arange(1 << m, dtype=np.uint32)
+    ok = np.ones(masks.shape, dtype=bool)
+    for v in range(g.n):
+        inc = 0
+        for e, (i, j, _) in enumerate(g.edges):
+            if v in (i, j):
+                inc |= 1 << e
+        if inc:
+            ok &= np.bitwise_count(masks & np.uint32(inc)) <= 2
+    best = 0.0
+    for mask in np.flatnonzero(ok):
+        mask = int(mask)
+        parent: dict[int, int] = {}
+
+        def find(v: int) -> int:
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        acyclic = True
+        total = 0.0
+        for e in range(m):
+            if not mask & (1 << e):
+                continue
+            i, j, w = g.edges[e]
+            parent.setdefault(i, i)
+            parent.setdefault(j, j)
+            ri, rj = find(i), find(j)
+            if ri == rj:
+                acyclic = False
+                break
+            parent[ri] = rj
+            total += w
+        if acyclic and total > best:
+            best = total
+    return best
 
 
 def random_graph(rng, n, density=0.45):

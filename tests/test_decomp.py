@@ -9,6 +9,7 @@ from l0path import (
     InputError,
     NumericalError,
     RunConfig,
+    SegmentNotPD,
     TemplateMismatch,
     assemble_psi,
     build_relaxation,
@@ -76,6 +77,15 @@ def test_build_relaxation_template_mismatch_is_numerical(example_instance, monke
     monkeypatch.setattr(DDForm, "quad", lambda self, x: true_quad(self, x) + 1.0)
     with pytest.raises(TemplateMismatch) as info:
         build_relaxation(example_instance, dd, np.arange(4), [(0, 1), (1, 2)])
+    assert isinstance(info.value, NumericalError)
+
+
+def test_singular_segment_is_segment_not_pd():
+    # diagonally dominant with D = 0, so the retained 2x2 template is singular
+    inst = make_instance([0.0, 0.0], [1.0, 1.0], [(0, 0, 1.0), (0, 1, -1.0), (1, 1, 1.0)])
+    with pytest.raises(SegmentNotPD) as info:
+        default_relaxation(inst)
+    assert (info.value.start, info.value.end) == (0, 2)
     assert isinstance(info.value, NumericalError)
 
 
@@ -239,18 +249,6 @@ def test_run_tridiagonal_matches_exact_solver():
     assert res.iterations == 1
     assert abs(res.lower - sp.objective) <= 1e-9
     assert abs(res.upper - sp.objective) <= 1e-9
-
-
-def test_run_threads_deterministic():
-    inst = gen_lattice2d(4, 4, 0.35, 0.1, seed=6)
-    r = default_relaxation(inst)
-    one = run(inst, r, RunConfig(schedule="harmonic", max_iter=25, eps=1e-9))
-    two = run(inst, r, RunConfig(schedule="harmonic", max_iter=25, eps=1e-9, threads=3))
-    assert one.iterations == two.iterations
-    for ra, rb in zip(one.records, two.records):
-        assert ra.lower == rb.lower
-        assert ra.upper == rb.upper
-        assert np.array_equal(ra.duals, rb.duals)
 
 
 def test_run_config_validation(example_instance):

@@ -1,16 +1,39 @@
 import numpy as np
-import pytest
 
-from l0path.fenchel import (
-    RHO_CAP,
-    DualTriple,
-    f_star,
-    f_star_bruteforce,
-    f_star_subgradient,
-    tight_duals,
-)
+from l0path.fenchel import DualTriple, f_star, f_star_subgradient
 
 from conftest import rng_for
+
+
+def f_star_bruteforce(
+    d: DualTriple, xmax: float = 10.0, xstep: float = 1e-3, zstep: float = 1e-2
+) -> float:
+    """Grid evaluation of the defining supremum; a lower bound on f_star
+    within O(xstep).
+
+    The objective depends on x only through t = x1 + sign * x2 and on z
+    only through (z1, z2, min{1, z1 + z2}), so the grid maximum factors:
+    first the best t for every distinct denominator, then the best
+    (z1, z2) pair.
+    """
+    t = np.arange(-xmax, xmax + 0.5 * xstep, xstep)
+    zg = np.linspace(0.0, 1.0, round(1.0 / zstep) + 1)
+    sums = zg[:, None] + zg[None, :]
+    denom = np.minimum(1.0, sums)
+    steps = np.unique(np.round(denom / zstep).astype(np.int64))
+    steps = steps[steps > 0]
+    mu = steps * zstep
+    # best of alpha*t - t^2/mu per distinct denominator mu
+    best_t = np.max(d.alpha * t[None, :] - t[None, :] ** 2 / mu[:, None], axis=1)
+    lookup = np.full(int(steps.max()) + 1, -np.inf)
+    lookup[steps] = best_t
+    idx = np.round(denom / zstep).astype(np.int64)
+    vals = np.where(
+        sums > 0.0,
+        lookup[idx] - d.beta1 * zg[:, None] - d.beta2 * zg[None, :],
+        0.0,  # z = 0 forces t = 0, leaving no dual contribution
+    )
+    return float(max(vals.max(), 0.0))
 
 
 def persp(x1, x2, z1, z2, sign):
@@ -78,36 +101,6 @@ def test_subgradient_inequality():
             + xi[2] * (p.beta2 - q.beta2)
         )
         assert lhs >= rhs - 1e-9
-
-
-def test_tight_duals_branches():
-    d, asym = tight_duals(0.0, 0.0, 0.0, 0.0, -1)
-    assert (d.alpha, d.beta1, d.beta2, asym) == (0.0, 0.0, 0.0, False)
-
-    d, asym = tight_duals(1.0, 0.0, 1.0, 0.0, -1)
-    assert (d.alpha, d.beta1, d.beta2, asym) == (2.0, 0.0, 0.0, False)
-
-    d, asym = tight_duals(1.0, 0.0, 0.25, 0.25, -1)
-    assert (d.alpha, d.beta1, d.beta2, asym) == (4.0, 4.0, 4.0, False)
-    assert abs(dual_value(d, 1.0, 0.0, 0.25, 0.25) - 2.0) <= 1e-12
-    assert persp(1.0, 0.0, 0.25, 0.25, -1) == 2.0
-
-    d, asym = tight_duals(1.0, 0.0, 0.0, 0.0, -1)
-    assert asym
-    assert d.alpha == RHO_CAP
-
-
-def test_tight_duals_are_tight():
-    rng = rng_for(43)
-    for _ in range(500):
-        sign = -1 if rng.uniform() < 0.5 else 1
-        x1, x2 = rng.uniform(-3.0, 3.0, 2)
-        z1, z2 = rng.uniform(0.0, 1.0, 2)
-        d, asym = tight_duals(x1, x2, z1, z2, sign)
-        assert not asym
-        want = persp(x1, x2, z1, z2, sign)
-        got = dual_value(d, x1, x2, z1, z2)
-        assert abs(want - got) <= 1e-9 * (1.0 + abs(want))
 
 
 def test_weak_duality():

@@ -1,16 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from l0path import (
+    Instance,
+    RunConfig,
     SingularSupport,
     TooLarge,
+    default_relaxation,
     enumerate_supports,
     fixed_z_qp,
+    gen_lattice2d,
     gen_tridiagonal,
     permute,
+    run,
     to_tridiagonal,
     solve,
 )
+from l0path import decomp
 from l0path._kernels import _enumerate_py, enumerate_kernel
 
 from conftest import make_instance, random_dd_instance, rng_for
@@ -50,6 +57,58 @@ def test_fixed_z_singular_support():
     )
     with pytest.raises(SingularSupport):
         fixed_z_qp(inst, np.array([1, 0]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    lattice=st.booleans(),
+    size=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.floats(0.1, 1.0),
+)
+def test_fixed_z_matches_dense_solve(lattice, size, seed, density):
+    rng = rng_for(seed)
+    if lattice:
+        inst = gen_lattice2d(size, size, 0.3, 0.1, seed)
+    else:
+        inst = random_dd_instance(rng, size)
+    z = (rng.uniform(size=inst.n) < density).astype(np.int64)
+    sel = np.flatnonzero(z)
+    x, value = fixed_z_qp(inst, z)
+    assert not x[z == 0].any()
+    if sel.size == 0:
+        assert value == 0.0
+        return
+    xs = np.linalg.solve(inst.dense_q()[np.ix_(sel, sel)], -inst.c[sel])
+    want = float(np.sum(inst.a[sel]) + 0.5 * inst.c[sel] @ xs)
+    assert np.max(np.abs(x[sel] - xs)) <= 1e-10 * max(1.0, np.max(np.abs(xs)))
+    assert abs(value - want) <= 1e-10 * max(1.0, abs(want))
+
+
+def test_fixed_z_never_builds_dense_q(monkeypatch):
+    inst = gen_lattice2d(100, 100, 0.3, 0.1, 0)
+
+    def refuse(self):
+        raise AssertionError("dense_q called")
+
+    monkeypatch.setattr(Instance, "dense_q", refuse)
+    z = np.ones(inst.n)
+    x, value = fixed_z_qp(inst, z)
+    want = inst.objective(x, z)
+    assert abs(value - want) <= 1e-9 * abs(want)
+
+
+def test_run_refits_supports_above_600(monkeypatch):
+    inst = gen_lattice2d(30, 30, 0.3, 0.1, 0)
+    sizes = []
+
+    def counting(instance, z):
+        sizes.append(int(np.count_nonzero(z)))
+        return fixed_z_qp(instance, z)
+
+    monkeypatch.setattr(decomp, "fixed_z_qp", counting)
+    run(inst, default_relaxation(inst), RunConfig("harmonic", eps=1e-9, max_iter=3))
+    assert sizes and sizes[0] > 600
 
 
 def test_size_cap():
