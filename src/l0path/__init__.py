@@ -11,7 +11,6 @@ from .errors import (
     InputError,
     InvalidPermutation,
     L0PathError,
-    NoObservations,
     NotBipartite,
     NotDiagonallyDominant,
     NotPositiveDefinite,
@@ -28,7 +27,6 @@ from .instance import (
     Instance,
     SupportGraph,
     Term,
-    big_m,
     gen_lattice2d,
     gen_signal1d,
     gen_tridiagonal,
@@ -50,7 +48,6 @@ from .cover import (
     path_cover,
 )
 from .decomp import (
-    DualState,
     IterationRecord,
     Relaxation,
     RunConfig,
@@ -71,11 +68,11 @@ __version__ = "0.1.0"
 __all__ = [
     "L0PathError", "InputError", "NumericalError", "ParseError",
     "NotSymmetricStorage", "NotDiagonallyDominant", "InvalidPermutation",
-    "NoObservations", "NotBipartite", "HasCycle", "TooLarge",
+    "NotBipartite", "HasCycle", "TooLarge",
     "NotPositiveDefinite", "SegmentNotPD", "SingularSupport", "InfeasiblePair",
     "TemplateMismatch",
     "Instance", "Term", "DDForm", "SupportGraph",
-    "validate", "support_graph", "permute", "big_m",
+    "validate", "support_graph", "permute",
     "gen_tridiagonal", "gen_signal1d", "gen_lattice2d",
     "read_instance", "write_instance",
     "TridiagProblem", "SPSolution", "solve", "solve_fixed_z",
@@ -84,7 +81,7 @@ __all__ = [
     "CoverSolution", "Ordering",
     "b2_subgraph_bipartite", "b2_subgraph_general", "break_cycles",
     "make_ordering", "path_cover",
-    "Relaxation", "RunConfig", "DualState", "IterationRecord", "RunResult",
+    "Relaxation", "RunConfig", "IterationRecord", "RunResult",
     "build_relaxation", "default_relaxation", "assemble_psi", "h_eval",
     "subgradient", "upper_bound", "run", "write_iteration_log",
     "OracleResult", "fixed_z_qp", "enumerate_supports",

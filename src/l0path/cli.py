@@ -1,13 +1,10 @@
-"""Command-line front end: generate, solve, decompose, certify, benchmark."""
+"""Command-line front end: generate, solve, decompose, certify."""
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import statistics
 import sys
-import time
 
 import numpy as np
 
@@ -136,33 +133,6 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    if not sizes:
-        raise InputError("no sizes given")
-    rows = []
-    warm = to_tridiagonal(gen_tridiagonal(64, args.seed))
-    solve_tridiag(warm)
-    for n in sizes:
-        times = []
-        for rep in range(args.reps):
-            p = to_tridiagonal(gen_tridiagonal(n, args.seed + rep))
-            t0 = time.perf_counter()
-            solve_tridiag(p)
-            times.append((time.perf_counter() - t0) * 1e3)
-        rows.append((args.family, n, args.reps, statistics.median(times)))
-    out = open(args.output, "w", newline="") if args.output else sys.stdout
-    try:
-        writer = csv.writer(out)
-        writer.writerow(["family", "n", "reps", "median_ms"])
-        for family, n, reps, med in rows:
-            writer.writerow([family, n, reps, f"{med:.3f}"])
-    finally:
-        if args.output:
-            out.close()
-    return 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="l0path",
@@ -211,14 +181,6 @@ def _build_parser() -> argparse.ArgumentParser:
     orc.add_argument("instance")
     orc.add_argument("-o", "--output", help="write solution JSON here")
     orc.set_defaults(func=_cmd_oracle)
-
-    bench = sub.add_parser("bench", help="timing sweep over generated instances")
-    bench.add_argument("--family", choices=["tridiag"], default="tridiag")
-    bench.add_argument("--sizes", default="500,1000,2000", help="comma-separated n values")
-    bench.add_argument("--reps", type=int, default=5)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("-o", "--output", help="write CSV here instead of stdout")
-    bench.set_defaults(func=_cmd_bench)
 
     return parser
 

@@ -37,7 +37,7 @@ GAP_DIV_GUARD = 1e-8
 class Relaxation:
     """Ordered, segmented view of an instance with the relaxed terms.
 
-    Everything positional (a_ord, c_ord, d_ord, segments, terms) lives in
+    Everything positional (a_ord, c_ord, segments, terms) lives in
     permuted coordinates; pi[t] is the original index at position t.
     Retained terms join consecutive positions and are already folded into
     the per-segment templates (seg_diag, seg_off).
@@ -45,10 +45,8 @@ class Relaxation:
 
     n: int
     pi: np.ndarray
-    inv: np.ndarray
     a_ord: np.ndarray
     c_ord: np.ndarray
-    d_ord: np.ndarray
     segments: tuple[tuple[int, int], ...]
     seg_diag: tuple[np.ndarray, ...]
     seg_off: tuple[np.ndarray, ...]
@@ -62,19 +60,6 @@ class RunConfig:
     ratio: float = 1.01
     eps: float = 1e-4
     max_iter: int = 100
-
-
-@dataclass(eq=False)
-class DualState:
-    """Loop-owned mutable state: one (alpha, beta_i, beta_j) row per
-    relaxed term, plus the best certified bounds seen so far."""
-
-    duals: np.ndarray
-    k: int = 0
-    best_lower: float = -math.inf
-    best_upper: float = math.inf
-    best_x: np.ndarray | None = None
-    best_z: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,9 +138,7 @@ def build_relaxation(
 
     a_ord = instance.a[pi].copy()
     c_ord = instance.c[pi].copy()
-    d_ord = dd.D[pi].copy()
-
-    diag = d_ord.copy()
+    diag = dd.D[pi]
     off = np.zeros(max(n - 1, 0))
     joined = np.zeros(max(n - 1, 0), dtype=bool)
     for t in ret_pos:
@@ -202,10 +185,8 @@ def build_relaxation(
     return Relaxation(
         n=n,
         pi=pi,
-        inv=inv,
         a_ord=a_ord,
         c_ord=c_ord,
-        d_ord=d_ord,
         segments=tuple(segments),
         seg_diag=seg_diag,
         seg_off=seg_off,
@@ -334,18 +315,21 @@ def run(instance: Instance, r: Relaxation, config: RunConfig) -> RunResult:
     if config.schedule == "geometric" and not config.ratio > 0:
         raise InputError("ratio must be positive")
 
-    state = DualState(duals=np.zeros((len(r.relaxed), 3)))
+    # one (alpha, beta_i, beta_j) row per relaxed term, plus the best
+    # certified bounds seen so far
+    duals = np.zeros((len(r.relaxed), 3))
+    best_lower, best_upper = -math.inf, math.inf
+    best_x = best_z = None
     records: list[IterationRecord] = []
     reason = "max_iter"
     polished: set[bytes] = set()
     t0 = time.perf_counter()
 
     for k in range(1, config.max_iter + 1):
-        state.k = k
-        h, xbar, zbar = h_eval(r, state.duals)
+        h, xbar, zbar = h_eval(r, duals)
         h = float(h)
-        if h > state.best_lower:
-            state.best_lower = h
+        if h > best_lower:
+            best_lower = h
         ub = upper_bound(instance, xbar, zbar)
         xcand = xbar
         # refit x on each support the inner solve proposes; any feasible
@@ -360,10 +344,10 @@ def run(instance: Instance, r: Relaxation, config: RunConfig) -> RunResult:
                     xcand = xfit
             except SingularSupport:
                 pass
-        if ub < state.best_upper:
-            state.best_upper = ub
-            state.best_x = xcand
-            state.best_z = zbar
+        if ub < best_upper:
+            best_upper = ub
+            best_x = xcand
+            best_z = zbar
 
         if config.schedule == "geometric":
             step = config.ratio ** (1 - k)
@@ -373,19 +357,18 @@ def run(instance: Instance, r: Relaxation, config: RunConfig) -> RunResult:
         # certified gap is never negative
         gap = max(
             0.0,
-            (state.best_upper - state.best_lower)
-            / max(abs(state.best_upper), GAP_DIV_GUARD),
+            (best_upper - best_lower) / max(abs(best_upper), GAP_DIV_GUARD),
         )
         records.append(
             IterationRecord(
                 k=k,
-                lower=state.best_lower,
-                upper=state.best_upper,
+                lower=best_lower,
+                upper=best_upper,
                 gap=gap,
                 step=step,
                 elapsed_ms=(time.perf_counter() - t0) * 1e3,
                 h=h,
-                duals=state.duals.copy(),
+                duals=duals.copy(),
             )
         )
         if gap <= config.eps:
@@ -394,19 +377,19 @@ def run(instance: Instance, r: Relaxation, config: RunConfig) -> RunResult:
         if k == config.max_iter:
             break
 
-        rho = subgradient(r, state.duals, xbar, zbar)
+        rho = subgradient(r, duals, xbar, zbar)
         norm = float(np.linalg.norm(rho))
         if norm == 0.0:
             reason = "stationary"
             break
         if config.schedule == "geometric":
-            state.duals = state.duals + step * rho / norm
+            duals = duals + step * rho / norm
         else:
-            state.duals = state.duals + step * rho
+            duals = duals + step * rho
 
     m_box = instance.meta.get("M")
-    if m_box is not None and state.best_x is not None:
-        worst = float(np.max(np.abs(state.best_x))) if r.n else 0.0
+    if m_box is not None and best_x is not None:
+        worst = float(np.max(np.abs(best_x))) if r.n else 0.0
         if worst > float(m_box) + 1e-9:
             logger.warning(
                 "incumbent exceeds the big-M box: max |x| = %.6g > M = %.6g",
@@ -416,11 +399,11 @@ def run(instance: Instance, r: Relaxation, config: RunConfig) -> RunResult:
 
     last = records[-1]
     return RunResult(
-        lower=state.best_lower,
-        upper=state.best_upper,
+        lower=best_lower,
+        upper=best_upper,
         gap=last.gap,
-        x=state.best_x,
-        z=state.best_z,
+        x=best_x,
+        z=best_z,
         iterations=len(records),
         records=tuple(records),
         reason=reason,
@@ -428,11 +411,12 @@ def run(instance: Instance, r: Relaxation, config: RunConfig) -> RunResult:
 
 
 def write_iteration_log(records, path) -> None:
-    """CSV log, one row per iteration."""
+    """CSV log, one row per iteration; h is that iteration's dual value,
+    and the timing column stays last."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["k", "lower", "upper", "gap", "step", "elapsed_ms"])
+        writer.writerow(["k", "lower", "upper", "gap", "step", "h", "elapsed_ms"])
         for rec in records:
             writer.writerow(
-                [rec.k, repr(rec.lower), repr(rec.upper), repr(rec.gap), repr(rec.step), f"{rec.elapsed_ms:.3f}"]
+                [rec.k, repr(rec.lower), repr(rec.upper), repr(rec.gap), repr(rec.step), repr(rec.h), f"{rec.elapsed_ms:.3f}"]
             )

@@ -41,10 +41,6 @@ class InvalidPermutation(InputError):
     """Permutation is not a bijection on the variable indices."""
 
 
-class NoObservations(InputError):
-    """Instance metadata carries no observation vector to derive a big-M from."""
-
-
 class NotBipartite(InputError):
     """Graph operation requires a bipartite support graph."""
 

@@ -14,13 +14,14 @@ across threads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
+    InputError,
     InvalidPermutation,
-    NoObservations,
     NotDiagonallyDominant,
     NotSymmetricStorage,
     ParseError,
@@ -47,7 +48,10 @@ class Instance:
             data-derived values (e.g. the squared-observation term of a
             denoising model).
         meta: generator metadata; may carry observations "y" and a box
-            radius "M".
+            radius "M". The generators set M = max |y|: Q restricted to
+            any support S is an M-matrix A with A 1 >= (1/sigma^2) 1 and
+            x_S = A^-1 y_S / sigma^2, so each x_i is a combination of y
+            values with nonnegative weights summing to at most 1.
     """
 
     n: int
@@ -238,7 +242,7 @@ def gen_tridiagonal(n: int, seed: int) -> Instance:
     slack ~ U[0, 4]^n; Q_ii = |off_{i-1}| + |off_i| + slack_i.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InputError("n must be >= 1")
     rng = _rng(seed)
     c = rng.uniform(-10.0, 3.0, n)
     a = rng.uniform(0.0, 1.0, n)
@@ -273,9 +277,9 @@ def gen_signal1d(n: int, sigma: float, mu: float, seed: int) -> Instance:
     The constant sum_t y_t^2 is recorded as the instance offset.
     """
     if n < 2:
-        raise ValueError("n must be >= 2")
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+        raise InputError("n must be >= 2")
+    if not sigma >= 0:
+        raise InputError("sigma must be >= 0")
     rng = _rng(seed)
     truth = _smooth_sparse_truth(n, rng)
     y = truth + rng.normal(0.0, sigma, n)
@@ -283,7 +287,7 @@ def gen_signal1d(n: int, sigma: float, mu: float, seed: int) -> Instance:
     deg[0] = deg[-1] = 1.0
     diag = 2.0 * (1.0 + deg)
     edges = [(i, i + 1, -2.0) for i in range(n - 1)]
-    meta = {"y": [float(v) for v in y], "M": float(y.max() - y.min())}
+    meta = {"y": [float(v) for v in y], "M": float(np.max(np.abs(y)))}
     return _build(
         n,
         np.full(n, float(mu)),
@@ -304,9 +308,9 @@ def gen_lattice2d(rows: int, cols: int, sigma: float, mu: float, seed: int) -> I
     r * cols + s.
     """
     if rows < 2 or cols < 2:
-        raise ValueError("rows and cols must be >= 2")
-    if sigma <= 0:
-        raise ValueError("sigma must be > 0")
+        raise InputError("rows and cols must be >= 2")
+    if not sigma > 0:
+        raise InputError("sigma must be > 0")
     rng = _rng(seed)
     n = rows * cols
     truth = np.zeros((rows, cols))
@@ -332,7 +336,7 @@ def gen_lattice2d(rows: int, cols: int, sigma: float, mu: float, seed: int) -> I
         deg[i] += 1
         deg[j] += 1
     diag = 2.0 / sigma**2 + 2.0 * deg
-    meta = {"y": [float(v) for v in y], "M": float(y.max() - y.min())}
+    meta = {"y": [float(v) for v in y], "M": float(np.max(np.abs(y)))}
     return _build(
         n,
         np.full(n, float(mu)),
@@ -342,15 +346,6 @@ def gen_lattice2d(rows: int, cols: int, sigma: float, mu: float, seed: int) -> I
         offset=float(np.sum(y * y) / sigma**2),
         meta=meta,
     )
-
-
-def big_m(instance: Instance) -> float:
-    """Box radius from recorded observations: max(y) - min(y)."""
-    y = instance.meta.get("y")
-    if y is None:
-        raise NoObservations("instance metadata has no observation vector 'y'")
-    y = np.asarray(y, dtype=np.float64)
-    return float(y.max() - y.min())
 
 
 def write_instance(instance: Instance, path: str) -> None:
@@ -382,18 +377,23 @@ def _field(doc: dict, key: str, kind, path: str):
     return val
 
 
+def _number(val, what: str, path: str) -> float:
+    if not isinstance(val, (int, float)) or isinstance(val, bool):
+        raise ParseError(f"{path}: {what} is not a number")
+    try:
+        out = float(val)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise ParseError(f"{path}: {what} is not finite")
+    return out
+
+
 def _float_list(doc: dict, key: str, n: int, path: str) -> np.ndarray:
     raw = _field(doc, key, list, path)
     if len(raw) != n:
         raise ParseError(f"{path}: field '{key}' must have length {n}")
-    out = np.empty(n)
-    for k, v in enumerate(raw):
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ParseError(f"{path}: '{key}[{k}]' is not a number")
-        out[k] = float(v)
-    if not np.all(np.isfinite(out)):
-        raise ParseError(f"{path}: field '{key}' contains a non-finite value")
-    return out
+    return np.array([_number(v, f"'{key}[{k}]'", path) for k, v in enumerate(raw)])
 
 
 def read_instance(path: str) -> Instance:
@@ -416,28 +416,22 @@ def read_instance(path: str) -> Instance:
         if not (isinstance(trip, list) and len(trip) == 3):
             raise ParseError(f"{path}: 'Q[{k}]' must be a [i, j, value] triplet")
         i, j, v = trip
-        if not (isinstance(i, int) and isinstance(j, int)) or isinstance(i, bool):
+        if any(not isinstance(idx, int) or isinstance(idx, bool) for idx in (i, j)):
             raise ParseError(f"{path}: 'Q[{k}]' indices must be integers")
         if not (1 <= i <= n and 1 <= j <= n):
             raise ParseError(f"{path}: 'Q[{k}]' index out of range 1..{n}")
         if i > j:
             raise ParseError(f"{path}: 'Q[{k}]' must satisfy i <= j")
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ParseError(f"{path}: 'Q[{k}]' value is not a number")
-        if not np.isfinite(v):
-            raise ParseError(f"{path}: 'Q[{k}]' value is not finite")
         qi.append(i - 1)
         qj.append(j - 1)
-        qv.append(float(v))
-    offset = 0.0
-    if "offset" in doc:
-        raw = doc["offset"]
-        if not isinstance(raw, (int, float)) or isinstance(raw, bool):
-            raise ParseError(f"{path}: 'offset' is not a number")
-        offset = float(raw)
+        qv.append(_number(v, f"'Q[{k}]' value", path))
+    offset = _number(doc["offset"], "'offset'", path) if "offset" in doc else 0.0
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise ParseError(f"{path}: 'meta' must be an object")
+    if "M" in meta:
+        # the solver reads M as the big-M box radius
+        _number(meta["M"], "'meta.M'", path)
     return Instance(
         n=n,
         a=a,

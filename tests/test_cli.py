@@ -44,7 +44,7 @@ def test_solve_decomp_outputs(tmp_path, capsys):
     assert doc["objective"] == doc["upper"]
     with open(log, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["k", "lower", "upper", "gap", "step", "elapsed_ms"]
+    assert rows[0] == ["k", "lower", "upper", "gap", "step", "h", "elapsed_ms"]
     assert len(rows) == doc["iters"] + 1
 
 
@@ -100,15 +100,6 @@ def test_oracle_command(tmp_path, capsys):
     assert abs(doc["objective"] - json.loads(sol.read_text())["objective"]) <= 1e-8
 
 
-def test_bench_csv(tmp_path):
-    out = tmp_path / "bench.csv"
-    assert run_cli("bench", "--sizes", "64,128", "--reps", "2", "-o", str(out)) == 0
-    with open(out, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["family", "n", "reps", "median_ms"]
-    assert [r[1] for r in rows[1:]] == ["64", "128"]
-
-
 def test_exit_codes(tmp_path, capsys):
     assert run_cli("solve-path", str(tmp_path / "nope.json")) == 2
 
@@ -134,4 +125,8 @@ def test_exit_codes(tmp_path, capsys):
     assert "not positive definite" in capsys.readouterr().err
 
     assert run_cli("gen", "tridiag", "--n", "5") == 2  # missing -o
+    out = str(tmp_path / "g.json")
+    assert run_cli("gen", "tridiag", "--n", "0", "-o", out) == 2
+    assert run_cli("gen", "lattice2d", "--rows", "1", "--cols", "3", "-o", out) == 2
+    assert run_cli("gen", "signal1d", "--n", "5", "--sigma", "-1", "-o", out) == 2
     capsys.readouterr()

@@ -1,7 +1,9 @@
 import csv
+import logging
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from l0path import (
     DDForm,
@@ -16,8 +18,10 @@ from l0path import (
     default_relaxation,
     enumerate_supports,
     gen_lattice2d,
+    gen_signal1d,
     gen_tridiagonal,
     h_eval,
+    permute,
     run,
     solve,
     subgradient,
@@ -251,6 +255,42 @@ def test_run_tridiagonal_matches_exact_solver():
     assert abs(res.upper - sp.objective) <= 1e-9
 
 
+@settings(derandomize=True, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+    signal=st.booleans(),
+    perm_seed=st.integers(0, 2**32 - 1),
+)
+def test_run_recovers_permuted_path(n, seed, signal, perm_seed):
+    assume(n >= 2 or not signal)
+    inst = gen_signal1d(n, 0.3, 0.1, seed) if signal else gen_tridiagonal(n, seed)
+    moved = permute(inst, rng_for(perm_seed).permutation(n))
+    r = default_relaxation(moved)
+    assert len(r.retained) == n - 1
+    assert r.relaxed == ()
+    res = run(moved, r, RunConfig())
+    assert res.reason == "gap"
+    assert res.iterations == 1
+    assert res.gap <= 1e-12
+    exact = solve(to_tridiagonal(inst)).objective
+    tol = 1e-9 * max(1.0, abs(exact))
+    assert abs(res.lower - exact) <= tol
+    assert abs(res.upper - exact) <= tol
+    if n <= 12:
+        assert abs(enumerate_supports(moved).value - exact) <= tol
+
+
+def test_generated_box_holds_the_optimum(caplog):
+    # the range of y (0.265) is below the optimum's max |x| (0.494) here
+    inst = gen_signal1d(3, 0.3, 0.1, seed=180)
+    x = solve(to_tridiagonal(inst)).x
+    assert np.max(np.abs(x)) <= inst.meta["M"]
+    with caplog.at_level(logging.WARNING, logger="l0path.decomp"):
+        run(inst, default_relaxation(inst), RunConfig())
+    assert "big-M" not in caplog.text
+
+
 def test_run_config_validation(example_instance):
     r = example_relaxation(example_instance)
     with pytest.raises(InputError):
@@ -269,6 +309,7 @@ def test_iteration_log_format(tmp_path, example_instance):
     write_iteration_log(res.records, str(path))
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["k", "lower", "upper", "gap", "step", "elapsed_ms"]
+    assert rows[0] == ["k", "lower", "upper", "gap", "step", "h", "elapsed_ms"]
     assert len(rows) == len(res.records) + 1
     assert float(rows[1][1]) == res.records[0].lower
+    assert float(rows[1][5]) == res.records[0].h

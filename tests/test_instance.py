@@ -5,11 +5,9 @@ import pytest
 
 from l0path import (
     InvalidPermutation,
-    NoObservations,
     NotDiagonallyDominant,
     NotSymmetricStorage,
     ParseError,
-    big_m,
     enumerate_supports,
     gen_lattice2d,
     gen_signal1d,
@@ -153,21 +151,6 @@ def test_zero_noise_zero_signal_instance():
     assert not res.z.any()
 
 
-def test_big_m():
-    inst = make_instance(
-        [0.0] * 3, [0.0] * 3,
-        [(0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0)],
-        meta={"y": [1.0, 3.0, 2.0]},
-    )
-    assert big_m(inst) == 2.0
-    flat = make_instance(
-        [0.0], [0.0], [(0, 0, 1.0)], meta={"y": [4.0, 4.0]}
-    )
-    assert big_m(flat) == 0.0
-    with pytest.raises(NoObservations):
-        big_m(make_instance([0.0], [0.0], [(0, 0, 1.0)]))
-
-
 def test_write_read_round_trip(tmp_path, example_instance):
     path = tmp_path / "inst.json"
     write_instance(example_instance, str(path))
@@ -199,6 +182,9 @@ def test_read_rejects_missing_and_malformed(tmp_path):
         '{"n": 1, "a": [0], "c": ["x"], "Q": [[1, 1, 1.0]]}',  # non-number
         "[1, 2]",
         "{not json",
+        '{"n": 2, "a": [0, 0], "c": [0, 0], "Q": [[1, true, 2.0]]}',  # bool index
+        '{"n": 1, "a": [0], "c": [0], "Q": [[1, 1, 1.0]], "offset": 1e999}',
+        '{"n": 1, "a": [0], "c": [0], "Q": [[1, 1, 1.0]], "meta": {"M": "abc"}}',
     ]
     for k, payload in enumerate(cases):
         path = tmp_path / f"bad{k}.json"
