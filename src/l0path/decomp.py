@@ -22,8 +22,10 @@ import numpy as np
 
 from .cover import path_cover
 from .errors import InfeasiblePair, InputError, SegmentNotPD, TemplateMismatch
-from .fenchel import DualTriple, f_star, f_star_subgradient
-from .instance import DDForm, Instance, Term, support_graph, validate
+# subgradient runs f_star_subgradient's branches as array code and never
+# calls it; the name stays bound here for the benchmark's call counters
+from .fenchel import DualTriple, f_star, f_star_subgradient  # noqa: F401
+from .instance import DDForm, Instance, Term, _frozen, support_graph, validate
 from .oracle import fixed_z_qp
 from .tridiag import TridiagProblem, solve as solve_tridiag
 from .errors import NotPositiveDefinite, SingularSupport
@@ -40,7 +42,10 @@ class Relaxation:
     Everything positional (a_ord, c_ord, segments, terms) lives in
     permuted coordinates; pi[t] is the original index at position t.
     Retained terms join consecutive positions and are already folded into
-    the per-segment templates (seg_diag, seg_off).
+    the per-segment templates (seg_diag, seg_off). The relaxed terms are
+    also held as read-only arrays (rel_i, rel_j, rel_w, rel_sign), one
+    entry per term in the order of `relaxed`, for the per-iteration
+    array code.
     """
 
     n: int
@@ -52,6 +57,10 @@ class Relaxation:
     seg_off: tuple[np.ndarray, ...]
     retained: tuple[Term, ...]
     relaxed: tuple[Term, ...]
+    rel_i: np.ndarray
+    rel_j: np.ndarray
+    rel_w: np.ndarray
+    rel_sign: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,6 +201,10 @@ def build_relaxation(
         seg_off=seg_off,
         retained=tuple(ret_pos),
         relaxed=tuple(rel_pos),
+        rel_i=_frozen(np.array([t.i for t in rel_pos], dtype=np.int64)),
+        rel_j=_frozen(np.array([t.j for t in rel_pos], dtype=np.int64)),
+        rel_w=_frozen(np.array([t.w for t in rel_pos], dtype=np.float64)),
+        rel_sign=_frozen(np.array([t.sign for t in rel_pos], dtype=np.int64)),
     )
 
 
@@ -206,17 +219,18 @@ def assemble_psi(r: Relaxation, duals: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Fold the dual triples into the ordered linear coefficients.
 
     Per relaxed term with weight w: the alphas shift c at both endpoints
-    (signed at the second), the betas shift a downward.
+    (signed at the second), the betas shift a downward. The shifts go in
+    through ufunc.at on the interleaved (i, j) endpoints, which applies
+    them one at a time in term order, so every entry rounds exactly as a
+    loop of `+=` over the terms would.
     """
+    alpha, beta1, beta2 = np.asarray(duals, dtype=np.float64).T
+    half_w = 0.5 * r.rel_w
+    ends = np.stack((r.rel_i, r.rel_j), axis=1).ravel()
     a_psi = r.a_ord.copy()
     c_psi = r.c_ord.copy()
-    for t, term in enumerate(r.relaxed):
-        alpha, b1, b2 = duals[t]
-        half_w = 0.5 * term.w
-        a_psi[term.i] -= half_w * b1
-        a_psi[term.j] -= half_w * b2
-        c_psi[term.i] += half_w * alpha
-        c_psi[term.j] += half_w * term.sign * alpha
+    np.subtract.at(a_psi, ends, np.stack((half_w * beta1, half_w * beta2), axis=1).ravel())
+    np.add.at(c_psi, ends, np.stack((half_w * alpha, half_w * r.rel_sign * alpha), axis=1).ravel())
     return a_psi, c_psi
 
 
@@ -240,12 +254,17 @@ def h_eval(r: Relaxation, duals: np.ndarray) -> tuple[float, np.ndarray, np.ndar
 
     h = -(1/2) sum of w*f_star(triple) + sum of segment optima under the
     shifted coefficients; always a lower bound on the optimal value.
+    The shifted coefficients come from the array form of assemble_psi.
+    The conjugate sum still calls f_star once per relaxed term, on Python
+    floats and in term order, so it rounds exactly as a sum over numpy
+    scalars would.
     """
     a_psi, c_psi = assemble_psi(r, duals)
     conj = 0.0
-    for t, term in enumerate(r.relaxed):
-        alpha, b1, b2 = duals[t]
-        conj += term.w * f_star(DualTriple(alpha, b1, b2, term.sign))
+    for (alpha, b1, b2), w, sign in zip(
+        np.asarray(duals, dtype=np.float64).tolist(), r.rel_w.tolist(), r.rel_sign.tolist()
+    ):
+        conj += w * f_star(DualTriple(alpha, b1, b2, sign))
 
     sols = [_solve_segment(r, k, a_psi, c_psi) for k in range(len(r.segments))]
 
@@ -270,15 +289,28 @@ def subgradient(
 
     rho = (1/2)w * (-conjugate subgradient + the primal pairing terms);
     the (1/2)w scaling is folded here rather than into the step size.
+    The conjugate subgradient is fenchel.f_star_subgradient in masked
+    form: the same branches in the same order, the same tie rule, and
+    the same floating-point operations per term.
     """
-    rho = np.zeros((len(r.relaxed), 3))
-    for t, term in enumerate(r.relaxed):
-        xi = f_star_subgradient(DualTriple(*duals[t], sign=term.sign))
-        p, q = r.pi[term.i], r.pi[term.j]
-        half_w = 0.5 * term.w
-        rho[t, 0] = half_w * (-xi[0] + (xbar[p] + term.sign * xbar[q]))
-        rho[t, 1] = half_w * (-xi[1] - zbar[p])
-        rho[t, 2] = half_w * (-xi[2] - zbar[q])
+    alpha, beta1, beta2 = np.asarray(duals, dtype=np.float64).T
+    top = 0.25 * (alpha * alpha)
+    flat = (beta1 > top) & (beta2 > top)
+    both = ~flat & (beta1 < 0) & (beta2 < 0)
+    # outside the flat piece exactly one beta is decremented, or both;
+    # on the tie beta1 == beta2 it is beta2
+    dec2 = both | (~flat & (beta1 >= beta2))
+    dec1 = both | (~flat & ~(beta1 >= beta2))
+    xi0 = np.where(flat, 0.0, 0.5 * alpha)
+    xi1 = np.where(dec1, -1.0, 0.0)
+    xi2 = np.where(dec2, -1.0, 0.0)
+    # endpoints in original indices
+    p, q = r.pi[r.rel_i], r.pi[r.rel_j]
+    half_w = 0.5 * r.rel_w
+    rho = np.empty((len(r.relaxed), 3))
+    rho[:, 0] = half_w * (-xi0 + (xbar[p] + r.rel_sign * xbar[q]))
+    rho[:, 1] = half_w * (-xi1 - zbar[p])
+    rho[:, 2] = half_w * (-xi2 - zbar[q])
     return rho
 
 

@@ -223,6 +223,11 @@ def _build(n, a, c, diag, offdiag_edges, offset=0.0, meta=None) -> Instance:
     trips = [(i, i, float(diag[i])) for i in range(n)]
     trips += [(i, j, float(v)) for i, j, v in offdiag_edges if v != 0.0]
     trips.sort()
+    # extreme parameters overflow or turn into nan here; such an instance
+    # could not be written and read back
+    for what, vals in (("a", a), ("c", c), ("Q", [t[2] for t in trips]), ("offset", [offset])):
+        if not np.all(np.isfinite(vals)):
+            raise InputError(f"the generated {what} is not finite; the parameters are out of range")
     return Instance(
         n=n,
         a=a,
@@ -335,15 +340,19 @@ def gen_lattice2d(rows: int, cols: int, sigma: float, mu: float, seed: int) -> I
     for i, j, _ in edges:
         deg[i] += 1
         deg[j] += 1
-    diag = 2.0 / sigma**2 + 2.0 * deg
+    try:
+        var = sigma**2
+        diag = 2.0 / var + 2.0 * deg
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise InputError(f"sigma {sigma!r} is out of range: its square is not a usable variance") from None
     meta = {"y": [float(v) for v in y], "M": float(np.max(np.abs(y)))}
     return _build(
         n,
         np.full(n, float(mu)),
-        -2.0 * y / sigma**2,
+        -2.0 * y / var,
         diag,
         edges,
-        offset=float(np.sum(y * y) / sigma**2),
+        offset=float(np.sum(y * y) / var),
         meta=meta,
     )
 

@@ -49,11 +49,12 @@ class TridiagProblem:
             raise ValueError("off must have length m - 1")
         # forward-elimination pivots of the full matrix; these are the
         # leading-minor ratios, so all > 0 is exactly positive definiteness
-        piv = self.diag[0]
+        diag = self.diag.tolist()
+        piv = diag[0]
         if piv <= PIVOT_TOL:
             raise NotPositiveDefinite(f"pivot {piv:.3g} at position 0")
-        for t in range(1, self.m):
-            piv = self.diag[t] - self.off[t - 1] ** 2 / piv
+        for t, o in enumerate(self.off.tolist(), start=1):
+            piv = diag[t] - o * o / piv
             if piv <= PIVOT_TOL:
                 raise NotPositiveDefinite(f"pivot {piv:.3g} at position {t}")
 
@@ -130,19 +131,28 @@ def solve_fixed_z(p: TridiagProblem, zbar) -> tuple[np.ndarray, float]:
     return x, value
 
 
+def _assign_last(size: int, idx: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Zeros with out[idx[k]] = vals[k]; a repeated index keeps its last
+    value, as a loop of assignments would."""
+    out = np.zeros(size)
+    where, last = np.unique(idx[::-1], return_index=True)
+    out[where] = vals[::-1][last]
+    return out
+
+
 def to_tridiagonal(instance: Instance) -> TridiagProblem:
     """View an instance whose stored order is already a path as a
-    TridiagProblem; rejects any entry beyond the first off-diagonal."""
-    diag = np.zeros(instance.n)
-    off = np.zeros(max(instance.n - 1, 0))
-    for i, j, v in zip(instance.qi, instance.qj, instance.qv):
-        if j - i > 1:
-            raise InputError(
-                f"Q entry ({int(i)}, {int(j)}) is off the tridiagonal band; "
-                "reorder the instance (see the decompose command) first"
-            )
-        if i == j:
-            diag[i] = v
-        else:
-            off[i] = v
+    TridiagProblem; rejects any entry beyond the first off-diagonal,
+    naming the first one in storage order."""
+    qi, qj, qv = instance.qi, instance.qj, instance.qv
+    beyond = np.flatnonzero(qj - qi > 1)
+    if beyond.size:
+        k = beyond[0]
+        raise InputError(
+            f"Q entry ({int(qi[k])}, {int(qj[k])}) is off the tridiagonal band; "
+            "reorder the instance (see the decompose command) first"
+        )
+    on = qi == qj
+    diag = _assign_last(instance.n, qi[on], qv[on])
+    off = _assign_last(max(instance.n - 1, 0), qi[~on], qv[~on])
     return TridiagProblem(m=instance.n, a=instance.a, c=instance.c, diag=diag, off=off)

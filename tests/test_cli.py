@@ -129,4 +129,10 @@ def test_exit_codes(tmp_path, capsys):
     assert run_cli("gen", "tridiag", "--n", "0", "-o", out) == 2
     assert run_cli("gen", "lattice2d", "--rows", "1", "--cols", "3", "-o", out) == 2
     assert run_cli("gen", "signal1d", "--n", "5", "--sigma", "-1", "-o", out) == 2
+    # extreme parameters: sigma^2 underflows to zero or overflows, or the
+    # generated numbers are not finite
+    assert run_cli("gen", "lattice2d", "--rows", "2", "--cols", "2", "--sigma", "1e-200", "-o", out) == 2
+    assert run_cli("gen", "lattice2d", "--rows", "2", "--cols", "2", "--sigma", "1e200", "-o", out) == 2
+    assert run_cli("gen", "signal1d", "--n", "5", "--mu", "nan", "-o", out) == 2
+    assert run_cli("gen", "signal1d", "--n", "5", "--sigma", "1e300", "-o", out) == 2
     capsys.readouterr()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import l0path.decomp as decomp
 from l0path import (
     DDForm,
     InfeasiblePair,
@@ -30,6 +31,7 @@ from l0path import (
     upper_bound,
     validate,
 )
+from l0path.fenchel import DualTriple, f_star_subgradient
 
 from conftest import make_instance, random_dd_instance, rng_for
 
@@ -42,6 +44,49 @@ def example_relaxation(example_instance):
 
 def random_duals(rng, r, scale=2.0):
     return rng.uniform(-scale, scale, (len(r.relaxed), 3))
+
+
+# Reference oracles: the per-term loops that assemble_psi and subgradient
+# replace. The array forms must agree with them bitwise.
+
+
+def assemble_psi_loop(r, duals):
+    a_psi = r.a_ord.copy()
+    c_psi = r.c_ord.copy()
+    for t, term in enumerate(r.relaxed):
+        alpha, b1, b2 = duals[t]
+        half_w = 0.5 * term.w
+        a_psi[term.i] -= half_w * b1
+        a_psi[term.j] -= half_w * b2
+        c_psi[term.i] += half_w * alpha
+        c_psi[term.j] += half_w * term.sign * alpha
+    return a_psi, c_psi
+
+
+def subgradient_loop(r, duals, xbar, zbar):
+    rho = np.zeros((len(r.relaxed), 3))
+    for t, term in enumerate(r.relaxed):
+        xi = f_star_subgradient(DualTriple(*duals[t], sign=term.sign))
+        p, q = r.pi[term.i], r.pi[term.j]
+        half_w = 0.5 * term.w
+        rho[t, 0] = half_w * (-xi[0] + (xbar[p] + term.sign * xbar[q]))
+        rho[t, 1] = half_w * (-xi[1] - zbar[p])
+        rho[t, 2] = half_w * (-xi[2] - zbar[q])
+    return rho
+
+
+_dual_value = st.floats(-4.0, 4.0) | st.sampled_from([0.0, -0.0, -1.0])
+
+
+@st.composite
+def _dual_row(draw):
+    # betas are drawn onto the branch boundaries of f_star_subgradient:
+    # beta == alpha^2/4, beta1 == beta2, and (from the range) both negative
+    alpha = draw(_dual_value)
+    top = 0.25 * (alpha * alpha)
+    beta1 = draw(_dual_value | st.just(top))
+    beta2 = draw(_dual_value | st.just(top) | st.just(beta1))
+    return [alpha, beta1, beta2]
 
 
 def test_build_relaxation_example(example_instance):
@@ -119,6 +164,48 @@ def test_assemble_psi_symmetric_beta_shift(example_instance):
     r = example_relaxation(example_instance)
     a_psi, _ = assemble_psi(r, np.array([[0.0, 1.0, 1.0]]))
     assert a_psi[1] - r.a_ord[1] == a_psi[3] - r.a_ord[3]
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 10),
+    density=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    data=st.data(),
+)
+def test_array_forms_match_scalar_loops(seed, n, density, data):
+    r = default_relaxation(random_dd_instance(rng_for(seed), n, density))
+    assert list(zip(r.rel_i.tolist(), r.rel_j.tolist(), r.rel_w.tolist(), r.rel_sign.tolist())) == [
+        (t.i, t.j, t.w, t.sign) for t in r.relaxed
+    ]
+    rows = data.draw(st.lists(_dual_row(), min_size=len(r.relaxed), max_size=len(r.relaxed)))
+    duals = np.array(rows, dtype=np.float64).reshape(-1, 3)
+    for got, want in zip(assemble_psi(r, duals), assemble_psi_loop(r, duals)):
+        assert got.tobytes() == want.tobytes()
+    _, xbar, zbar = h_eval(r, duals)
+    got = subgradient(r, duals, xbar, zbar)
+    assert got.tobytes() == subgradient_loop(r, duals, xbar, zbar).tobytes()
+
+
+def test_run_matches_scalar_loops(monkeypatch):
+    inst = gen_lattice2d(6, 6, 0.3, 0.1, 0)
+    r = default_relaxation(inst)
+    config = RunConfig(schedule="harmonic", eps=1e-3, max_iter=300)
+    got = run(inst, r, config)
+    monkeypatch.setattr(decomp, "assemble_psi", assemble_psi_loop)
+    monkeypatch.setattr(decomp, "subgradient", subgradient_loop)
+    want = run(inst, r, config)
+    assert r.relaxed and got.iterations > 1
+    assert (got.iterations, got.reason) == (want.iterations, want.reason)
+
+    def fields(rec):
+        return np.array([rec.k, rec.h, rec.lower, rec.upper, rec.gap, rec.step]).tobytes()
+
+    for a, b in zip(got.records, want.records):
+        assert fields(a) == fields(b)
+        assert a.duals.tobytes() == b.duals.tobytes()
+    assert got.x.tobytes() == want.x.tobytes()
+    assert got.z.tobytes() == want.z.tobytes()
 
 
 def test_h_eval_zero_duals(example_instance):

@@ -13,7 +13,7 @@ from l0path import (
 )
 from l0path._kernels import PIVOT_TOL, _labels_py, _thomas_py, labels_kernel, thomas_kernel
 
-from conftest import rng_for
+from conftest import make_instance, rng_for
 
 
 def arc_weight_row(p: TridiagProblem, i: int):
@@ -203,8 +203,15 @@ def test_visited_marks_skipped_positions():
 
 
 def test_to_tridiagonal_requires_band(example_instance):
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"\(1, 3\) is off the tridiagonal band"):
         to_tridiagonal(example_instance)
+    # the first off-band entry in storage order is the one named
+    two_off = make_instance(
+        [0.0] * 4, [0.0] * 4,
+        [(1, 3, -0.5), (0, 0, 2.0), (0, 2, -0.5), (1, 1, 2.0), (2, 2, 2.0), (3, 3, 2.0)],
+    )
+    with pytest.raises(InputError, match=r"\(1, 3\)"):
+        to_tridiagonal(two_off)
     inst = gen_tridiagonal(12, 4)
     p = to_tridiagonal(inst)
     assert p.m == 12
