@@ -3,10 +3,12 @@
 The support-graph preprocessing picks a maximum-weight set of edges that
 forms vertex-disjoint paths; those edges become the retained tridiagonal
 couplings and everything else is dualized. Pipeline: solve the degree-<=2
-maximum-weight subgraph exactly as a maximum-weight matching on an edge
-gadget (a sparse assignment on bipartite graphs, where the gadget is
-bipartite too; a general matching otherwise), break each surviving cycle
-at its lightest edge, and concatenate the paths into a variable ordering.
+maximum-weight subgraph exactly (an integer maximum flow on bipartite
+graphs whose weights are all equal; otherwise a maximum-weight matching
+on an edge gadget: a sparse assignment on bipartite graphs, where the
+gadget is bipartite too, and a general matching on the rest), break each
+surviving cycle at its lightest edge, and concatenate the paths into a
+variable ordering.
 
 Breaking a cycle of length L >= 3 loses at most 1/3 (bipartite: L >= 4,
 at most 1/4) of its weight, and the degree-<=2 optimum dominates the best
@@ -16,13 +18,18 @@ optimal path-cover weight.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 
 import networkx as nx
 import numpy as np
 from scipy.sparse import csr_array
-from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+from scipy.sparse.csgraph import (
+    connected_components,
+    maximum_flow,
+    min_weight_full_bipartite_matching,
+    shortest_path,
+)
 
 from .errors import HasCycle, NotBipartite
 from .instance import SupportGraph
@@ -53,27 +60,26 @@ class Ordering:
     relaxed: tuple[tuple[int, int], ...]
 
 
-def _bipartition(g: SupportGraph):
-    """2-coloring by BFS; None when some component has an odd cycle."""
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for i, j, _ in g.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if color[v] < 0:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return None
-    return np.array(color, dtype=np.int64)
+def _bipartition(g: SupportGraph, i: np.ndarray, j: np.ndarray):
+    """2-coloring with color 0 on the smallest vertex of each component;
+    None when some component has an odd cycle.
+
+    One breadth-first search from a virtual vertex joined to those
+    smallest vertices colors every vertex by the parity of its depth.
+    """
+    n, m = g.n, i.size
+    _, label = connected_components(
+        csr_array((np.ones(m), (i, j)), shape=(n, n)), directed=False
+    )
+    _, roots = np.unique(label, return_index=True)
+    tails = np.concatenate([i, np.full(roots.size, n)])
+    heads = np.concatenate([j, roots])
+    joined = csr_array((np.ones(tails.size), (tails, heads)), shape=(n + 1, n + 1))
+    depth = shortest_path(joined, directed=False, unweighted=True, indices=n)
+    color = (depth[:n].astype(np.int64) - 1) % 2
+    if np.any(color[i] == color[j]):
+        return None
+    return color
 
 
 def _decode_simple(g: SupportGraph, chosen: list[tuple[int, int, float]]):
@@ -156,26 +162,31 @@ def _decode_matching(g: SupportGraph, x: np.ndarray, y: np.ndarray) -> CoverSolu
 def b2_subgraph_bipartite(g: SupportGraph) -> CoverSolution:
     """Exact maximum-weight degree-<=2 subgraph of a bipartite graph.
 
-    With every edge oriented from the left side, the edge gadget is
-    bipartite: rows are the b nodes and the left vertex copies, columns
-    the right vertex copies and the a nodes. Each row also gets a dummy
-    column of cost C = 2 max(w), and each real arc costs C - w, so the
-    minimum-cost full assignment (sparse Jonker-Volgenant) is a
-    maximum-weight matching of the gadget.
+    When every weight equals some w, the best subgraph is w times a
+    maximum-cardinality one, which is an integer maximum flow: source ->
+    left vertex (capacity 2) -> right vertex (capacity 1 per edge) ->
+    sink (capacity 2), solved by Dinic's algorithm; the edges carrying
+    flow are the subgraph. Otherwise, with every edge oriented from the
+    left side, the edge gadget is bipartite: rows are the b nodes and the
+    left vertex copies, columns the right vertex copies and the a nodes.
+    Each row also gets a dummy column of cost C = 2 max(w), and each real
+    arc costs C - w, so the minimum-cost full assignment (sparse
+    Jonker-Volgenant) is a maximum-weight matching of the gadget.
     """
-    color = _bipartition(g)
+    i, j, w = _edge_arrays(g)
+    color = _bipartition(g, i, j)
     if color is None:
         raise NotBipartite("support graph has an odd cycle")
     if not g.edges:
         return _cover_from_chosen(g, [])
-    i, j, w = _edge_arrays(g)
     n, m = g.n, len(w)
     from_left = color[i] == 0
-    x, y, wx = _gadget(n, np.where(from_left, i, j), np.where(from_left, j, i), w)
+    tail, head = np.where(from_left, i, j), np.where(from_left, j, i)
+    if w[0] > 0 and np.all(w == w[0]):
+        return _b2_max_flow(g, color, tail, head)
+    x, y, wx = _gadget(n, tail, head, w)
     left_copies = (2 * np.flatnonzero(color == 0)[:, None] + [0, 1]).ravel()
     right_copies = (2 * np.flatnonzero(color == 1)[:, None] + [0, 1]).ravel()
-    # b nodes before the left copies: on equal weights (lattices) this
-    # tie-break leaves fewer cycles to break than the reverse order
     rows = np.concatenate([2 * n + m + np.arange(m), left_copies])
     cols = np.concatenate([right_copies, 2 * n + np.arange(m)])
     nr, nc = rows.size, cols.size
@@ -194,6 +205,22 @@ def b2_subgraph_bipartite(g: SupportGraph) -> CoverSolution:
     r, c = min_weight_full_bipartite_matching(cost)
     real = c < nc
     return _decode_matching(g, rows[r[real]], cols[c[real]])
+
+
+def _b2_max_flow(g: SupportGraph, color: np.ndarray, tail: np.ndarray, head: np.ndarray):
+    """Equal-weight case of `b2_subgraph_bipartite`: keep the edges that
+    carry flow. Direct tail -> head arcs suffice because the support graph
+    has one edge per vertex pair."""
+    n = g.n
+    source, sink = n, n + 1
+    left, right = np.flatnonzero(color == 0), np.flatnonzero(color == 1)
+    tails = np.concatenate([np.full(left.size, source), tail, right])
+    heads = np.concatenate([left, head, np.full(right.size, sink)])
+    cap = np.concatenate([np.full(left.size, 2), np.ones(tail.size), np.full(right.size, 2)])
+    net = csr_array((cap.astype(np.int32), (tails, heads)), shape=(n + 2, n + 2))
+    flow = maximum_flow(net, source, sink, method="dinic").flow
+    used = np.asarray(flow[tail, head]).ravel() > 0
+    return _cover_from_chosen(g, [g.edges[e] for e in np.flatnonzero(used)])
 
 
 def b2_subgraph_general(g: SupportGraph) -> CoverSolution:

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cover import path_cover
-from .errors import InfeasiblePair, InputError, SegmentNotPD, TemplateMismatch
+from .errors import InfeasiblePair, InputError, NumericalError, SegmentNotPD, TemplateMismatch
 # subgradient runs f_star_subgradient's branches as array code and never
 # calls it; the name stays bound here for the benchmark's call counters
 from .fenchel import DualTriple, f_star, f_star_subgradient  # noqa: F401
-from .instance import DDForm, Instance, Term, _frozen, support_graph, validate
+from .instance import DDForm, Instance, Term, _frozen, _terms, support_graph, validate
 from .oracle import fixed_z_qp
 from .tridiag import TridiagProblem, solve as solve_tridiag
 from .errors import NotPositiveDefinite, SingularSupport
@@ -121,64 +121,63 @@ def build_relaxation(
     inv = np.empty(n, dtype=np.int64)
     inv[pi] = np.arange(n, dtype=np.int64)
 
-    keep = {(min(i, j), max(i, j)) for i, j in retained}
-    known = {(t.i, t.j) for t in dd.terms}
-    for pair in keep:
-        if pair not in known:
-            raise InputError(f"retained pair {pair} is not a coupling of the instance")
+    ti, tj = dd.term_i, dd.term_j
+    # terms are sorted by (i, j), so their keys i * n + j are ascending
+    tkey = ti * n + tj
+    pairs = np.array(retained, dtype=np.int64).reshape(-1, 2)
+    ri, rj = pairs.min(axis=1), pairs.max(axis=1)
+    rkey = ri * n + rj
+    at = np.searchsorted(tkey, rkey)
+    known = (ri >= 0) & (rj < n) & (at < tkey.size)
+    known[known] = tkey[at[known]] == rkey[known]
+    if not known.all():
+        # name the pair a scan over the set of retained pairs meets first
+        term_set = set(zip(ti.tolist(), tj.tolist()))
+        for pair in {(min(i, j), max(i, j)) for i, j in retained}:
+            if pair not in term_set:
+                raise InputError(f"retained pair {pair} is not a coupling of the instance")
+    kept = np.zeros(ti.size, dtype=bool)
+    kept[at[known]] = True
 
-    ret_pos: list[Term] = []
-    rel_pos: list[Term] = []
-    for t in dd.terms:
-        p, q = int(inv[t.i]), int(inv[t.j])
-        if p > q:
-            p, q = q, p
-        pos_term = Term(i=p, j=q, w=t.w, sign=t.sign)
-        if (t.i, t.j) in keep:
-            if q != p + 1:
-                raise InputError(
-                    f"retained pair ({t.i}, {t.j}) not consecutive under the ordering"
-                )
-            ret_pos.append(pos_term)
-        else:
-            rel_pos.append(pos_term)
-    ret_pos.sort(key=lambda t: (t.i, t.j))
-    rel_pos.sort(key=lambda t: (t.i, t.j))
+    p, q = np.minimum(inv[ti], inv[tj]), np.maximum(inv[ti], inv[tj])
+    apart = kept & (q != p + 1)
+    if apart.any():
+        k = int(np.argmax(apart))
+        raise InputError(f"retained pair ({ti[k]}, {tj[k]}) not consecutive under the ordering")
+    ret = np.flatnonzero(kept)
+    ret = ret[np.argsort(p[ret])]
+    rel = np.flatnonzero(~kept)
+    rel = rel[np.lexsort((q[rel], p[rel]))]
 
     a_ord = instance.a[pi].copy()
     c_ord = instance.c[pi].copy()
+    ret_p, ret_w, ret_sign = p[ret], dd.term_w[ret], dd.term_sign[ret]
     diag = dd.D[pi]
-    off = np.zeros(max(n - 1, 0))
-    joined = np.zeros(max(n - 1, 0), dtype=bool)
-    for t in ret_pos:
-        diag[t.i] += t.w
-        diag[t.j] += t.w
-        off[t.i] = t.sign * t.w
-        joined[t.i] = True
-
-    segments: list[tuple[int, int]] = []
-    start = 0
-    for t in range(1, n + 1):
-        if t == n or not joined[t - 1]:
-            segments.append((start, t))
-            start = t
-    if n == 0:
-        segments = []
+    # ufunc.at adds in index order: both endpoints of each retained term,
+    # in term order, as a loop of += over the terms would
+    np.add.at(diag, np.stack((ret_p, ret_p + 1), axis=1).ravel(), np.repeat(ret_w, 2))
+    off = np.zeros(n - 1)
+    off[ret_p] = ret_sign * ret_w
+    cut = np.ones(n - 1, dtype=bool)
+    cut[ret_p] = False
+    ends = np.append(np.flatnonzero(cut) + 1, n)
+    segments = tuple(zip(np.append(0, ends[:-1]).tolist(), ends.tolist()))
 
     seg_diag = tuple(diag[s:e].copy() for s, e in segments)
     seg_off = tuple(off[s : e - 1].copy() for s, e in segments)
+    rel_i, rel_j = p[rel], q[rel]
+    rel_w, rel_sign = dd.term_w[rel], dd.term_sign[rel]
 
+    # off is zero between segments, so the templates are one tridiagonal
+    # form over all positions
     rng = np.random.Generator(np.random.Philox(key=0xD0))
     for _ in range(3):
         x = rng.standard_normal(n)
         x_ord = x[pi]
         lhs = dd.quad(x)
-        rhs = 0.0
-        for (s, e), dg, of in zip(segments, seg_diag, seg_off):
-            xs = x_ord[s:e]
-            rhs += 0.5 * (dg @ xs**2) + of @ (xs[:-1] * xs[1:])
-        for t in rel_pos:
-            rhs += 0.5 * t.w * (x_ord[t.i] + t.sign * x_ord[t.j]) ** 2
+        pair = x_ord[rel_i] + rel_sign * x_ord[rel_j]
+        rhs = 0.5 * float(diag @ (x_ord * x_ord)) + float(off @ (x_ord[:-1] * x_ord[1:]))
+        rhs += 0.5 * float(rel_w @ (pair * pair))
         if abs(lhs - rhs) > 1e-9 * (1.0 + abs(lhs)):
             raise TemplateMismatch(
                 f"segment templates do not reproduce the quadratic form "
@@ -196,15 +195,15 @@ def build_relaxation(
         pi=pi,
         a_ord=a_ord,
         c_ord=c_ord,
-        segments=tuple(segments),
+        segments=segments,
         seg_diag=seg_diag,
         seg_off=seg_off,
-        retained=tuple(ret_pos),
-        relaxed=tuple(rel_pos),
-        rel_i=_frozen(np.array([t.i for t in rel_pos], dtype=np.int64)),
-        rel_j=_frozen(np.array([t.j for t in rel_pos], dtype=np.int64)),
-        rel_w=_frozen(np.array([t.w for t in rel_pos], dtype=np.float64)),
-        rel_sign=_frozen(np.array([t.sign for t in rel_pos], dtype=np.int64)),
+        retained=_terms(ret_p, ret_p + 1, ret_w, ret_sign),
+        relaxed=_terms(rel_i, rel_j, rel_w, rel_sign),
+        rel_i=_frozen(rel_i),
+        rel_j=_frozen(rel_j),
+        rel_w=_frozen(rel_w),
+        rel_sign=_frozen(rel_sign),
     )
 
 
@@ -254,6 +253,8 @@ def h_eval(r: Relaxation, duals: np.ndarray) -> tuple[float, np.ndarray, np.ndar
 
     h = -(1/2) sum of w*f_star(triple) + sum of segment optima under the
     shifted coefficients; always a lower bound on the optimal value.
+    Raises NumericalError when a segment optimum or h is not finite, as
+    on data whose magnitudes overflow the label sweep.
     The shifted coefficients come from the array form of assemble_psi.
     The conjugate sum still calls f_star once per relaxed term, on Python
     floats and in term order, so it rounds exactly as a sum over numpy
@@ -272,9 +273,13 @@ def h_eval(r: Relaxation, duals: np.ndarray) -> tuple[float, np.ndarray, np.ndar
     x_pos = np.zeros(r.n)
     z_pos = np.zeros(r.n)
     for (s, e), sol in zip(r.segments, sols):
+        if not math.isfinite(sol.objective):
+            raise NumericalError(f"segment [{s}, {e}) has a non-finite optimum {sol.objective}")
         h += sol.objective
         x_pos[s:e] = sol.x
         z_pos[s:e] = sol.z
+    if not math.isfinite(h):
+        raise NumericalError(f"the dual value {h} is not finite")
     xbar = np.zeros(r.n)
     zbar = np.zeros(r.n)
     xbar[r.pi] = x_pos

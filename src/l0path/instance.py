@@ -102,26 +102,42 @@ class Term:
     sign: int
 
 
+def _terms(i, j, w, sign) -> tuple[Term, ...]:
+    """Term tuple from the four term arrays, with Python scalars."""
+    return tuple(map(Term, i.tolist(), j.tolist(), w.tolist(), sign.tolist()))
+
+
 @dataclass(frozen=True, eq=False)
 class DDForm:
     """Diagonally-dominant split of Q.
 
     (1/2) x'Qx == (1/2) sum_i D_i x_i^2 + (1/2) sum_terms w (x_i + sign x_j)^2
-    with D_i = Q_ii - sum_{j != i} |Q_ij| >= 0.
+    with D_i = Q_ii - sum_{j != i} |Q_ij| >= 0. The terms are also held as
+    read-only arrays (term_i, term_j, term_w, term_sign), one entry per
+    term in the order of `terms`.
     """
 
     D: np.ndarray
     terms: tuple[Term, ...]
+    term_i: np.ndarray
+    term_j: np.ndarray
+    term_w: np.ndarray
+    term_sign: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "D", _frozen(np.asarray(self.D, dtype=np.float64)))
+        for name, dtype in (
+            ("term_i", np.int64),
+            ("term_j", np.int64),
+            ("term_w", np.float64),
+            ("term_sign", np.int64),
+        ):
+            object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name), dtype=dtype)))
 
     def quad(self, x: np.ndarray) -> float:
         """Evaluate (1/2) x'Qx through the split form."""
-        val = 0.5 * float(self.D @ (x * x))
-        for t in self.terms:
-            val += 0.5 * t.w * (x[t.i] + t.sign * x[t.j]) ** 2
-        return val
+        pair = x[self.term_i] + self.term_sign * x[self.term_j]
+        return 0.5 * float(self.D @ (x * x)) + 0.5 * float(self.term_w @ (pair * pair))
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,50 +148,81 @@ class SupportGraph:
     edges: tuple[tuple[int, int, float], ...]
 
 
+def _first_storage_fault(instance: Instance) -> NotSymmetricStorage | None:
+    """The error a triplet-by-triplet scan in storage order meets first:
+    per triplet, outside the upper triangle, then a repeat of an earlier
+    triplet, then a zero off-diagonal value."""
+    n = instance.n
+    qi, qj, qv = instance.qi, instance.qj, instance.qv
+    outside = ~((qi >= 0) & (qi <= qj) & (qj < n))
+    # triplets outside the triangle get distinct negative keys, so they
+    # never count as repeats
+    key = np.where(outside, -1 - np.arange(qi.size), qi * n + qj)
+    order = np.argsort(key, kind="stable")
+    repeat = np.zeros(qi.size, dtype=bool)
+    repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
+    zero = (qi != qj) & (qv == 0.0)
+    fault = outside | repeat | zero
+    if not fault.any():
+        return None
+    k = int(np.argmax(fault))
+    i, j = int(qi[k]), int(qj[k])
+    if outside[k]:
+        return NotSymmetricStorage(f"triplet ({i}, {j}) outside the upper triangle")
+    if repeat[k]:
+        return NotSymmetricStorage(f"duplicate triplet ({i}, {j})")
+    return NotSymmetricStorage(f"zero-valued off-diagonal ({i}, {j})")
+
+
 def validate(instance: Instance) -> DDForm:
     """Check storage structure and diagonal dominance; return the split.
 
     Raises NotSymmetricStorage for duplicate, lower-triangle, or zero-valued
-    off-diagonal triplets, and NotDiagonallyDominant when some residual
+    off-diagonal triplets, naming the first offending triplet in storage
+    order, and NotDiagonallyDominant at the first variable whose residual
     D_i falls below -1e-9. Residuals in [-1e-9, 0) are clamped to zero.
     """
+    fault = _first_storage_fault(instance)
+    if fault is not None:
+        raise fault
     n = instance.n
-    seen: set[tuple[int, int]] = set()
+    qi, qj, qv = instance.qi, instance.qj, instance.qv
+    on_diag = qi == qj
     diag = np.zeros(n)
+    diag[qi[on_diag]] = qv[on_diag]
+    ti, tj, tv = qi[~on_diag], qj[~on_diag], qv[~on_diag]
+    tw = np.abs(tv)
+    # ufunc.at adds in index order: both endpoints of each triplet in
+    # storage order, as a loop of += over the triplets would
     absrow = np.zeros(n)
-    terms = []
-    for i, j, v in zip(instance.qi, instance.qj, instance.qv):
-        i, j, v = int(i), int(j), float(v)
-        if not (0 <= i <= j < n):
-            raise NotSymmetricStorage(f"triplet ({i}, {j}) outside the upper triangle")
-        if (i, j) in seen:
-            raise NotSymmetricStorage(f"duplicate triplet ({i}, {j})")
-        seen.add((i, j))
-        if i == j:
-            diag[i] = v
-        else:
-            if v == 0.0:
-                raise NotSymmetricStorage(f"zero-valued off-diagonal ({i}, {j})")
-            absrow[i] += abs(v)
-            absrow[j] += abs(v)
-            terms.append(Term(i, j, abs(v), 1 if v > 0 else -1))
+    np.add.at(absrow, np.stack((ti, tj), axis=1).ravel(), np.repeat(tw, 2))
     residual = diag - absrow
-    for i in range(n):
-        if residual[i] < -DD_TOL:
-            raise NotDiagonallyDominant(i, float(residual[i]))
+    below = residual < -DD_TOL
+    if below.any():
+        i = int(np.argmax(below))
+        raise NotDiagonallyDominant(i, float(residual[i]))
     residual = np.maximum(residual, 0.0)
-    terms.sort(key=lambda t: (t.i, t.j))
-    return DDForm(D=residual, terms=tuple(terms))
+    order = np.lexsort((tj, ti))
+    ti, tj, tw = ti[order], tj[order], tw[order]
+    sign = np.where(tv[order] > 0, 1, -1)
+    return DDForm(
+        D=residual,
+        terms=_terms(ti, tj, tw, sign),
+        term_i=ti,
+        term_j=tj,
+        term_w=tw,
+        term_sign=sign,
+    )
 
 
 def support_graph(instance: Instance) -> SupportGraph:
     """Edges (i, j, |Q_ij|) for the nonzero off-diagonals, sorted."""
-    edges = sorted(
-        (int(i), int(j), abs(float(v)))
-        for i, j, v in zip(instance.qi, instance.qj, instance.qv)
-        if i != j and v != 0.0
-    )
-    return SupportGraph(n=instance.n, edges=tuple(edges))
+    qi, qj, qv = instance.qi, instance.qj, instance.qv
+    nz = (qi != qj) & (qv != 0.0)
+    i, j, w = qi[nz], qj[nz], np.abs(qv[nz])
+    order = np.lexsort((w, j, i))
+    edges = tuple(zip(i[order].tolist(), j[order].tolist(), w[order].tolist()))
+    return SupportGraph(n=instance.n, edges=edges)
 
 
 def permute(instance: Instance, pi) -> Instance:

@@ -135,4 +135,8 @@ def test_exit_codes(tmp_path, capsys):
     assert run_cli("gen", "lattice2d", "--rows", "2", "--cols", "2", "--sigma", "1e200", "-o", out) == 2
     assert run_cli("gen", "signal1d", "--n", "5", "--mu", "nan", "-o", out) == 2
     assert run_cli("gen", "signal1d", "--n", "5", "--sigma", "1e300", "-o", out) == 2
+    # readable, but its magnitudes overflow the label sweep: the dual
+    # bound is not finite
+    assert run_cli("gen", "lattice2d", "--rows", "3", "--cols", "3", "--sigma", "1e-150", "-o", out) == 0
+    assert run_cli("solve-decomp", out) == 3
     capsys.readouterr()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import l0path.cover as cover
 from l0path import (
     CoverSolution,
     HasCycle,
@@ -192,6 +193,66 @@ def test_b2_bipartite_matches_general_beyond_exhaustive_cap():
         cs = b2_subgraph_bipartite(g)
         check_degrees(cs)
         assert abs(cs.weight - b2_subgraph_general(g).weight) <= 1e-9
+
+
+def uniform_bipartite(rng, nl, nr, density=0.5):
+    """Random bipartite graph whose edges all carry one weight."""
+    g = random_bipartite(rng, nl, nr, density)
+    w = float(rng.choice([2.0, rng.uniform(0.2, 3.0)]))
+    return SupportGraph(n=g.n, edges=tuple((i, j, w) for i, j, _ in g.edges))
+
+
+def test_b2_equal_weights_max_flow_matches_exhaustive():
+    rng = rng_for(56)
+    checked = 0
+    for _ in range(40):
+        g = uniform_bipartite(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
+        if len(g.edges) > 16:
+            continue
+        cs = b2_subgraph_bipartite(g)
+        check_degrees(cs)
+        assert cs.weight == pytest.approx(exhaustive_b2(g), rel=1e-12)
+        checked += 1
+    assert checked >= 30
+
+
+def test_b2_equal_weights_max_flow_matches_general():
+    rng = rng_for(57)
+    for _ in range(10):
+        nl = int(rng.integers(10, 21))
+        g = uniform_bipartite(rng, nl, int(rng.integers(max(10, 20 - nl), 41 - nl)), density=0.2)
+        assert 20 <= g.n <= 40
+        cs = b2_subgraph_bipartite(g)
+        check_degrees(cs)
+        assert cs.weight == pytest.approx(b2_subgraph_general(g).weight, rel=1e-12)
+
+
+def test_equal_weight_lattice_takes_the_max_flow(monkeypatch):
+    def no_assignment(*args, **kwargs):
+        raise AssertionError("the assignment ran on an equal-weight graph")
+
+    monkeypatch.setattr(cover, "min_weight_full_bipartite_matching", no_assignment)
+    g = support_graph(gen_lattice2d(100, 100, 0.3, 0.1, 0))
+    assert b2_subgraph_bipartite(g).weight == 2.0 * 10**4
+    ordering = path_cover(g)
+    assert sorted(ordering.pi.tolist()) == list(range(10**4))
+
+
+def test_weighted_bipartite_takes_the_assignment(monkeypatch):
+    calls = []
+    assignment = cover.min_weight_full_bipartite_matching
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return assignment(*args, **kwargs)
+
+    def no_flow(*args, **kwargs):
+        raise AssertionError("the max flow ran on a weighted graph")
+
+    monkeypatch.setattr(cover, "min_weight_full_bipartite_matching", counted)
+    monkeypatch.setattr(cover, "maximum_flow", no_flow)
+    cs = b2_subgraph_bipartite(FOUR_CYCLE)
+    assert cs.weight == 10.0 and calls == [1]
 
 
 def test_path_cover_deterministic():
