@@ -37,7 +37,7 @@ from .instance import (
     write_instance,
 )
 from .tridiag import SPSolution, TridiagProblem, solve, solve_fixed_z, to_tridiagonal
-from .fenchel import DualTriple, f_star, f_star_subgradient
+from .fenchel import f_star, f_star_subgradient
 from .cover import (
     CoverSolution,
     Ordering,
@@ -77,7 +77,7 @@ __all__ = [
     "read_instance", "write_instance",
     "TridiagProblem", "SPSolution", "solve", "solve_fixed_z",
     "to_tridiagonal",
-    "DualTriple", "f_star", "f_star_subgradient",
+    "f_star", "f_star_subgradient",
     "CoverSolution", "Ordering",
     "b2_subgraph_bipartite", "b2_subgraph_general", "break_cycles",
     "make_ordering", "path_cover",

@@ -109,7 +109,7 @@ def _cmd_decompose(args) -> int:
         "weight_total": float(weight_total),
     }
     print(
-        f"retained {len(ordering.retained)} of {len(dd.terms)} couplings "
+        f"retained {len(ordering.retained)} of {dd.term_w.size} couplings "
         f"(weight {weight_retained:.6g} of {weight_total:.6g}); "
         f"{len(ordering.relaxed)} relaxed"
     )

@@ -24,7 +24,7 @@ from .cover import path_cover
 from .errors import InfeasiblePair, InputError, NumericalError, SegmentNotPD, TemplateMismatch
 # subgradient runs f_star_subgradient's branches as array code and never
 # calls it; the name stays bound here for the benchmark's call counters
-from .fenchel import DualTriple, f_star, f_star_subgradient  # noqa: F401
+from .fenchel import f_star, f_star_subgradient  # noqa: F401
 from .instance import DDForm, Instance, Term, _frozen, _terms, support_graph, validate
 from .oracle import fixed_z_qp
 from .tridiag import TridiagProblem, solve as solve_tridiag
@@ -42,10 +42,12 @@ class Relaxation:
     Everything positional (a_ord, c_ord, segments, terms) lives in
     permuted coordinates; pi[t] is the original index at position t.
     Retained terms join consecutive positions and are already folded into
-    the per-segment templates (seg_diag, seg_off). The relaxed terms are
-    also held as read-only arrays (rel_i, rel_j, rel_w, rel_sign), one
-    entry per term in the order of `relaxed`, for the per-iteration
-    array code.
+    one read-only tridiagonal template over all positions: diag (length n)
+    and off (length n - 1). off is zero at every cut between segments, so
+    segment [s, e) has the template diag[s:e], off[s:e-1]. The relaxed
+    terms are also held as read-only arrays (rel_i, rel_j, rel_w,
+    rel_sign), one entry per term in the order of `relaxed`, for the
+    per-iteration array code.
     """
 
     n: int
@@ -53,8 +55,8 @@ class Relaxation:
     a_ord: np.ndarray
     c_ord: np.ndarray
     segments: tuple[tuple[int, int], ...]
-    seg_diag: tuple[np.ndarray, ...]
-    seg_off: tuple[np.ndarray, ...]
+    diag: np.ndarray
+    off: np.ndarray
     retained: tuple[Term, ...]
     relaxed: tuple[Term, ...]
     rel_i: np.ndarray
@@ -105,14 +107,15 @@ def build_relaxation(
     ordering: np.ndarray,
     retained: tuple[tuple[int, int], ...] | list[tuple[int, int]],
 ) -> Relaxation:
-    """Permute, split retained from relaxed, and build segment templates.
+    """Permute, split retained from relaxed, and build the template.
 
     Retained pairs (original indices) must sit on consecutive positions
     under the ordering. Each retained weight is added to both incident
     template diagonals; the template off-diagonal is the signed original
     coupling. Segments are the maximal position runs joined by retained
-    terms, and each template is checked against the original quadratic
-    form on random points before being trusted.
+    terms. The template is checked against the original quadratic form
+    on random points, and each segment's block for positive
+    definiteness, before being trusted.
     """
     n = instance.n
     pi = np.asarray(ordering, dtype=np.int64)
@@ -162,9 +165,6 @@ def build_relaxation(
     cut[ret_p] = False
     ends = np.append(np.flatnonzero(cut) + 1, n)
     segments = tuple(zip(np.append(0, ends[:-1]).tolist(), ends.tolist()))
-
-    seg_diag = tuple(diag[s:e].copy() for s, e in segments)
-    seg_off = tuple(off[s : e - 1].copy() for s, e in segments)
     rel_i, rel_j = p[rel], q[rel]
     rel_w, rel_sign = dd.term_w[rel], dd.term_sign[rel]
 
@@ -184,9 +184,9 @@ def build_relaxation(
                 f"({lhs} vs {rhs})"
             )
 
-    for (s, e), dg, of in zip(segments, seg_diag, seg_off):
+    for s, e in segments:
         try:
-            TridiagProblem(m=e - s, a=a_ord[s:e], c=c_ord[s:e], diag=dg, off=of)
+            TridiagProblem(m=e - s, a=a_ord[s:e], c=c_ord[s:e], diag=diag[s:e], off=off[s : e - 1])
         except NotPositiveDefinite as exc:
             raise SegmentNotPD(s, e) from exc
 
@@ -196,8 +196,8 @@ def build_relaxation(
         a_ord=a_ord,
         c_ord=c_ord,
         segments=segments,
-        seg_diag=seg_diag,
-        seg_off=seg_off,
+        diag=_frozen(diag),
+        off=_frozen(off),
         retained=_terms(ret_p, ret_p + 1, ret_w, ret_sign),
         relaxed=_terms(rel_i, rel_j, rel_w, rel_sign),
         rel_i=_frozen(rel_i),
@@ -233,15 +233,14 @@ def assemble_psi(r: Relaxation, duals: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return a_psi, c_psi
 
 
-def _solve_segment(r, k, a_psi, c_psi):
-    s, e = r.segments[k]
+def _solve_segment(r, s, e, a_psi, c_psi):
     try:
         p = TridiagProblem(
             m=e - s,
             a=a_psi[s:e],
             c=c_psi[s:e],
-            diag=r.seg_diag[k],
-            off=r.seg_off[k],
+            diag=r.diag[s:e],
+            off=r.off[s : e - 1],
         )
         return solve_tridiag(p)
     except NotPositiveDefinite as exc:
@@ -258,16 +257,15 @@ def h_eval(r: Relaxation, duals: np.ndarray) -> tuple[float, np.ndarray, np.ndar
     The shifted coefficients come from the array form of assemble_psi.
     The conjugate sum still calls f_star once per relaxed term, on Python
     floats and in term order, so it rounds exactly as a sum over numpy
-    scalars would.
+    scalars would. Each segment is solved on slices of the relaxation's
+    template, which TridiagProblem takes without copying.
     """
     a_psi, c_psi = assemble_psi(r, duals)
     conj = 0.0
-    for (alpha, b1, b2), w, sign in zip(
-        np.asarray(duals, dtype=np.float64).tolist(), r.rel_w.tolist(), r.rel_sign.tolist()
-    ):
-        conj += w * f_star(DualTriple(alpha, b1, b2, sign))
+    for (alpha, b1, b2), w in zip(np.asarray(duals, dtype=np.float64).tolist(), r.rel_w.tolist()):
+        conj += w * f_star(alpha, b1, b2)
 
-    sols = [_solve_segment(r, k, a_psi, c_psi) for k in range(len(r.segments))]
+    sols = [_solve_segment(r, s, e, a_psi, c_psi) for s, e in r.segments]
 
     h = -0.5 * conj
     x_pos = np.zeros(r.n)

@@ -9,7 +9,8 @@ beta2) has the closed form
         = max{0, alpha^2/4 - min(beta1, beta2)} - min{max(beta1, beta2), 0}
 
 independently of the sign (the substitution x2 -> -x2 maps one sign case
-onto the other without touching the duals).
+onto the other without touching the duals), so both functions take the
+three duals alone.
 
 These scalar functions are the specification: the decomposition's array
 form of the subgradient (`decomp.subgradient`) is tested against
@@ -25,32 +26,21 @@ ascent trajectories, in the last bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
-class DualTriple:
-    """One multiplier triple for a relaxed pairwise term."""
-
-    alpha: float
-    beta1: float
-    beta2: float
-    sign: int = -1
-
-
-def f_star(d: DualTriple) -> float:
+def f_star(alpha: float, beta1: float, beta2: float) -> float:
     """Closed-form conjugate value."""
-    lo = min(d.beta1, d.beta2)
-    hi = max(d.beta1, d.beta2)
+    lo = min(beta1, beta2)
+    hi = max(beta1, beta2)
     try:
-        sq = d.alpha**2
+        sq = alpha**2
     except OverflowError:  # Python floats raise where numpy scalars give inf
         sq = math.inf
     return max(0.0, 0.25 * sq - lo) - min(hi, 0.0)
 
 
-def f_star_subgradient(d: DualTriple) -> tuple[float, float, float]:
-    """One subgradient of f* at d.
+def f_star_subgradient(alpha: float, beta1: float, beta2: float) -> tuple[float, float, float]:
+    """One subgradient of f* at (alpha, beta1, beta2).
 
     The conjugate is a pointwise max of smooth pieces; each branch below
     returns the gradient of a piece active on that region. On the tie
@@ -59,11 +49,11 @@ def f_star_subgradient(d: DualTriple) -> tuple[float, float, float]:
     reproduces the reference iteration trajectory, see the decomposition
     tests).
     """
-    q = 0.25 * (d.alpha * d.alpha)
-    if d.beta1 > q and d.beta2 > q:
+    q = 0.25 * (alpha * alpha)
+    if beta1 > q and beta2 > q:
         return (0.0, 0.0, 0.0)
-    if d.beta1 < 0 and d.beta2 < 0:
-        return (0.5 * d.alpha, -1.0, -1.0)
-    if d.beta1 >= d.beta2:
-        return (0.5 * d.alpha, 0.0, -1.0)
-    return (0.5 * d.alpha, -1.0, 0.0)
+    if beta1 < 0 and beta2 < 0:
+        return (0.5 * alpha, -1.0, -1.0)
+    if beta1 >= beta2:
+        return (0.5 * alpha, 0.0, -1.0)
+    return (0.5 * alpha, -1.0, 0.0)

@@ -112,13 +112,12 @@ class DDForm:
     """Diagonally-dominant split of Q.
 
     (1/2) x'Qx == (1/2) sum_i D_i x_i^2 + (1/2) sum_terms w (x_i + sign x_j)^2
-    with D_i = Q_ii - sum_{j != i} |Q_ij| >= 0. The terms are also held as
+    with D_i = Q_ii - sum_{j != i} |Q_ij| >= 0. The terms are held as
     read-only arrays (term_i, term_j, term_w, term_sign), one entry per
-    term in the order of `terms`.
+    term, sorted by (i, j).
     """
 
     D: np.ndarray
-    terms: tuple[Term, ...]
     term_i: np.ndarray
     term_j: np.ndarray
     term_w: np.ndarray
@@ -205,14 +204,7 @@ def validate(instance: Instance) -> DDForm:
     order = np.lexsort((tj, ti))
     ti, tj, tw = ti[order], tj[order], tw[order]
     sign = np.where(tv[order] > 0, 1, -1)
-    return DDForm(
-        D=residual,
-        terms=_terms(ti, tj, tw, sign),
-        term_i=ti,
-        term_j=tj,
-        term_w=tw,
-        term_sign=sign,
-    )
+    return DDForm(D=residual, term_i=ti, term_j=tj, term_w=tw, term_sign=sign)
 
 
 def support_graph(instance: Instance) -> SupportGraph:
@@ -263,6 +255,8 @@ def permute(instance: Instance, pi) -> Instance:
 def _rng(seed: int) -> np.random.Generator:
     # counter-based generator so the draw sequence is reproducible across
     # platforms and documented for reimplementation
+    if not 0 <= seed < 2**128:
+        raise InputError(f"seed {seed} is out of range 0 .. 2**128 - 1")
     return np.random.Generator(np.random.Philox(key=seed))
 
 
@@ -340,15 +334,10 @@ def gen_signal1d(n: int, sigma: float, mu: float, seed: int) -> Instance:
     diag = 2.0 * (1.0 + deg)
     edges = [(i, i + 1, -2.0) for i in range(n - 1)]
     meta = {"y": [float(v) for v in y], "M": float(np.max(np.abs(y)))}
-    return _build(
-        n,
-        np.full(n, float(mu)),
-        -2.0 * y,
-        diag,
-        edges,
-        offset=float(np.sum(y * y)),
-        meta=meta,
-    )
+    # an extreme sigma overflows here; _build reports it as the one error
+    with np.errstate(over="ignore", invalid="ignore"):
+        offset = float(np.sum(y * y))
+    return _build(n, np.full(n, float(mu)), -2.0 * y, diag, edges, offset=offset, meta=meta)
 
 
 def gen_lattice2d(rows: int, cols: int, sigma: float, mu: float, seed: int) -> Instance:
@@ -393,15 +382,11 @@ def gen_lattice2d(rows: int, cols: int, sigma: float, mu: float, seed: int) -> I
     except (ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"sigma {sigma!r} is out of range: its square is not a usable variance") from None
     meta = {"y": [float(v) for v in y], "M": float(np.max(np.abs(y)))}
-    return _build(
-        n,
-        np.full(n, float(mu)),
-        -2.0 * y / var,
-        diag,
-        edges,
-        offset=float(np.sum(y * y) / var),
-        meta=meta,
-    )
+    # an extreme sigma overflows here; _build reports it as the one error
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = -2.0 * y / var
+        offset = float(np.sum(y * y) / var)
+    return _build(n, np.full(n, float(mu)), c, diag, edges, offset=offset, meta=meta)
 
 
 def write_instance(instance: Instance, path: str) -> None:

@@ -19,14 +19,14 @@ from l0path.cover import (
     path_cover,
 )
 from l0path.decomp import RunConfig, default_relaxation, h_eval, run
-from l0path.fenchel import DualTriple, f_star, f_star_subgradient
+from l0path.fenchel import f_star
 from l0path.instance import gen_lattice2d, gen_tridiagonal
 from l0path.oracle import enumerate_supports
 from l0path.tridiag import solve, to_tridiagonal
 
 from conftest import EXAMPLE_A, EXAMPLE_C, EXAMPLE_Q, make_instance, random_dd_instance, rng_for
 from test_cover import brute_force_pstar, exhaustive_b2, random_bipartite, random_graph
-from test_fenchel import dual_value, f_star_bruteforce, persp, random_triple
+from test_fenchel import dual_value, f_star_bruteforce, persp, random_triple, subgradient_plane_holds
 
 # dual trajectory of the worked four-variable instance, one alpha per
 # iteration, frozen from an independent recomputation
@@ -137,26 +137,18 @@ def test_a5_conjugate_grid_and_inequalities():
     """Closed form vs grid supremum, subgradient planes, weak duality."""
     rng = rng_for(80)
     for _ in range(500):
-        d = random_triple(rng)
-        grid = f_star_bruteforce(d)  # x grid step 1e-3
-        assert grid <= f_star(d) + 1e-12
-        assert f_star(d) - grid <= 2e-3
+        d, _ = random_triple(rng)
+        grid = f_star_bruteforce(*d)  # x grid step 1e-3
+        assert grid <= f_star(*d) + 1e-12
+        assert f_star(*d) - grid <= 2e-3
     for _ in range(1000):
-        p, q = random_triple(rng), random_triple(rng)
-        xi = f_star_subgradient(q)
-        lhs = f_star(DualTriple(p.alpha, p.beta1, p.beta2, q.sign))
-        rhs = (
-            f_star(q)
-            + xi[0] * (p.alpha - q.alpha)
-            + xi[1] * (p.beta1 - q.beta1)
-            + xi[2] * (p.beta2 - q.beta2)
-        )
-        assert lhs >= rhs - 1e-9
+        (p, _), (q, _) = random_triple(rng), random_triple(rng)
+        assert subgradient_plane_holds(p, q)
     for _ in range(10000):
-        d = random_triple(rng)
+        d, sign = random_triple(rng)
         x1, x2 = rng.uniform(-3.0, 3.0, 2)
         z1, z2 = rng.uniform(0.0, 1.0, 2)
-        assert persp(x1, x2, z1, z2, d.sign) >= dual_value(d, x1, x2, z1, z2) - 1e-9
+        assert persp(x1, x2, z1, z2, sign) >= dual_value(d, sign, x1, x2, z1, z2) - 1e-9
 
 
 def test_a6_cover_approximation_ratios():

@@ -1,5 +1,8 @@
 import csv
 import json
+import warnings
+
+import pytest
 
 from l0path.cli import main
 
@@ -127,6 +130,9 @@ def test_exit_codes(tmp_path, capsys):
     assert run_cli("gen", "tridiag", "--n", "5") == 2  # missing -o
     out = str(tmp_path / "g.json")
     assert run_cli("gen", "tridiag", "--n", "0", "-o", out) == 2
+    # Philox keys are 128-bit
+    assert run_cli("gen", "tridiag", "--n", "3", "--seed", "-1", "-o", out) == 2
+    assert run_cli("gen", "tridiag", "--n", "3", "--seed", str(2**128), "-o", out) == 2
     assert run_cli("gen", "lattice2d", "--rows", "1", "--cols", "3", "-o", out) == 2
     assert run_cli("gen", "signal1d", "--n", "5", "--sigma", "-1", "-o", out) == 2
     # extreme parameters: sigma^2 underflows to zero or overflows, or the
@@ -140,3 +146,21 @@ def test_exit_codes(tmp_path, capsys):
     assert run_cli("gen", "lattice2d", "--rows", "3", "--cols", "3", "--sigma", "1e-150", "-o", out) == 0
     assert run_cli("solve-decomp", out) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("signal1d", "--n", "5", "--sigma", "1e200"),
+        ("signal1d", "--n", "5", "--sigma", "1e300"),
+        ("lattice2d", "--rows", "2", "--cols", "2", "--sigma", "inf"),
+        ("lattice2d", "--rows", "2", "--cols", "2", "--sigma", "1e-160"),
+    ],
+)
+def test_generator_overflow_reports_only_the_error(tmp_path, capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("gen", *argv, "-o", str(tmp_path / "g.json")) == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")

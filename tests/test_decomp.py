@@ -31,7 +31,8 @@ from l0path import (
     upper_bound,
     validate,
 )
-from l0path.fenchel import DualTriple, f_star_subgradient
+from l0path.fenchel import f_star, f_star_subgradient
+from l0path.tridiag import TridiagProblem
 
 from conftest import make_instance, random_dd_instance, rng_for
 
@@ -47,7 +48,8 @@ def random_duals(rng, r, scale=2.0):
 
 
 # Reference oracles: the per-term loops that assemble_psi and subgradient
-# replace. The array forms must agree with them bitwise.
+# replace, and h_eval solving each segment on a copy of its own template.
+# The array forms must agree with them bitwise.
 
 
 def assemble_psi_loop(r, duals):
@@ -66,13 +68,42 @@ def assemble_psi_loop(r, duals):
 def subgradient_loop(r, duals, xbar, zbar):
     rho = np.zeros((len(r.relaxed), 3))
     for t, term in enumerate(r.relaxed):
-        xi = f_star_subgradient(DualTriple(*duals[t], sign=term.sign))
+        xi = f_star_subgradient(*duals[t])
         p, q = r.pi[term.i], r.pi[term.j]
         half_w = 0.5 * term.w
         rho[t, 0] = half_w * (-xi[0] + (xbar[p] + term.sign * xbar[q]))
         rho[t, 1] = half_w * (-xi[1] - zbar[p])
         rho[t, 2] = half_w * (-xi[2] - zbar[q])
     return rho
+
+
+def h_eval_loop(r, duals):
+    a_psi, c_psi = decomp.assemble_psi(r, duals)
+    conj = 0.0
+    for t, term in enumerate(r.relaxed):
+        alpha, b1, b2 = (float(v) for v in duals[t])
+        conj += term.w * f_star(alpha, b1, b2)
+    h = -0.5 * conj
+    x_pos = np.zeros(r.n)
+    z_pos = np.zeros(r.n)
+    for s, e in r.segments:
+        sol = solve(
+            TridiagProblem(
+                m=e - s,
+                a=a_psi[s:e],
+                c=c_psi[s:e],
+                diag=r.diag[s:e].copy(),
+                off=r.off[s : e - 1].copy(),
+            )
+        )
+        h += sol.objective
+        x_pos[s:e] = sol.x
+        z_pos[s:e] = sol.z
+    xbar = np.zeros(r.n)
+    zbar = np.zeros(r.n)
+    xbar[r.pi] = x_pos
+    zbar[r.pi] = z_pos
+    return float(h), xbar, zbar
 
 
 _dual_value = st.floats(-4.0, 4.0) | st.sampled_from([0.0, -0.0, -1.0])
@@ -93,9 +124,9 @@ def test_build_relaxation_example(example_instance):
     r = example_relaxation(example_instance)
     assert r.pi.tolist() == [0, 1, 2, 3]
     assert r.segments == ((0, 3), (3, 4))
-    assert np.allclose(r.seg_diag[0], [3.0, 5.2, 3.0])
-    assert np.allclose(r.seg_off[0], [-1.5, -1.0])
-    assert np.allclose(r.seg_diag[1], [1.2])
+    assert np.allclose(r.diag, [3.0, 5.2, 3.0, 1.2])
+    assert np.allclose(r.off, [-1.5, -1.0, 0.0])
+    assert not r.diag.flags.writeable and not r.off.flags.writeable
     assert [(t.i, t.j, t.w, t.sign) for t in r.relaxed] == [(1, 3, 0.8, -1)]
     assert [(t.i, t.j) for t in r.retained] == [(0, 1), (1, 2)]
 
@@ -182,7 +213,10 @@ def test_array_forms_match_scalar_loops(seed, n, density, data):
     duals = np.array(rows, dtype=np.float64).reshape(-1, 3)
     for got, want in zip(assemble_psi(r, duals), assemble_psi_loop(r, duals)):
         assert got.tobytes() == want.tobytes()
-    _, xbar, zbar = h_eval(r, duals)
+    h, xbar, zbar = h_eval(r, duals)
+    h_w, xbar_w, zbar_w = h_eval_loop(r, duals)
+    assert np.array([h]).tobytes() == np.array([h_w]).tobytes()
+    assert xbar.tobytes() == xbar_w.tobytes() and zbar.tobytes() == zbar_w.tobytes()
     got = subgradient(r, duals, xbar, zbar)
     assert got.tobytes() == subgradient_loop(r, duals, xbar, zbar).tobytes()
 
@@ -194,6 +228,7 @@ def test_run_matches_scalar_loops(monkeypatch):
     got = run(inst, r, config)
     monkeypatch.setattr(decomp, "assemble_psi", assemble_psi_loop)
     monkeypatch.setattr(decomp, "subgradient", subgradient_loop)
+    monkeypatch.setattr(decomp, "h_eval", h_eval_loop)
     want = run(inst, r, config)
     assert r.relaxed and got.iterations > 1
     assert (got.iterations, got.reason) == (want.iterations, want.reason)

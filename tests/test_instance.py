@@ -25,7 +25,8 @@ from conftest import make_instance, random_dd_instance, rng_for
 def test_validate_example_split(example_instance):
     dd = validate(example_instance)
     assert np.allclose(dd.D, [1.5, 2.7, 2.0, 1.2])
-    assert [(t.i, t.j, t.w, t.sign) for t in dd.terms] == [
+    terms = zip(dd.term_i.tolist(), dd.term_j.tolist(), dd.term_w.tolist(), dd.term_sign.tolist())
+    assert list(terms) == [
         (0, 1, 1.5, -1),
         (1, 2, 1.0, -1),
         (1, 3, 0.8, -1),
@@ -35,7 +36,7 @@ def test_validate_example_split(example_instance):
 def test_validate_diagonal_only():
     inst = make_instance([1.0, 1.0], [0.0, 0.0], [(0, 0, 2.0), (1, 1, 3.0)])
     dd = validate(inst)
-    assert dd.terms == ()
+    assert dd.term_i.size == dd.term_j.size == dd.term_w.size == dd.term_sign.size == 0
     assert np.allclose(dd.D, [2.0, 3.0])
 
 

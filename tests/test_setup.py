@@ -70,15 +70,21 @@ def support_graph_loop(instance):
     )
 
 
-def quad_loop(dd, x):
-    val = 0.5 * float(dd.D @ (x * x))
-    for t in dd.terms:
+def split_terms(dd):
+    """The split's terms as Term tuples, in array order."""
+    arrays = (dd.term_i, dd.term_j, dd.term_w, dd.term_sign)
+    return [Term(*t) for t in zip(*(a.tolist() for a in arrays))]
+
+
+def quad_loop(D, terms, x):
+    val = 0.5 * float(D @ (x * x))
+    for t in terms:
         val += 0.5 * t.w * (x[t.i] + t.sign * x[t.j]) ** 2
     return val
 
 
 def build_relaxation_loop(instance, dd, ordering, retained):
-    """(pi, segments, seg_diag, seg_off, retained, relaxed) of the relaxation."""
+    """(pi, segments, block_diag, block_off, retained, relaxed) of the relaxation."""
     n = instance.n
     pi = np.asarray(ordering, dtype=np.int64)
     if pi.shape != (n,) or len(np.unique(pi)) != n or pi.min() < 0 or pi.max() >= n:
@@ -86,12 +92,13 @@ def build_relaxation_loop(instance, dd, ordering, retained):
     inv = np.empty(n, dtype=np.int64)
     inv[pi] = np.arange(n, dtype=np.int64)
     keep = {(min(i, j), max(i, j)) for i, j in retained}
-    known = {(t.i, t.j) for t in dd.terms}
+    terms = split_terms(dd)
+    known = {(t.i, t.j) for t in terms}
     for pair in keep:
         if pair not in known:
             raise InputError(f"retained pair {pair} is not a coupling of the instance")
     ret_pos, rel_pos = [], []
-    for t in dd.terms:
+    for t in terms:
         p, q = int(inv[t.i]), int(inv[t.j])
         if p > q:
             p, q = q, p
@@ -120,27 +127,27 @@ def build_relaxation_loop(instance, dd, ordering, retained):
         if t == n or not joined[t - 1]:
             segments.append((start, t))
             start = t
-    seg_diag = tuple(diag[s:e].copy() for s, e in segments)
-    seg_off = tuple(off[s : e - 1].copy() for s, e in segments)
+    block_diag = tuple(diag[s:e].copy() for s, e in segments)
+    block_off = tuple(off[s : e - 1].copy() for s, e in segments)
     rng = np.random.Generator(np.random.Philox(key=0xD0))
     for _ in range(3):
         x = rng.standard_normal(n)
         x_ord = x[pi]
-        lhs = quad_loop(dd, x)
+        lhs = quad_loop(dd.D, terms, x)
         rhs = 0.0
-        for (s, e), dg, of in zip(segments, seg_diag, seg_off):
+        for (s, e), dg, of in zip(segments, block_diag, block_off):
             xs = x_ord[s:e]
             rhs += 0.5 * (dg @ xs**2) + of @ (xs[:-1] * xs[1:])
         for t in rel_pos:
             rhs += 0.5 * t.w * (x_ord[t.i] + t.sign * x_ord[t.j]) ** 2
         if abs(lhs - rhs) > 1e-9 * (1.0 + abs(lhs)):
             raise TemplateMismatch("segment templates do not reproduce the quadratic form")
-    for (s, e), dg, of in zip(segments, seg_diag, seg_off):
+    for (s, e), dg, of in zip(segments, block_diag, block_off):
         try:
             TridiagProblem(m=e - s, a=instance.a[pi][s:e], c=instance.c[pi][s:e], diag=dg, off=of)
         except NotPositiveDefinite as exc:
             raise SegmentNotPD(s, e) from exc
-    return pi, tuple(segments), seg_diag, seg_off, tuple(ret_pos), tuple(rel_pos)
+    return pi, tuple(segments), block_diag, block_off, tuple(ret_pos), tuple(rel_pos)
 
 
 def outcome(fn, *args):
@@ -206,14 +213,12 @@ def test_validate_and_support_graph_match_loops(inst):
     if want is not None:
         D, terms = want
         assert same_bytes(got.D, D)
-        assert got.terms == terms
-        assert [type(v) for t in got.terms for v in (t.i, t.j, t.w, t.sign)] == [int, int, float, int] * len(terms)
         assert same_bytes(got.term_i, np.array([t.i for t in terms], dtype=np.int64))
         assert same_bytes(got.term_j, np.array([t.j for t in terms], dtype=np.int64))
         assert same_bytes(got.term_w, np.array([t.w for t in terms], dtype=np.float64))
         assert same_bytes(got.term_sign, np.array([t.sign for t in terms], dtype=np.int64))
         x = rng_for(7).standard_normal(inst.n)
-        assert got.quad(x) == pytest.approx(quad_loop(got, x), rel=1e-12, abs=1e-12)
+        assert got.quad(x) == pytest.approx(quad_loop(D, terms, x), rel=1e-12, abs=1e-12)
         assert support_graph(inst).edges == support_graph_loop(inst)
 
 
@@ -243,11 +248,17 @@ def test_build_relaxation_matches_loop(inst, data):
     want, want_err = outcome(build_relaxation_loop, inst, dd, pi, retained)
     assert got_err == want_err
     if want is not None:
-        pi_w, segments, seg_diag, seg_off, ret, rel = want
+        pi_w, segments, block_diag, block_off, ret, rel = want
         assert same_bytes(got.pi, pi_w)
         assert got.segments == segments
-        assert all(same_bytes(a, b) for a, b in zip(got.seg_diag, seg_diag, strict=True))
-        assert all(same_bytes(a, b) for a, b in zip(got.seg_off, seg_off, strict=True))
+        # one template over all positions, equal to the per-segment
+        # copies and zero at every cut between segments
+        assert got.diag.shape == (inst.n,) and got.off.shape == (inst.n - 1,)
+        assert not got.diag.flags.writeable and not got.off.flags.writeable
+        for (s, e), dg, of in zip(segments, block_diag, block_off, strict=True):
+            assert same_bytes(got.diag[s:e], dg)
+            assert same_bytes(got.off[s : e - 1], of)
+        assert not got.off[[e - 1 for _, e in segments[:-1]]].any()
         assert got.retained == ret and got.relaxed == rel
         assert same_bytes(got.rel_i, np.array([t.i for t in rel], dtype=np.int64))
         assert same_bytes(got.rel_j, np.array([t.j for t in rel], dtype=np.int64))
