@@ -1,13 +1,17 @@
-"""Numerical kernels: shortest-path labeling, tridiagonal solves, support
-enumeration.
+"""Numerical kernels: shortest-path labeling, tridiagonal solves, batched
+segment solves, support enumeration.
 
-The label sweep and the Thomas solve run as a small C library. It is
-compiled once with the system C compiler, cached in this package's
-`__pycache__` under a hash of its source and flags, and called through
-`ctypes`, which releases the interpreter lock while it runs. The flags
-keep floating-point contraction and fast-math off, so every step rounds
-exactly as in the numpy references `_labels_py` and `_thomas_py`. Without
-a working compiler those references run instead, and a warning says so.
+The label sweep, the Thomas solve and the segment kernel run as a small C
+library. It is compiled once with the system C compiler, cached in this
+package's `__pycache__` under a hash of its source and flags, and called
+through `ctypes`, which releases the interpreter lock while it runs. The
+flags keep floating-point contraction and fast-math off, so every step
+rounds exactly as in the numpy references `_labels_py` and `_thomas_py`.
+The segment kernel solves every segment of a dual evaluation in one call:
+per segment it runs the same label sweep, backtrack and cut Thomas solve as
+`tridiag.solve`, so its x, z and optima are those of one `tridiag.solve`
+per segment, bit for bit; `_segments_py` is its numpy reference. Without
+a working compiler the references run instead, and a warning says so.
 
 The enumeration kernel is batched numpy: one vectorised elimination per
 chunk of equal-size supports. `_enumerate_py`, the scalar loop over
@@ -100,6 +104,35 @@ def _thomas_py(diag, off, rhs):
     for t in range(m - 2, -1, -1):
         x[t] = (r[t] - off[t] * x[t + 1]) / piv[t]
     return x, -1
+
+
+def _segments_py(bounds, a, c, diag, off):
+    """Solve every segment [bounds[k], bounds[k+1]) of one chain; returns
+    (x, z, obj, fail_segment), as tridiag.solve would segment by segment."""
+    n = a.shape[0]
+    x = np.zeros(n)
+    z = np.ones(n)
+    obj = np.empty(bounds.size - 1)
+    for k in range(bounds.size - 1):
+        s, e = int(bounds[k]), int(bounds[k + 1])
+        cs, dg, of = c[s:e], diag[s:e], off[s : e - 1]
+        labels, preds, fail = _labels_py(a[s:e], cs, dg, of)
+        if fail >= 0:
+            return x, z, obj, k
+        v = preds[e - s + 1]
+        while v > 0:
+            z[s + v - 1] = 0.0
+            v = preds[v]
+        obj[k] = labels[e - s + 1]
+        cut = z[s:e] == 0
+        xs, fail = _thomas_py(
+            np.where(cut, 1.0, dg), np.where(cut[:-1] | cut[1:], 0.0, of), np.where(cut, 0.0, -cs)
+        )
+        if fail >= 0:
+            return x, z, obj, k
+        xs[cut] = 0.0
+        x[s:e] = xs
+    return x, z, obj, -1
 
 
 def _enumerate_py(a, c, q):
@@ -197,8 +230,9 @@ def enumerate_kernel(a, c, q):
     return best_val, best_mask, skipped
 
 
-# Row-major twins of _labels_py and _thomas_py. `wbar += ...` keeps the
-# numpy association, wbar + (a - t), so both round identically.
+# Row-major twins of _labels_py and _thomas_py, and l0_segments built on
+# them. `wbar += ...` keeps the numpy association, wbar + (a - t), so both
+# round identically.
 _C_SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
@@ -252,6 +286,48 @@ int64_t l0_thomas(int64_t m, const double *diag, const double *off,
         x[t] = (x[t] - off[t] * x[t + 1]) / piv[t];
     return -1;
 }
+
+/* Solve every segment [bounds[k], bounds[k+1]) of one chain as
+   tridiag.solve does: label sweep, backtrack from the sink, then one
+   Thomas pass with the couplings cut at the zeros of z. labels and preds
+   hold n + 2 entries, cd/co/rhs/piv n each. Returns the first segment
+   whose sweep or solve fails a pivot, or -1. */
+int64_t l0_segments(int64_t nseg, const int64_t *bounds,
+                    const double *a, const double *c,
+                    const double *diag, const double *off,
+                    double *x, double *z, double *obj,
+                    double *labels, int64_t *preds,
+                    double *cd, double *co, double *rhs, double *piv)
+{
+    for (int64_t k = 0; k < nseg; k++) {
+        int64_t s = bounds[k], m = bounds[k + 1] - s;
+        for (int64_t j = 0; j <= m + 1; j++) {
+            labels[j] = INFINITY;
+            preds[j] = -1;
+        }
+        labels[0] = 0.0;
+        if (l0_labels(m, a + s, c + s, diag + s, off + s, labels, preds) >= 0)
+            return k;
+        for (int64_t t = s; t < s + m; t++)
+            z[t] = 1.0;
+        for (int64_t v = preds[m + 1]; v > 0; v = preds[v])
+            z[s + v - 1] = 0.0;
+        obj[k] = labels[m + 1];
+        for (int64_t t = s; t < s + m; t++) {
+            int cut = z[t] == 0.0;
+            cd[t] = cut ? 1.0 : diag[t];
+            rhs[t] = cut ? 0.0 : -c[t];
+            if (t + 1 < s + m)
+                co[t] = cut || z[t + 1] == 0.0 ? 0.0 : off[t];
+        }
+        if (l0_thomas(m, cd + s, co + s, rhs + s, piv, x + s) >= 0)
+            return k;
+        for (int64_t t = s; t < s + m; t++)
+            if (z[t] == 0.0)
+                x[t] = 0.0;
+    }
+    return -1;
+}
 """
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
@@ -265,7 +341,7 @@ def _load_library():
     if not path.exists():
         cc = shutil.which("cc")
         if cc is None:
-            logger.warning("no C compiler on PATH; using the numpy label sweep and Thomas solve")
+            logger.warning("no C compiler on PATH; using the numpy kernels")
             return None
         try:
             cache.mkdir(exist_ok=True)
@@ -296,6 +372,8 @@ def _load_library():
     lib.l0_labels.restype = ctypes.c_int64
     lib.l0_thomas.argtypes = [ctypes.c_int64, f64, f64, f64, f64, f64]
     lib.l0_thomas.restype = ctypes.c_int64
+    lib.l0_segments.argtypes = [ctypes.c_int64, i64] + [f64] * 8 + [i64] + [f64] * 4
+    lib.l0_segments.restype = ctypes.c_int64
     return lib
 
 
@@ -310,6 +388,7 @@ _lib = _load_library()
 if _lib is None:
     labels_kernel = _labels_py
     thomas_kernel = _thomas_py
+    segments_kernel = _segments_py
 else:
 
     def labels_kernel(a, c, diag, off):
@@ -331,3 +410,26 @@ else:
         x = np.empty(m)
         fail = _lib.l0_thomas(m, diag, off, rhs, np.empty(m), x)
         return x, fail
+
+    def segments_kernel(bounds, a, c, diag, off):
+        """Solve every segment [bounds[k], bounds[k+1]) of one chain;
+        returns (x, z, obj, fail_segment)."""
+        n = a.shape[0]
+        _check_lengths(n, (c, diag), off)
+        if (
+            bounds.ndim != 1
+            or bounds.size < 2
+            or bounds[0] != 0
+            or bounds[-1] != n
+            or np.any(bounds[1:] <= bounds[:-1])
+        ):
+            raise ValueError("bounds must rise strictly from 0 to the chain length")
+        x = np.empty(n)
+        z = np.empty(n)
+        obj = np.empty(bounds.size - 1)
+        work = np.empty((4, n))
+        fail = _lib.l0_segments(
+            bounds.size - 1, bounds, a, c, diag, off, x, z, obj,
+            np.empty(n + 2), np.empty(n + 2, dtype=np.int64), *work,
+        )
+        return x, z, obj, fail

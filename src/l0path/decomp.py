@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import segments_kernel
 from .cover import path_cover
 from .errors import InfeasiblePair, InputError, NumericalError, SegmentNotPD, TemplateMismatch
 # subgradient runs f_star_subgradient's branches as array code and never
@@ -27,7 +28,9 @@ from .errors import InfeasiblePair, InputError, NumericalError, SegmentNotPD, Te
 from .fenchel import f_star, f_star_subgradient  # noqa: F401
 from .instance import DDForm, Instance, Term, _frozen, _terms, support_graph, validate
 from .oracle import fixed_z_qp
-from .tridiag import TridiagProblem, solve as solve_tridiag
+# h_eval solves its segments with segments_kernel and never calls
+# solve_tridiag; the name stays bound here for the benchmark's tracer
+from .tridiag import TridiagProblem, solve as solve_tridiag  # noqa: F401
 from .errors import NotPositiveDefinite, SingularSupport
 
 logger = logging.getLogger(__name__)
@@ -41,6 +44,8 @@ class Relaxation:
 
     Everything positional (a_ord, c_ord, segments, terms) lives in
     permuted coordinates; pi[t] is the original index at position t.
+    bounds holds the segment starts and then n, read-only, so segment k
+    is [bounds[k], bounds[k+1]).
     Retained terms join consecutive positions and are already folded into
     one read-only tridiagonal template over all positions: diag (length n)
     and off (length n - 1). off is zero at every cut between segments, so
@@ -55,6 +60,7 @@ class Relaxation:
     a_ord: np.ndarray
     c_ord: np.ndarray
     segments: tuple[tuple[int, int], ...]
+    bounds: np.ndarray
     diag: np.ndarray
     off: np.ndarray
     retained: tuple[Term, ...]
@@ -163,8 +169,8 @@ def build_relaxation(
     off[ret_p] = ret_sign * ret_w
     cut = np.ones(n - 1, dtype=bool)
     cut[ret_p] = False
-    ends = np.append(np.flatnonzero(cut) + 1, n)
-    segments = tuple(zip(np.append(0, ends[:-1]).tolist(), ends.tolist()))
+    bounds = np.concatenate(([0], np.flatnonzero(cut) + 1, [n]))
+    segments = tuple(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
     rel_i, rel_j = p[rel], q[rel]
     rel_w, rel_sign = dd.term_w[rel], dd.term_sign[rel]
 
@@ -196,6 +202,7 @@ def build_relaxation(
         a_ord=a_ord,
         c_ord=c_ord,
         segments=segments,
+        bounds=_frozen(bounds),
         diag=_frozen(diag),
         off=_frozen(off),
         retained=_terms(ret_p, ret_p + 1, ret_w, ret_sign),
@@ -233,49 +240,34 @@ def assemble_psi(r: Relaxation, duals: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return a_psi, c_psi
 
 
-def _solve_segment(r, s, e, a_psi, c_psi):
-    try:
-        p = TridiagProblem(
-            m=e - s,
-            a=a_psi[s:e],
-            c=c_psi[s:e],
-            diag=r.diag[s:e],
-            off=r.off[s : e - 1],
-        )
-        return solve_tridiag(p)
-    except NotPositiveDefinite as exc:
-        raise SegmentNotPD(s, e) from exc
-
-
 def h_eval(r: Relaxation, duals: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Dual function value and the inner minimizer, in original indices.
 
     h = -(1/2) sum of w*f_star(triple) + sum of segment optima under the
     shifted coefficients; always a lower bound on the optimal value.
-    Raises NumericalError when a segment optimum or h is not finite, as
-    on data whose magnitudes overflow the label sweep.
+    Raises SegmentNotPD when a segment's template fails a pivot, and
+    NumericalError when a segment optimum or h is not finite, as on data
+    whose magnitudes overflow the label sweep.
     The shifted coefficients come from the array form of assemble_psi.
     The conjugate sum still calls f_star once per relaxed term, on Python
     floats and in term order, so it rounds exactly as a sum over numpy
-    scalars would. Each segment is solved on slices of the relaxation's
-    template, which TridiagProblem takes without copying.
+    scalars would. One segments_kernel call solves every segment on the
+    relaxation's template, exactly as tridiag.solve would one by one.
     """
     a_psi, c_psi = assemble_psi(r, duals)
     conj = 0.0
     for (alpha, b1, b2), w in zip(np.asarray(duals, dtype=np.float64).tolist(), r.rel_w.tolist()):
         conj += w * f_star(alpha, b1, b2)
 
-    sols = [_solve_segment(r, s, e, a_psi, c_psi) for s, e in r.segments]
+    x_pos, z_pos, obj, fail = segments_kernel(r.bounds, a_psi, c_psi, r.diag, r.off)
+    if fail >= 0:
+        raise SegmentNotPD(*r.segments[fail])
 
     h = -0.5 * conj
-    x_pos = np.zeros(r.n)
-    z_pos = np.zeros(r.n)
-    for (s, e), sol in zip(r.segments, sols):
-        if not math.isfinite(sol.objective):
-            raise NumericalError(f"segment [{s}, {e}) has a non-finite optimum {sol.objective}")
-        h += sol.objective
-        x_pos[s:e] = sol.x
-        z_pos[s:e] = sol.z
+    for (s, e), o in zip(r.segments, obj.tolist()):
+        if not math.isfinite(o):
+            raise NumericalError(f"segment [{s}, {e}) has a non-finite optimum {o}")
+        h += o
     if not math.isfinite(h):
         raise NumericalError(f"the dual value {h} is not finite")
     xbar = np.zeros(r.n)
@@ -310,7 +302,7 @@ def subgradient(
     # endpoints in original indices
     p, q = r.pi[r.rel_i], r.pi[r.rel_j]
     half_w = 0.5 * r.rel_w
-    rho = np.empty((len(r.relaxed), 3))
+    rho = np.empty((r.rel_w.size, 3))
     rho[:, 0] = half_w * (-xi0 + (xbar[p] + r.rel_sign * xbar[q]))
     rho[:, 1] = half_w * (-xi1 - zbar[p])
     rho[:, 2] = half_w * (-xi2 - zbar[q])
@@ -352,7 +344,7 @@ def run(instance: Instance, r: Relaxation, config: RunConfig) -> RunResult:
 
     # one (alpha, beta_i, beta_j) row per relaxed term, plus the best
     # certified bounds seen so far
-    duals = np.zeros((len(r.relaxed), 3))
+    duals = np.zeros((r.rel_w.size, 3))
     best_lower, best_upper = -math.inf, math.inf
     best_x = best_z = None
     records: list[IterationRecord] = []

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import logging
 
 import numpy as np
@@ -31,6 +32,7 @@ from l0path import (
     upper_bound,
     validate,
 )
+from l0path._kernels import _segments_py
 from l0path.fenchel import f_star, f_star_subgradient
 from l0path.tridiag import TridiagProblem
 
@@ -241,6 +243,34 @@ def test_run_matches_scalar_loops(monkeypatch):
         assert a.duals.tobytes() == b.duals.tobytes()
     assert got.x.tobytes() == want.x.tobytes()
     assert got.z.tobytes() == want.z.tobytes()
+
+
+def test_h_eval_numpy_segments_match_loop(monkeypatch):
+    # the no-compiler fallback: h_eval on the numpy segment kernel
+    monkeypatch.setattr(decomp, "segments_kernel", _segments_py)
+    rng = rng_for(63)
+    insts = [random_dd_instance(rng, int(rng.integers(1, 12)), 0.5) for _ in range(6)]
+    for inst in insts + [gen_lattice2d(5, 6, 0.3, 0.1, 1)]:
+        r = default_relaxation(inst)
+        for _ in range(3):
+            duals = random_duals(rng, r)
+            h, xbar, zbar = h_eval(r, duals)
+            h_w, xbar_w, zbar_w = h_eval_loop(r, duals)
+            assert zbar.tobytes() == zbar_w.tobytes()
+            assert abs(h - h_w) <= 1e-12 * max(1.0, abs(h_w))
+            assert np.all(np.abs(xbar - xbar_w) <= 1e-12 * np.maximum(1.0, np.abs(xbar_w)))
+
+
+def test_h_eval_segment_not_pd():
+    r = default_relaxation(gen_lattice2d(6, 6, 0.3, 0.1, 0))
+    assert len(r.segments) == 3
+    s, e = r.segments[1]
+    diag = r.diag.copy()
+    diag[s:e] = 0.0
+    with pytest.raises(SegmentNotPD) as info:
+        h_eval(dataclasses.replace(r, diag=diag), np.zeros((r.rel_w.size, 3)))
+    assert (info.value.start, info.value.end) == (s, e)
+    assert isinstance(info.value, NumericalError)
 
 
 def test_h_eval_zero_duals(example_instance):

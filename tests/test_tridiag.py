@@ -11,7 +11,15 @@ from l0path import (
     solve_fixed_z,
     to_tridiagonal,
 )
-from l0path._kernels import PIVOT_TOL, _labels_py, _thomas_py, labels_kernel, thomas_kernel
+from l0path._kernels import (
+    PIVOT_TOL,
+    _labels_py,
+    _segments_py,
+    _thomas_py,
+    labels_kernel,
+    segments_kernel,
+    thomas_kernel,
+)
 
 from conftest import make_instance, rng_for
 
@@ -234,3 +242,41 @@ def test_labels_kernel_matches_python():
         assert fast_fail == slow_fail == -1
         # the compiled solve rounds every step as the reference does
         assert np.array_equal(fast_x, slow_x)
+
+
+def random_chain(rng, sizes):
+    """Segments of the given sizes on one chain; off is NaN at every cut,
+    which the segment kernels must never read."""
+    parts = [random_problem(rng, m) for m in sizes]
+    off = []
+    for p in parts:
+        off += p.off.tolist() + [np.nan]
+    bounds = np.cumsum([0] + list(sizes)).astype(np.int64)
+    chain = tuple(np.concatenate([getattr(p, f) for p in parts]) for f in ("a", "c", "diag"))
+    return parts, bounds, chain + (np.array(off[:-1]),)
+
+
+@pytest.mark.skipif(segments_kernel is _segments_py, reason="no C compiler: the numpy kernels run")
+def test_segments_kernel_matches_per_segment_solves():
+    rng = rng_for(36)
+    for sizes in ((1,), (1, 1, 1), (3, 1, 7, 2), (12, 1, 30), tuple(rng.integers(1, 15, 8))):
+        parts, bounds, chain = random_chain(rng, sizes)
+        x, z, obj, fail = segments_kernel(bounds, *chain)
+        assert fail == -1
+        for k, p in enumerate(parts):
+            s, e = bounds[k], bounds[k + 1]
+            sol = solve(p)
+            assert x[s:e].tobytes() == sol.x.tobytes()
+            assert np.array_equal(z[s:e], sol.z)
+            assert obj[k] == sol.objective
+        x_py, z_py, obj_py, fail_py = _segments_py(bounds, *chain)
+        assert fail_py == -1
+        assert x_py.tobytes() == x.tobytes() and z_py.tobytes() == z.tobytes()
+        # identical recurrences, so agreement up to summation order
+        assert np.allclose(obj_py, obj, rtol=1e-12, atol=1e-12)
+    # the third segment's 2x2 block is singular
+    _, bounds, (a, c, diag, off) = random_chain(rng, (2, 3, 2, 4))
+    diag[5:7] = 1.0
+    off[5] = -1.0
+    for kernel in (segments_kernel, _segments_py):
+        assert kernel(bounds, a, c, diag, off)[3] == 2
