@@ -1,17 +1,24 @@
 """Numerical kernels: shortest-path labeling, tridiagonal solves, batched
-segment solves, support enumeration.
+segment solves, sparse LDL' refits, support enumeration.
 
-The label sweep, the Thomas solve and the segment kernel run as a small C
-library. It is compiled once with the system C compiler, cached in this
-package's `__pycache__` under a hash of its source and flags, and called
-through `ctypes`, which releases the interpreter lock while it runs. The
-flags keep floating-point contraction and fast-math off, so every step
-rounds exactly as in the numpy references `_labels_py` and `_thomas_py`.
+The label sweep, the Thomas solve, the segment kernel and the sparse
+LDL' factorisation run as a small C library. It is compiled once with the
+system C compiler, cached in this package's `__pycache__` under a hash of
+its source and flags, and called through `ctypes`, which releases the
+interpreter lock while it runs. Arrays cross as bare addresses after a
+dtype and contiguity check (`_ptr`), and each kernel allocates its own
+scratch, so a call costs a few microseconds of marshalling. The flags keep
+floating-point contraction and fast-math off, so every step rounds
+exactly as in the references `_labels_py`, `_thomas_py` and `_ldl_py`.
 The segment kernel solves every segment of a dual evaluation in one call:
 per segment it runs the same label sweep, backtrack and cut Thomas solve as
 `tridiag.solve`, so its x, z and optima are those of one `tridiag.solve`
-per segment, bit for bit; `_segments_py` is its numpy reference. Without
-a working compiler the references run instead, and a warning says so.
+per segment, bit for bit; `_segments_py` is its numpy reference. The LDL'
+kernel is the up-looking factorisation of Davis's LDL package (elimination
+tree and column counts, then one row of L at a time, then the L, D and L'
+solves); it refits x on a fixed support (`oracle.fixed_z_qp`), and
+`_ldl_py` is its scalar twin, equal to it bit for bit. Without a working
+compiler the references run instead, and a warning says so.
 
 The enumeration kernel is batched numpy: one vectorised elimination per
 chunk of equal-size supports. `_enumerate_py`, the scalar loop over
@@ -135,6 +142,81 @@ def _segments_py(bounds, a, c, diag, off):
     return x, z, obj, -1
 
 
+def _ldl_py(n, Ap, Ai, Ax, b):
+    """Factor the symmetric matrix whose upper triangle is (Ap, Ai, Ax) in
+    CSC form as L D L' and overwrite b with the solution of A x = b;
+    returns the first column whose pivot is <= PIVOT_TOL, or -1.
+
+    Scalar twin of l0_ldl: the same elimination tree, row patterns and
+    operations in the same order, so both round identically. Entries
+    below the diagonal are ignored and repeated entries add up.
+    """
+    Ap, Ai, Ax = Ap.tolist(), Ai.tolist(), Ax.tolist()
+    if Ap[0] != 0 or any(Ap[k + 1] < Ap[k] for k in range(n)) or any(not 0 <= i < n for i in Ai[: Ap[n]]):
+        raise ValueError("malformed CSC pattern")
+    # elimination tree and nonzeros per column of L
+    parent, lnz, flag = [-1] * n, [0] * n, [-1] * n
+    for k in range(n):
+        flag[k] = k
+        for p in range(Ap[k], Ap[k + 1]):
+            i = Ai[p]
+            while i < k and flag[i] != k:
+                if parent[i] == -1:
+                    parent[i] = k
+                lnz[i] += 1
+                flag[i] = k
+                i = parent[i]
+    lp = [0] * (n + 1)
+    for k in range(n):
+        lp[k + 1] = lp[k] + lnz[k]
+    li, lx = [0] * lp[n], [0.0] * lp[n]
+    # row k of L along the tree paths from the entries of column k
+    d, y, pattern = [0.0] * n, [0.0] * n, [0] * n
+    for k in range(n):
+        top = n
+        flag[k] = k
+        lnz[k] = 0
+        for p in range(Ap[k], Ap[k + 1]):
+            i = Ai[p]
+            if i > k:
+                continue
+            y[i] += Ax[p]
+            path = []
+            while flag[i] != k:
+                path.append(i)
+                flag[i] = k
+                i = parent[i]
+            pattern[top - len(path) : top] = path
+            top -= len(path)
+        dk = y[k]
+        y[k] = 0.0
+        for i in pattern[top:n]:
+            yi = y[i]
+            y[i] = 0.0
+            p2 = lp[i] + lnz[i]
+            for p in range(lp[i], p2):
+                y[li[p]] -= lx[p] * yi
+            lki = yi / d[i]
+            dk -= lki * yi
+            li[p2] = k
+            lx[p2] = lki
+            lnz[i] += 1
+        if dk <= PIVOT_TOL:
+            return k
+        d[k] = dk
+    x = b.tolist()
+    for j in range(n):
+        for p in range(lp[j], lp[j + 1]):
+            x[li[p]] -= lx[p] * x[j]
+    for j in range(n):
+        x[j] /= d[j]
+    for j in range(n - 1, -1, -1):
+        for p in range(lp[j], lp[j + 1]):
+            x[j] -= lx[p] * x[li[p]]
+    b[:] = x
+    return -1
+
+
 def _enumerate_py(a, c, q):
     """Minimize over all supports; returns (value, mask, skipped)."""
     n = a.shape[0]
@@ -230,12 +312,13 @@ def enumerate_kernel(a, c, q):
     return best_val, best_mask, skipped
 
 
-# Row-major twins of _labels_py and _thomas_py, and l0_segments built on
-# them. `wbar += ...` keeps the numpy association, wbar + (a - t), so both
-# round identically.
+# Row-major twins of _labels_py and _thomas_py, l0_segments built on them,
+# and l0_ldl, the twin of _ldl_py. `wbar += ...` keeps the numpy
+# association, wbar + (a - t), so both round identically.
 _C_SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 
 #define PIVOT_TOL 1e-12
 
@@ -289,16 +372,23 @@ int64_t l0_thomas(int64_t m, const double *diag, const double *off,
 
 /* Solve every segment [bounds[k], bounds[k+1]) of one chain as
    tridiag.solve does: label sweep, backtrack from the sink, then one
-   Thomas pass with the couplings cut at the zeros of z. labels and preds
-   hold n + 2 entries, cd/co/rhs/piv n each. Returns the first segment
-   whose sweep or solve fails a pivot, or -1. */
+   Thomas pass with the couplings cut at the zeros of z. The label and
+   solve scratch is allocated here. Returns the first segment whose sweep
+   or solve fails a pivot, -1 on success, or -3 when memory runs out. */
 int64_t l0_segments(int64_t nseg, const int64_t *bounds,
                     const double *a, const double *c,
                     const double *diag, const double *off,
-                    double *x, double *z, double *obj,
-                    double *labels, int64_t *preds,
-                    double *cd, double *co, double *rhs, double *piv)
+                    double *x, double *z, double *obj)
 {
+    int64_t n = bounds[nseg], fail = -1;
+    double *labels = malloc((size_t)(5 * n + 2) * sizeof(double));
+    int64_t *preds = malloc((size_t)(n + 2) * sizeof(int64_t));
+    if (labels == NULL || preds == NULL) {
+        free(labels);
+        free(preds);
+        return -3;
+    }
+    double *cd = labels + n + 2, *co = cd + n, *rhs = co + n, *piv = rhs + n;
     for (int64_t k = 0; k < nseg; k++) {
         int64_t s = bounds[k], m = bounds[k + 1] - s;
         for (int64_t j = 0; j <= m + 1; j++) {
@@ -306,8 +396,10 @@ int64_t l0_segments(int64_t nseg, const int64_t *bounds,
             preds[j] = -1;
         }
         labels[0] = 0.0;
-        if (l0_labels(m, a + s, c + s, diag + s, off + s, labels, preds) >= 0)
-            return k;
+        if (l0_labels(m, a + s, c + s, diag + s, off + s, labels, preds) >= 0) {
+            fail = k;
+            break;
+        }
         for (int64_t t = s; t < s + m; t++)
             z[t] = 1.0;
         for (int64_t v = preds[m + 1]; v > 0; v = preds[v])
@@ -320,13 +412,151 @@ int64_t l0_segments(int64_t nseg, const int64_t *bounds,
             if (t + 1 < s + m)
                 co[t] = cut || z[t + 1] == 0.0 ? 0.0 : off[t];
         }
-        if (l0_thomas(m, cd + s, co + s, rhs + s, piv, x + s) >= 0)
-            return k;
+        if (l0_thomas(m, cd + s, co + s, rhs + s, piv, x + s) >= 0) {
+            fail = k;
+            break;
+        }
         for (int64_t t = s; t < s + m; t++)
             if (z[t] == 0.0)
                 x[t] = 0.0;
     }
+    free(labels);
+    free(preds);
+    return fail;
+}
+
+/* Up-looking sparse LDL' factorisation and solve, after Davis, "Algorithm
+   849: A concise sparse Cholesky factorization package", ACM TOMS 31(4),
+   2005. A is symmetric n x n, given by the upper triangle of its columns
+   in CSC form (Ap, Ai, Ax): entries below the diagonal are ignored and
+   repeated entries add up. */
+
+/* Elimination tree (Parent) and the nonzeros per column of L (Lnz), from
+   which Lp indexes the columns of L. */
+static void ldl_symbolic(int64_t n, const int64_t *Ap, const int64_t *Ai,
+                         int64_t *Lp, int64_t *Parent, int64_t *Lnz,
+                         int64_t *Flag)
+{
+    for (int64_t k = 0; k < n; k++) {
+        Parent[k] = -1;
+        Flag[k] = k;
+        Lnz[k] = 0;
+        for (int64_t p = Ap[k]; p < Ap[k + 1]; p++) {
+            for (int64_t i = Ai[p]; i < k && Flag[i] != k; i = Parent[i]) {
+                if (Parent[i] == -1)
+                    Parent[i] = k;
+                Lnz[i]++;
+                Flag[i] = k;
+            }
+        }
+    }
+    Lp[0] = 0;
+    for (int64_t k = 0; k < n; k++)
+        Lp[k + 1] = Lp[k] + Lnz[k];
+}
+
+/* Row k of L is a sparse triangular solve whose pattern is the tree path
+   from each entry of column k of A up to k. Returns the first column
+   whose pivot D[k] is <= PIVOT_TOL, or -1. */
+static int64_t ldl_numeric(int64_t n, const int64_t *Ap, const int64_t *Ai,
+                           const double *Ax, const int64_t *Lp,
+                           const int64_t *Parent, int64_t *Lnz,
+                           int64_t *Flag, int64_t *Pattern,
+                           int64_t *Li, double *Lx, double *D, double *Y)
+{
+    /* the symbolic pass leaves Flag[i] >= i; row i resets it to i before
+       any later row reads it */
+    for (int64_t k = 0; k < n; k++)
+        Y[k] = 0.0;
+    for (int64_t k = 0; k < n; k++) {
+        int64_t top = n;
+        Flag[k] = k;
+        Lnz[k] = 0;
+        for (int64_t p = Ap[k]; p < Ap[k + 1]; p++) {
+            int64_t i = Ai[p], len = 0;
+            if (i > k)
+                continue;
+            Y[i] += Ax[p];
+            for (; Flag[i] != k; i = Parent[i]) {
+                Pattern[len++] = i;
+                Flag[i] = k;
+            }
+            while (len > 0)
+                Pattern[--top] = Pattern[--len];
+        }
+        double dk = Y[k];
+        Y[k] = 0.0;
+        for (; top < n; top++) {
+            int64_t i = Pattern[top], p2 = Lp[i] + Lnz[i];
+            double yi = Y[i];
+            Y[i] = 0.0;
+            for (int64_t p = Lp[i]; p < p2; p++)
+                Y[Li[p]] -= Lx[p] * yi;
+            double lki = yi / D[i];
+            dk -= lki * yi;
+            Li[p2] = k;
+            Lx[p2] = lki;
+            Lnz[i]++;
+        }
+        if (dk <= PIVOT_TOL)
+            return k;
+        D[k] = dk;
+    }
     return -1;
+}
+
+/* b <- L'^-1 D^-1 L^-1 b */
+static void ldl_solve(int64_t n, const int64_t *Lp, const int64_t *Li,
+                      const double *Lx, const double *D, double *b)
+{
+    for (int64_t j = 0; j < n; j++)
+        for (int64_t p = Lp[j]; p < Lp[j + 1]; p++)
+            b[Li[p]] -= Lx[p] * b[j];
+    for (int64_t j = 0; j < n; j++)
+        b[j] /= D[j];
+    for (int64_t j = n - 1; j >= 0; j--)
+        for (int64_t p = Lp[j]; p < Lp[j + 1]; p++)
+            b[j] -= Lx[p] * b[Li[p]];
+}
+
+/* Factor A and overwrite b with the solution of A x = b. Returns -1 on
+   success, the first column whose pivot is <= PIVOT_TOL, -2 for a
+   malformed pattern (Ap not rising from 0, or a row outside 0..n-1), or
+   -3 when memory runs out. */
+int64_t l0_ldl(int64_t n, const int64_t *Ap, const int64_t *Ai,
+               const double *Ax, double *b)
+{
+    if (n < 0 || Ap[0] != 0)
+        return -2;
+    for (int64_t k = 0; k < n; k++)
+        if (Ap[k + 1] < Ap[k])
+            return -2;
+    for (int64_t p = 0; p < Ap[n]; p++)
+        if (Ai[p] < 0 || Ai[p] >= n)
+            return -2;
+    int64_t *iw = malloc((size_t)(5 * n + 1) * sizeof(int64_t));
+    double *dw = malloc((size_t)(2 * n + 1) * sizeof(double));
+    int64_t *Li = NULL;
+    double *Lx = NULL;
+    int64_t fail = -3;
+    if (iw != NULL && dw != NULL) {
+        int64_t *Lp = iw, *Parent = Lp + n + 1, *Lnz = Parent + n;
+        int64_t *Flag = Lnz + n, *Pattern = Flag + n;
+        ldl_symbolic(n, Ap, Ai, Lp, Parent, Lnz, Flag);
+        Li = malloc((size_t)(Lp[n] + 1) * sizeof(int64_t));
+        Lx = malloc((size_t)(Lp[n] + 1) * sizeof(double));
+        if (Li != NULL && Lx != NULL) {
+            fail = ldl_numeric(n, Ap, Ai, Ax, Lp, Parent, Lnz, Flag, Pattern,
+                               Li, Lx, dw, dw + n);
+            if (fail < 0)
+                ldl_solve(n, Lp, Li, Lx, dw, b);
+        }
+    }
+    free(iw);
+    free(dw);
+    free(Li);
+    free(Lx);
+    return fail;
 }
 """
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
@@ -366,15 +596,26 @@ def _load_library():
     except OSError as e:
         logger.warning("loading %s failed (%s); using the numpy kernels", path, e)
         return None
-    f64 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
-    i64 = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
-    lib.l0_labels.argtypes = [ctypes.c_int64, f64, f64, f64, f64, f64, i64]
-    lib.l0_labels.restype = ctypes.c_int64
-    lib.l0_thomas.argtypes = [ctypes.c_int64, f64, f64, f64, f64, f64]
-    lib.l0_thomas.restype = ctypes.c_int64
-    lib.l0_segments.argtypes = [ctypes.c_int64, i64] + [f64] * 8 + [i64] + [f64] * 4
-    lib.l0_segments.restype = ctypes.c_int64
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    lib.l0_labels.argtypes = [i64] + [ptr] * 6
+    lib.l0_thomas.argtypes = [i64] + [ptr] * 5
+    lib.l0_segments.argtypes = [i64] + [ptr] * 8
+    lib.l0_ldl.argtypes = [i64] + [ptr] * 4
+    for fn in (lib.l0_labels, lib.l0_thomas, lib.l0_segments, lib.l0_ldl):
+        fn.restype = i64
     return lib
+
+
+_F64 = np.dtype(np.float64)
+_I64 = np.dtype(np.int64)
+
+
+def _ptr(arr, dtype):
+    """Address of a one-dimensional C-contiguous array of `dtype`; cheaper
+    per call than ctypes' ndpointer, which checks the same."""
+    if arr.dtype != dtype or arr.ndim != 1 or not arr.flags.c_contiguous:
+        raise TypeError(f"kernel arrays must be one-dimensional contiguous {dtype}")
+    return arr.ctypes.data
 
 
 def _check_lengths(m, full, off):
@@ -389,6 +630,7 @@ if _lib is None:
     labels_kernel = _labels_py
     thomas_kernel = _thomas_py
     segments_kernel = _segments_py
+    ldl_kernel = _ldl_py
 else:
 
     def labels_kernel(a, c, diag, off):
@@ -398,7 +640,9 @@ else:
         labels = np.full(m + 2, np.inf)
         labels[0] = 0.0
         preds = np.full(m + 2, -1, dtype=np.int64)
-        fail = _lib.l0_labels(m, a, c, diag, off, labels, preds)
+        fail = _lib.l0_labels(
+            m, *(_ptr(v, _F64) for v in (a, c, diag, off, labels)), _ptr(preds, _I64)
+        )
         return labels, preds, fail
 
     def thomas_kernel(diag, off, rhs):
@@ -407,8 +651,9 @@ else:
         _check_lengths(m, (rhs,), off)
         if m < 1:
             raise ValueError("thomas_kernel needs m >= 1")
-        x = np.empty(m)
-        fail = _lib.l0_thomas(m, diag, off, rhs, np.empty(m), x)
+        # named, so that the arrays outlive the call that writes them
+        piv, x = np.empty(m), np.empty(m)
+        fail = _lib.l0_thomas(m, *(_ptr(v, _F64) for v in (diag, off, rhs, piv, x)))
         return x, fail
 
     def segments_kernel(bounds, a, c, diag, off):
@@ -427,9 +672,22 @@ else:
         x = np.empty(n)
         z = np.empty(n)
         obj = np.empty(bounds.size - 1)
-        work = np.empty((4, n))
         fail = _lib.l0_segments(
-            bounds.size - 1, bounds, a, c, diag, off, x, z, obj,
-            np.empty(n + 2), np.empty(n + 2, dtype=np.int64), *work,
+            bounds.size - 1, _ptr(bounds, _I64), *(_ptr(v, _F64) for v in (a, c, diag, off, x, z, obj))
         )
+        if fail == -3:
+            raise MemoryError("segment kernel scratch")
         return x, z, obj, fail
+
+    def ldl_kernel(n, Ap, Ai, Ax, b):
+        """Factor the symmetric matrix whose upper triangle is (Ap, Ai, Ax)
+        in CSC form and overwrite b with the solution of A x = b; returns
+        the first column whose pivot is <= PIVOT_TOL, or -1."""
+        if Ap.shape != (n + 1,) or b.shape != (n,) or Ai.shape != Ax.shape or Ai.shape != (Ap[n],):
+            raise ValueError("ldl_kernel needs Ap of length n + 1, b of length n, and Ap[n] entries")
+        fail = _lib.l0_ldl(n, _ptr(Ap, _I64), _ptr(Ai, _I64), _ptr(Ax, _F64), _ptr(b, _F64))
+        if fail == -2:
+            raise ValueError("malformed CSC pattern")
+        if fail == -3:
+            raise MemoryError("sparse factor of the support")
+        return fail

@@ -327,7 +327,8 @@ def run(instance: Instance, r: Relaxation, config: RunConfig) -> RunResult:
     along the normalized direction; harmonic steps 1/k are applied raw.
     Every inner minimizer is evaluated as an incumbent, and each newly
     seen support, whatever its size, additionally gets its restricted QP
-    re-solved by the sparse fixed_z_qp (singular supports are skipped).
+    re-solved by fixed_z_qp, a sparse LDL' factorisation of Q on the
+    support (singular supports are skipped).
     The refit can only tighten the upper bound and never feeds the dual
     update. Stops when the certified gap reaches
     config.eps, the direction vanishes (dual-stationary), or max_iter is

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -75,6 +76,17 @@ class Instance:
             raise ValueError("a and c must have length n")
         if not (self.qi.shape == self.qj.shape == self.qv.shape):
             raise ValueError("Q triplet arrays must have equal length")
+
+    @cached_property
+    def fill_order(self) -> np.ndarray:
+        """Position of each variable in one fill-reducing elimination order
+        of Q's pattern (oracle.fill_reducing_order). Computed at its first
+        use, the first refit, and kept with this object only: copies made
+        by permute or dataclasses.replace, and instances read back from a
+        file, compute their own."""
+        from . import oracle  # oracle imports this module
+
+        return _frozen(oracle.fill_reducing_order(self))
 
     def dense_q(self) -> np.ndarray:
         """Materialize Q as a dense symmetric matrix (small n only)."""

@@ -1,8 +1,13 @@
-"""Exhaustive certified solver for small instances.
+"""Exhaustive certified solver for small instances, and the refit of x on
+a fixed support.
 
-Enumerates all 2^n supports, solving the restricted equality system for
-each; used as the ground truth in tests and exposed through the CLI for
-desk-scale certification.
+`enumerate_supports` enumerates all 2^n supports, solving the restricted
+equality system for each; it is the ground truth in tests and is exposed
+through the CLI for desk-scale certification. `fixed_z_qp` solves one
+support's system at any size with the compiled sparse LDL' kernel, under
+the fill-reducing order SuperLU computes once per instance
+(`fill_reducing_order`); the decomposition refits every support it
+proposes with it.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import numpy as np
 from scipy.sparse import csc_array
 from scipy.sparse.linalg import splu
 
-from ._kernels import PIVOT_TOL, enumerate_kernel
+from ._kernels import PIVOT_TOL, enumerate_kernel, ldl_kernel
 from .errors import SingularSupport, TooLarge
 from .instance import Instance
 
@@ -31,46 +36,63 @@ class OracleResult:
     supports_enumerated: int
 
 
+def fill_reducing_order(instance: Instance) -> np.ndarray:
+    """Position of each variable in one fill-reducing elimination order of
+    Q's pattern: SuperLU's MMD_AT_PLUS_A column order for the matrix with
+    that pattern, diagonal degree + 1 and off-diagonals -1, which is
+    positive definite whatever Q's values. Entry j is the position of
+    variable j, as SuperLU's perm_c gives it."""
+    n = instance.n
+    off = instance.qi != instance.qj
+    i, j = instance.qi[off], instance.qj[off]
+    adj = csc_array((np.ones(2 * i.size), (np.concatenate([i, j]), np.concatenate([j, i]))), shape=(n, n))
+    adj.sum_duplicates()
+    adj.data[:] = 1.0
+    degree_plus_one = csc_array((np.diff(adj.indptr) + 1.0, (np.arange(n), np.arange(n))), shape=(n, n))
+    lu = splu(
+        degree_plus_one - adj,
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    return lu.perm_c
+
+
 def fixed_z_qp(instance: Instance, z) -> tuple[np.ndarray, float]:
     """Minimize over x with the support fixed to z.
 
     Solves Q_S x_S = -c_S on the support S = {i : z_i = 1}; at that
     stationary point the objective collapses to sum(a_S) + (1/2) c_S . x_S.
-    Q_S is assembled from the triplets as a sparse matrix and factored by
-    a sparse LU under a symmetric fill-reducing order, so the cost follows
-    the nonzeros of Q_S rather than |S|^3. Raises SingularSupport when a
-    pivot of that factor is at or below PIVOT_TOL.
+    Q_S is factored as L D L' by the compiled sparse kernel
+    (`_kernels.ldl_kernel`), in the order that the instance's
+    fill-reducing order (`Instance.fill_order`, computed at the first
+    refit) induces on S; so the cost follows the nonzeros of the factor
+    rather than |S|^3. Raises SingularSupport when a pivot of that factor
+    is at or below PIVOT_TOL.
     """
     z = np.asarray(z)
     sel = np.flatnonzero(z)
     x = np.zeros(instance.n)
     if sel.size == 0:
         return x, 0.0
+    # the support in elimination order, and each variable's place in it
+    sub = sel[np.argsort(instance.fill_order[sel])]
     pos = np.full(instance.n, -1, dtype=np.int64)
-    pos[sel] = np.arange(sel.size)
+    pos[sub] = np.arange(sub.size)
     qi, qj = pos[instance.qi], pos[instance.qj]
     on = (qi >= 0) & (qj >= 0)
     qi, qj, qv = qi[on], qj[on], instance.qv[on]
-    off = qi != qj  # mirror the upper-triangle couplings
-    rows = np.concatenate([qi, qj[off]])
-    cols = np.concatenate([qj, qi[off]])
-    q = csc_array(
-        (np.concatenate([qv, qv[off]]), (rows, cols)), shape=(sel.size, sel.size)
-    )
-    try:
-        lu = splu(
-            q,
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise SingularSupport(str(exc)) from exc
-    piv = lu.U.diagonal()
-    if np.any(piv <= PIVOT_TOL):
-        raise SingularSupport(f"pivot {piv.min():.3g} in the factor of Q_S")
-    xs = lu.solve(-instance.c[sel])
-    x[sel] = xs
+    # the upper triangle by columns; repeated and lower-triangle triplets add
+    row, col = np.minimum(qi, qj), np.maximum(qi, qj)
+    order = np.argsort(col, kind="stable")
+    colptr = np.zeros(sub.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(col, minlength=sub.size), out=colptr[1:])
+    xs = -instance.c[sub]
+    fail = ldl_kernel(sub.size, colptr, row[order], qv[order], xs)
+    if fail >= 0:
+        raise SingularSupport(f"pivot at or below {PIVOT_TOL:g} at variable {sub[fail]} of the support")
+    x[sub] = xs
+    xs = x[sel]
     value = float(np.sum(instance.a[sel]) + 0.5 * instance.c[sel] @ xs)
     return x, value
 

@@ -1,6 +1,12 @@
+import dataclasses
+import shutil
+import subprocess
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csc_array
+from scipy.sparse.linalg import splu
 
 from l0path import (
     Instance,
@@ -13,12 +19,16 @@ from l0path import (
     gen_lattice2d,
     gen_tridiagonal,
     permute,
+    read_instance,
     run,
+    support_graph,
     to_tridiagonal,
     solve,
+    validate,
+    write_instance,
 )
-from l0path import decomp
-from l0path._kernels import _enumerate_py, enumerate_kernel
+from l0path import _kernels, decomp, oracle
+from l0path._kernels import PIVOT_TOL, _enumerate_py, _ldl_py, enumerate_kernel, ldl_kernel
 
 from conftest import make_instance, random_dd_instance, rng_for
 
@@ -155,3 +165,287 @@ def test_kernel_matches_python_fallback():
     fast, slow = enumerate_kernel(a, c, q), _enumerate_py(a, c, q)
     assert abs(fast[0] - slow[0]) <= 1e-12
     assert fast[1:] == slow[1:] and slow[2] == 2
+
+
+def splu_fixed_z_qp(instance, z):
+    """The refit as SuperLU computes it: Q_S assembled with csc_array, which
+    sums repeated triplets, and factored by splu under its own
+    MMD_AT_PLUS_A order of Q_S; the reference for fixed_z_qp."""
+    z = np.asarray(z)
+    sel = np.flatnonzero(z)
+    x = np.zeros(instance.n)
+    if sel.size == 0:
+        return x, 0.0
+    pos = np.full(instance.n, -1, dtype=np.int64)
+    pos[sel] = np.arange(sel.size)
+    qi, qj = pos[instance.qi], pos[instance.qj]
+    on = (qi >= 0) & (qj >= 0)
+    qi, qj, qv = qi[on], qj[on], instance.qv[on]
+    off = qi != qj  # mirror the off-diagonal couplings
+    rows = np.concatenate([qi, qj[off]])
+    cols = np.concatenate([qj, qi[off]])
+    q = csc_array((np.concatenate([qv, qv[off]]), (rows, cols)), shape=(sel.size, sel.size))
+    try:
+        lu = splu(q, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise SingularSupport(str(exc)) from exc
+    piv = lu.U.diagonal()
+    if np.any(piv <= PIVOT_TOL):
+        raise SingularSupport(f"pivot {piv.min():.3g} in the factor of Q_S")
+    xs = lu.solve(-instance.c[sel])
+    x[sel] = xs
+    return x, float(np.sum(instance.a[sel]) + 0.5 * instance.c[sel] @ xs)
+
+
+def assert_matches_splu(inst, z):
+    """x within 1e-15 max|x| of SuperLU's, and the value within 1e-15 of
+    the size of its terms, sum |a_S| + (1/2) |c_S| . |x_S|."""
+    x, value = fixed_z_qp(inst, z)
+    x_ref, v_ref = splu_fixed_z_qp(inst, z)
+    sel = np.flatnonzero(z)
+    assert not x[np.asarray(z) == 0].any()
+    assert np.max(np.abs(x - x_ref)) <= 1e-15 * np.max(np.abs(x_ref))
+    scale = np.sum(np.abs(inst.a[sel])) + 0.5 * np.abs(inst.c[sel]) @ np.abs(x_ref[sel])
+    assert abs(value - v_ref) <= 1e-15 * scale
+
+
+def test_fixed_z_matches_splu_reference():
+    for seed in range(40):
+        rng = rng_for(seed)
+        lattice = gen_lattice2d(int(rng.integers(2, 25)), int(rng.integers(2, 25)), 0.3, 0.1, seed)
+        for inst in (lattice, random_dd_instance(rng, int(rng.integers(2, 40)))):
+            for density in (0.3, 0.7, 0.95, 1.0):
+                z = (rng.uniform(size=inst.n) < density).astype(np.int64)
+                if z.any():
+                    assert_matches_splu(inst, z)
+
+
+def random_upper_csc(rng, n, density, spd):
+    """Upper-triangle CSC of a random sparse symmetric matrix, positive
+    definite when `spd`, with some entries repeated and some below the
+    diagonal (which the factorisation ignores)."""
+    rows, cols = np.triu_indices(n, 1)
+    keep = rng.uniform(size=rows.size) < density
+    rows, cols = rows[keep].astype(np.int64), cols[keep].astype(np.int64)
+    vals = rng.uniform(-2.0, 2.0, rows.size)
+    absrow = np.zeros(n)
+    np.add.at(absrow, rows, np.abs(vals))
+    np.add.at(absrow, cols, np.abs(vals))
+    diag = absrow + rng.uniform(0.1, 2.0, n) if spd else rng.uniform(-1.0, 3.0, n)
+    rows = np.concatenate([rows, np.arange(n)])
+    cols = np.concatenate([cols, np.arange(n)])
+    vals = np.concatenate([vals, diag])
+    # split some entries in two, which must add up again
+    twice = rng.uniform(size=vals.size) < 0.2
+    part = rng.uniform(0.2, 0.8, twice.sum()) * vals[twice]
+    vals[twice] -= part
+    rows, cols, vals = np.concatenate([rows, rows[twice]]), np.concatenate([cols, cols[twice]]), np.concatenate([vals, part])
+    # entries below the diagonal, with values that would spoil the result
+    low = rng.integers(0, n, size=(n, 2))
+    low = low[low[:, 0] > low[:, 1]]
+    rows, cols = np.concatenate([rows, low[:, 0]]), np.concatenate([cols, low[:, 1]])
+    vals = np.concatenate([vals, np.full(low.shape[0], 1e3)])
+    order = rng.permutation(vals.size)
+    order = order[np.argsort(cols[order], kind="stable")]
+    colptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=n), out=colptr[1:])
+    return colptr, rows[order], vals[order]
+
+
+@pytest.mark.skipif(ldl_kernel is _ldl_py, reason="no C compiler: the scalar twin runs")
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.floats(0.0, 0.5),
+    spd=st.booleans(),
+)
+def test_ldl_kernel_matches_scalar_twin(n, seed, density, spd):
+    rng = rng_for(seed)
+    colptr, rows, vals = random_upper_csc(rng, n, density, spd)
+    b = rng.uniform(-5.0, 5.0, n)
+    fast, slow = b.copy(), b.copy()
+    fail = ldl_kernel(n, colptr, rows, vals, fast)
+    assert _ldl_py(n, colptr, rows, vals, slow) == fail
+    if spd:
+        assert fail == -1
+    if fail == -1:
+        assert fast.tobytes() == slow.tobytes()
+        upper = csc_array((vals, rows, colptr), shape=(n, n)).toarray()
+        a = np.triu(upper) + np.triu(upper, 1).T
+        assert np.allclose(a @ fast, b, rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.skipif(ldl_kernel is _ldl_py, reason="no C compiler: the scalar twin runs")
+def test_ldl_kernel_matches_scalar_twin_on_lattice_supports(monkeypatch):
+    calls = []
+
+    def both(n, colptr, rows, vals, b):
+        slow = b.copy()
+        fail = ldl_kernel(n, colptr, rows, vals, b)
+        assert _ldl_py(n, colptr, rows, vals, slow) == fail
+        assert slow.tobytes() == b.tobytes()
+        calls.append(n)
+        return fail
+
+    monkeypatch.setattr(oracle, "ldl_kernel", both)
+    rng = rng_for(40)
+    for rows, cols in ((20, 20), (7, 31), (2, 2)):
+        inst = gen_lattice2d(rows, cols, 0.3, 0.1, 3)
+        for density in (0.5, 0.8, 1.0):
+            fixed_z_qp(inst, (rng.uniform(size=inst.n) < density).astype(np.int64))
+    assert len(calls) == 9 and max(calls) == 400
+
+
+def test_ldl_kernel_fails_mid_factor():
+    # column 2 eliminates to a pivot of 0, then of about 0.5 PIVOT_TOL,
+    # after columns 0 and 1 pass
+    colptr = np.array([0, 1, 2, 4], dtype=np.int64)
+    rows = np.array([0, 1, 1, 2], dtype=np.int64)
+    for last in (1.0, 1.0 + 0.5 * PIVOT_TOL):
+        vals = np.array([2.0, 1.0, 1.0, last])
+        for kernel in (ldl_kernel, _ldl_py):
+            assert kernel(3, colptr, rows, vals, np.ones(3)) == 2
+    # a row outside 0..n-1, and column pointers that fall back
+    for bad_ptr, bad_rows in ((colptr, np.array([0, 1, 1, 3])), (np.array([0, 4, 2, 4]), rows)):
+        for kernel in (ldl_kernel, _ldl_py):
+            with pytest.raises(ValueError):
+                kernel(3, bad_ptr, bad_rows, vals, np.ones(3))
+
+
+@pytest.mark.parametrize("twin", [False, True])
+def test_fixed_z_singular_mid_factor(monkeypatch, twin):
+    # variables 0 and 1 form a singular block at the end of a chain;
+    # whichever of them the order eliminates second fails, after at least
+    # one pivot that passed, and the error names it
+    inst = make_instance(
+        [0.1] * 5,
+        [-1.0] * 5,
+        [(0, 0, 1.0), (0, 1, 1.0), (1, 1, 1.0), (1, 2, -1.0), (2, 2, 3.0), (2, 3, -1.0), (3, 3, 3.0), (3, 4, -1.0), (4, 4, 3.0)],
+    )
+    failed = []
+
+    def recording(n, colptr, rows, vals, b):
+        failed.append(kernel(n, colptr, rows, vals, b))
+        return failed[-1]
+
+    kernel = _ldl_py if twin else ldl_kernel
+    monkeypatch.setattr(oracle, "ldl_kernel", recording)
+    second = max(0, 1, key=lambda i: inst.fill_order[i])
+    with pytest.raises(SingularSupport, match=f"at variable {second} of the support"):
+        fixed_z_qp(inst, np.ones(4))
+    assert failed[0] >= 1
+    # without one of the pair the support factors
+    fixed_z_qp(inst, np.array([1, 0, 1, 1, 1]))
+
+
+def test_fixed_z_sums_repeated_and_lower_triplets():
+    # (0, 0) is given twice and (1, 0) lies below the diagonal: csc_array
+    # summed both into Q_S, and so does the factorisation
+    inst = make_instance(
+        [0.5, 0.5, 0.5],
+        [-3.0, 1.0, -2.0],
+        [(0, 0, 2.0), (0, 0, 1.5), (1, 0, -0.5), (0, 1, -0.25), (1, 1, 2.0), (1, 2, 0.5), (2, 2, 1.0)],
+    )
+    z = np.ones(3)
+    assert_matches_splu(inst, z)
+    q = np.array([[3.5, -0.75, 0.0], [-0.75, 2.0, 0.5], [0.0, 0.5, 1.0]])
+    x, value = fixed_z_qp(inst, z)
+    assert np.allclose(x, np.linalg.solve(q, -inst.c), rtol=1e-14, atol=0)
+
+
+def test_fixed_z_scalar_twin_is_bitwise_equal(monkeypatch):
+    rng = rng_for(41)
+    cases = [(gen_lattice2d(12, 17, 0.3, 0.1, 5), 0.8), (random_dd_instance(rng, 25), 0.6)]
+    want = [fixed_z_qp(inst, (rng_for(42).uniform(size=inst.n) < d).astype(np.int64)) for inst, d in cases]
+    monkeypatch.setattr(oracle, "ldl_kernel", _ldl_py)
+    for (inst, d), (x, value) in zip(cases, want):
+        x_py, value_py = fixed_z_qp(inst, (rng_for(42).uniform(size=inst.n) < d).astype(np.int64))
+        assert x_py.tobytes() == x.tobytes() and value_py == value
+
+
+def counting_orders(monkeypatch):
+    """Patch oracle.fill_reducing_order to record the instances it orders."""
+    seen = []
+    original = oracle.fill_reducing_order
+
+    def counting(instance):
+        seen.append(instance)
+        return original(instance)
+
+    monkeypatch.setattr(oracle, "fill_reducing_order", counting)
+    return seen
+
+
+def test_run_computes_the_order_once(monkeypatch):
+    inst = gen_lattice2d(20, 20, 0.3, 0.1, 0)
+    seen = counting_orders(monkeypatch)
+    refits = []
+
+    def counting_refit(instance, z):
+        refits.append(instance)
+        return fixed_z_qp(instance, z)
+
+    monkeypatch.setattr(decomp, "fixed_z_qp", counting_refit)
+    res = run(inst, default_relaxation(inst), RunConfig("harmonic", eps=1e-3, max_iter=300))
+    assert len(refits) > 5 and res.reason == "gap"
+    assert len(seen) == 1 and seen[0] is inst
+
+
+def test_order_is_not_computed_before_the_first_refit(monkeypatch, tmp_path):
+    seen = counting_orders(monkeypatch)
+    inst = gen_lattice2d(6, 6, 0.3, 0.1, 0)
+    validate(inst)
+    support_graph(inst)
+    default_relaxation(inst)
+    path = tmp_path / "inst.json"
+    write_instance(inst, str(path))
+    read_instance(str(path))
+    assert not seen and "fill_order" not in vars(inst)
+    fixed_z_qp(inst, np.ones(inst.n))
+    assert seen == [inst] and "fill_order" in vars(inst)
+
+
+def test_order_does_not_leak_into_files(tmp_path):
+    inst = gen_lattice2d(5, 4, 0.3, 0.1, 1)
+    first = tmp_path / "before.json"
+    write_instance(inst, str(first))
+    fixed_z_qp(inst, np.ones(inst.n))
+    second = tmp_path / "after.json"
+    write_instance(inst, str(second))
+    assert first.read_text() == second.read_text()
+    back = read_instance(str(second))
+    assert "fill_order" not in vars(back)
+    assert np.array_equal(back.fill_order, inst.fill_order) and back.fill_order is not inst.fill_order
+
+
+def test_copies_get_their_own_order(monkeypatch):
+    inst = gen_lattice2d(5, 7, 0.3, 0.1, 2)
+    z = (rng_for(43).uniform(size=inst.n) < 0.7).astype(np.int64)
+    fixed_z_qp(inst, z)
+    seen = counting_orders(monkeypatch)
+    pi = rng_for(44).permutation(inst.n)
+    moved = permute(inst, pi)
+    x, value = fixed_z_qp(moved, z[pi])
+    assert seen == [moved]
+    x_ref, v_ref = fixed_z_qp(inst, z)
+    assert np.allclose(x, x_ref[pi], rtol=1e-13, atol=1e-13) and abs(value - v_ref) <= 1e-12 * abs(v_ref)
+    # a copy with a longer Q: one more coupling, so another pattern
+    wider = dataclasses.replace(
+        inst, qi=np.append(inst.qi, 0), qj=np.append(inst.qj, inst.n - 1), qv=np.append(inst.qv, -0.01)
+    )
+    assert "fill_order" not in vars(wider)
+    assert_matches_splu(wider, np.ones(inst.n))
+    assert seen == [moved, wider]
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    src = tmp_path / "kernels.c"
+    src.write_text(_kernels._C_SOURCE)
+    out = subprocess.run(
+        ["cc", *_kernels._CFLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "kernels.so"), str(src)],
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr

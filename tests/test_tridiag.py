@@ -280,3 +280,18 @@ def test_segments_kernel_matches_per_segment_solves():
     off[5] = -1.0
     for kernel in (segments_kernel, _segments_py):
         assert kernel(bounds, a, c, diag, off)[3] == 2
+
+
+@pytest.mark.skipif(segments_kernel is _segments_py, reason="no C compiler: the numpy kernels run")
+def test_kernels_refuse_arrays_they_cannot_address():
+    _, bounds, (a, c, diag, off) = random_chain(rng_for(37), (3, 4))
+    strided = np.repeat(c, 2)[::2]
+    for bad in (strided, c.astype(np.float32), c.reshape(1, -1)[:, :]):
+        with pytest.raises((TypeError, ValueError)):
+            segments_kernel(bounds, a, bad, diag, off)
+    with pytest.raises(TypeError):
+        segments_kernel(bounds.astype(np.int32), a, c, diag, off)
+    with pytest.raises(TypeError):
+        labels_kernel(a, strided, diag, off)
+    with pytest.raises(TypeError):
+        thomas_kernel(diag, off, c.astype(np.float32))
