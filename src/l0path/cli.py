@@ -98,13 +98,15 @@ def _cmd_decompose(args) -> int:
     dd = validate(inst)
     g = support_graph(inst)
     ordering = path_cover(g)
-    wmap = {(i, j): w for i, j, w in g.edges}
-    weight_retained = sum(wmap[e] for e in ordering.retained)
-    weight_total = sum(w for _, _, w in g.edges)
+    # retained is sorted like the graph's edges, so the kept weights sum
+    # in retained order
+    kept = np.isin(g.i * g.n + g.j, ordering.retained[:, 0] * g.n + ordering.retained[:, 1])
+    weight_retained = sum(g.w[kept].tolist())
+    weight_total = sum(g.w.tolist())
     doc = {
-        "pi": [int(v) + 1 for v in ordering.pi],
-        "retained": [[i + 1, j + 1] for i, j in ordering.retained],
-        "relaxed": [[i + 1, j + 1] for i, j in ordering.relaxed],
+        "pi": (ordering.pi + 1).tolist(),
+        "retained": (ordering.retained + 1).tolist(),
+        "relaxed": (ordering.relaxed + 1).tolist(),
         "weight_retained": float(weight_retained),
         "weight_total": float(weight_total),
     }

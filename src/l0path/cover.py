@@ -6,9 +6,14 @@ couplings and everything else is dualized. Pipeline: solve the degree-<=2
 maximum-weight subgraph exactly (an integer maximum flow on bipartite
 graphs whose weights are all equal; otherwise a maximum-weight matching
 on an edge gadget: a sparse assignment on bipartite graphs, where the
-gadget is bipartite too, and a general matching on the rest), break each
-surviving cycle at its lightest edge, and concatenate the paths into a
-variable ordering.
+gadget is bipartite too, and a general matching from networkx on the
+rest), break each surviving cycle at its lightest edge, and concatenate
+the paths into a variable ordering.
+
+The graph, the chosen subgraph and the ordering are arrays throughout:
+the subgraph is a boolean mask over the graph's sorted edge arrays, and
+its cycles and paths come from `scipy.sparse.csgraph` component labels
+and breadth-first depths, with no walk over individual edges.
 
 Breaking a cycle of length L >= 3 loses at most 1/3 (bipartite: L >= 4,
 at most 1/4) of its weight, and the degree-<=2 optimum dominates the best
@@ -18,10 +23,8 @@ optimal path-cover weight.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import (
@@ -36,14 +39,10 @@ from .instance import SupportGraph
 
 @dataclass(frozen=True, eq=False)
 class CoverSolution:
-    """Chosen edges (i, j, w) plus their decomposition into components.
+    """Chosen edges as a boolean mask over the support graph's edge
+    arrays, and their total weight. Every node has degree <= 2."""
 
-    Every node has degree <= 2. A length-two cycle is represented by the
-    same edge appearing twice, and its weight counts twice.
-    """
-
-    edges: tuple[tuple[int, int, float], ...]
-    components: tuple[tuple[str, tuple[int, ...]], ...]
+    chosen: np.ndarray
     weight: float
 
 
@@ -51,80 +50,48 @@ class CoverSolution:
 class Ordering:
     """Variable permutation with the retained/relaxed edge split.
 
-    pi[t] is the original variable at position t; retained edges are
+    pi[t] is the original variable at position t; retained and relaxed
+    are (k, 2) arrays of edges (i, j), i < j, sorted. Retained edges are
     consecutive under pi.
     """
 
     pi: np.ndarray
-    retained: tuple[tuple[int, int], ...]
-    relaxed: tuple[tuple[int, int], ...]
+    retained: np.ndarray
+    relaxed: np.ndarray
 
 
-def _bipartition(g: SupportGraph, i: np.ndarray, j: np.ndarray):
-    """2-coloring with color 0 on the smallest vertex of each component;
-    None when some component has an odd cycle.
+def _cover(g: SupportGraph, chosen: np.ndarray) -> CoverSolution:
+    return CoverSolution(chosen=chosen, weight=float(g.w[chosen].sum()))
 
-    One breadth-first search from a virtual vertex joined to those
-    smallest vertices colors every vertex by the parity of its depth.
-    """
-    n, m = g.n, i.size
-    _, label = connected_components(
-        csr_array((np.ones(m), (i, j)), shape=(n, n)), directed=False
-    )
-    _, roots = np.unique(label, return_index=True)
+
+def _components(n: int, i: np.ndarray, j: np.ndarray):
+    """(count, label per vertex) of the components of the graph with edges (i, j)."""
+    adj = csr_array((np.ones(i.size), (i, j)), shape=(n, n))
+    return connected_components(adj, directed=False)
+
+
+def _depth(n: int, i: np.ndarray, j: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Breadth-first depth of every vertex from a virtual vertex joined to
+    the roots (the roots sit at depth 1, unreached vertices at inf)."""
     tails = np.concatenate([i, np.full(roots.size, n)])
     heads = np.concatenate([j, roots])
     joined = csr_array((np.ones(tails.size), (tails, heads)), shape=(n + 1, n + 1))
-    depth = shortest_path(joined, directed=False, unweighted=True, indices=n)
-    color = (depth[:n].astype(np.int64) - 1) % 2
-    if np.any(color[i] == color[j]):
+    return shortest_path(joined, directed=False, unweighted=True, indices=n)[:n]
+
+
+def _bipartition(g: SupportGraph):
+    """2-coloring with color 0 on the smallest vertex of each component;
+    None when some component has an odd cycle.
+
+    Every vertex is colored by the parity of its depth from a virtual
+    vertex joined to those smallest vertices.
+    """
+    _, label = _components(g.n, g.i, g.j)
+    _, roots = np.unique(label, return_index=True)
+    color = (_depth(g.n, g.i, g.j, roots).astype(np.int64) - 1) % 2
+    if np.any(color[g.i] == color[g.j]):
         return None
     return color
-
-
-def _decode_simple(g: SupportGraph, chosen: list[tuple[int, int, float]]):
-    """Split a degree-<=2 simple subgraph into path/cycle components."""
-    adj: dict[int, list[int]] = {}
-    for i, j, _ in chosen:
-        adj.setdefault(i, []).append(j)
-        adj.setdefault(j, []).append(i)
-    for v in adj:
-        adj[v].sort()
-    seen: set[int] = set()
-    comps = []
-
-    def walk(start: int) -> list[int]:
-        nodes = [start]
-        seen.add(start)
-        cur = start
-        while True:
-            nxt = [v for v in adj[cur] if v not in seen]
-            if not nxt:
-                return nodes
-            cur = nxt[0]
-            seen.add(cur)
-            nodes.append(cur)
-
-    for v in sorted(adj):
-        if v not in seen and len(adj[v]) == 1:
-            comps.append(("path", tuple(walk(v))))
-    for v in sorted(adj):
-        if v not in seen:
-            comps.append(("cycle", tuple(walk(v))))
-    return tuple(comps)
-
-
-def _cover_from_chosen(g: SupportGraph, chosen: list[tuple[int, int, float]]):
-    return CoverSolution(
-        edges=tuple(sorted(chosen)),
-        components=_decode_simple(g, chosen),
-        weight=float(sum(w for _, _, w in chosen)),
-    )
-
-
-def _edge_arrays(g: SupportGraph):
-    e = np.array(g.edges, dtype=np.float64).reshape(-1, 3)
-    return e[:, 0].astype(np.int64), e[:, 1].astype(np.int64), e[:, 2]
 
 
 def _gadget(n: int, tail: np.ndarray, head: np.ndarray, w: np.ndarray):
@@ -150,13 +117,12 @@ def _gadget(n: int, tail: np.ndarray, head: np.ndarray, w: np.ndarray):
 
 def _decode_matching(g: SupportGraph, x: np.ndarray, y: np.ndarray) -> CoverSolution:
     """Keep the edges whose gadget nodes a_e and b_e both match vertex copies."""
-    n, m = g.n, len(g.edges)
+    n, m = g.n, g.w.size
     on_copy = np.zeros(2 * n + 2 * m, dtype=bool)
     touches_copy = (x < 2 * n) | (y < 2 * n)
     on_copy[x[touches_copy]] = True
     on_copy[y[touches_copy]] = True
-    keep = on_copy[2 * n : 2 * n + m] & on_copy[2 * n + m :]
-    return _cover_from_chosen(g, [g.edges[e] for e in np.flatnonzero(keep)])
+    return _cover(g, on_copy[2 * n : 2 * n + m] & on_copy[2 * n + m :])
 
 
 def b2_subgraph_bipartite(g: SupportGraph) -> CoverSolution:
@@ -173,13 +139,13 @@ def b2_subgraph_bipartite(g: SupportGraph) -> CoverSolution:
     arc costs C - w, so the minimum-cost full assignment (sparse
     Jonker-Volgenant) is a maximum-weight matching of the gadget.
     """
-    i, j, w = _edge_arrays(g)
-    color = _bipartition(g, i, j)
+    i, j, w = g.i, g.j, g.w
+    color = _bipartition(g)
     if color is None:
         raise NotBipartite("support graph has an odd cycle")
-    if not g.edges:
-        return _cover_from_chosen(g, [])
-    n, m = g.n, len(w)
+    if w.size == 0:
+        return _cover(g, np.zeros(0, dtype=bool))
+    n, m = g.n, w.size
     from_left = color[i] == 0
     tail, head = np.where(from_left, i, j), np.where(from_left, j, i)
     if w[0] > 0 and np.all(w == w[0]):
@@ -219,78 +185,71 @@ def _b2_max_flow(g: SupportGraph, color: np.ndarray, tail: np.ndarray, head: np.
     cap = np.concatenate([np.full(left.size, 2), np.ones(tail.size), np.full(right.size, 2)])
     net = csr_array((cap.astype(np.int32), (tails, heads)), shape=(n + 2, n + 2))
     flow = maximum_flow(net, source, sink, method="dinic").flow
-    used = np.asarray(flow[tail, head]).ravel() > 0
-    return _cover_from_chosen(g, [g.edges[e] for e in np.flatnonzero(used)])
+    return _cover(g, np.asarray(flow[tail, head]).ravel() > 0)
 
 
 def b2_subgraph_general(g: SupportGraph) -> CoverSolution:
     """Exact maximum-weight degree-<=2 subgraph of any graph: a general
-    maximum-weight matching on the edge gadget (see `_gadget`)."""
-    i, j, w = _edge_arrays(g)
-    x, y, wx = _gadget(g.n, i, j, w)
+    maximum-weight matching on the edge gadget (see `_gadget`). networkx
+    loads here, on the first non-bipartite graph."""
+    import networkx as nx
+
+    x, y, wx = _gadget(g.n, g.i, g.j, g.w)
     gm = nx.Graph()
     gm.add_weighted_edges_from(zip(x.tolist(), y.tolist(), wx.tolist()))
     pairs = np.array(sorted(nx.max_weight_matching(gm)), dtype=np.int64).reshape(-1, 2)
     return _decode_matching(g, pairs[:, 0], pairs[:, 1])
 
 
-def break_cycles(cs: CoverSolution) -> CoverSolution:
-    """Drop the lightest edge of every cycle (ties: smallest (i, j));
-    a length-two cycle collapses to its single edge."""
-    wmap = {(i, j): w for i, j, w in cs.edges}
-    dropped = []
-    comps = []
-    for kind, nodes in cs.components:
-        if kind == "path":
-            comps.append((kind, nodes))
-            continue
-        pairs = list(zip(nodes, nodes[1:])) + [(nodes[-1], nodes[0])]
-        if len(nodes) == 2:
-            pairs = pairs[:1]  # the duplicated edge, listed once per copy
-        drop = min(pairs, key=lambda p: (wmap[(min(p), max(p))], min(p), max(p)))
-        k = pairs.index(drop)
-        path_nodes = nodes[k + 1 :] + nodes[: k + 1]
-        key = (min(drop), max(drop))
-        dropped.append((key[0], key[1], wmap[key]))
-        comps.append(("path", tuple(path_nodes)))
-    edges = list((Counter(cs.edges) - Counter(dropped)).elements())
-    return CoverSolution(
-        edges=tuple(sorted(edges)),
-        components=tuple(comps),
-        weight=float(sum(w for _, _, w in edges)),
-    )
+def break_cycles(cs: CoverSolution, g: SupportGraph) -> CoverSolution:
+    """Drop the lightest edge of every cycle (ties: smallest (i, j)).
+
+    A component of the degree-<=2 subgraph is a cycle when it has as many
+    edges as nodes.
+    """
+    e = np.flatnonzero(cs.chosen)
+    ncomp, label = _components(g.n, g.i[e], g.j[e])
+    comp = label[g.i[e]]
+    cycle = np.bincount(comp, minlength=ncomp) == np.bincount(label)
+    # the first edge of each component in (w, i, j) order
+    order = np.lexsort((g.j[e], g.i[e], g.w[e], comp))
+    lightest = order[np.diff(comp[order], prepend=-1) != 0]
+    chosen = cs.chosen.copy()
+    chosen[e[lightest[cycle[comp[lightest]]]]] = False
+    return _cover(g, chosen)
 
 
 def make_ordering(cs: CoverSolution, g: SupportGraph) -> Ordering:
-    """Concatenate path components (heaviest first) into a permutation.
+    """Concatenate the cover's paths (heaviest first, ties: smaller first
+    node) into a permutation.
 
-    Every cover edge joins consecutive positions; isolated nodes go last
-    in ascending order.
+    Each path runs from its smaller endpoint and its weight is summed in
+    path order. Every cover edge joins consecutive positions; untouched
+    nodes go last in ascending order.
     """
-    wmap = {(i, j): w for i, j, w in g.edges}
-    ranked = []
-    for kind, nodes in cs.components:
-        if kind != "path":
-            raise HasCycle("cover still contains a cycle; break cycles first")
-        if nodes[-1] < nodes[0]:
-            nodes = tuple(reversed(nodes))
-        weight = sum(wmap[(min(u, v), max(u, v))] for u, v in zip(nodes, nodes[1:]))
-        ranked.append((-weight, nodes))
-    ranked.sort()
-    pi: list[int] = []
-    for _, nodes in ranked:
-        pi.extend(nodes)
-    touched = set(pi)
-    pi.extend(v for v in range(g.n) if v not in touched)
-    retained = sorted(
-        (min(u, v), max(u, v)) for _, nodes in ranked for u, v in zip(nodes, nodes[1:])
-    )
-    kept = set(retained)
-    relaxed = sorted((i, j) for i, j, _ in g.edges if (i, j) not in kept)
+    ci, cj, cw = g.i[cs.chosen], g.j[cs.chosen], g.w[cs.chosen]
+    ncomp, label = _components(g.n, ci, cj)
+    comp = label[ci]
+    if np.any(np.bincount(comp, minlength=ncomp) == np.bincount(label)):
+        raise HasCycle("cover still contains a cycle; break cycles first")
+    degree = np.bincount(np.concatenate([ci, cj]), minlength=g.n)
+    ends = np.flatnonzero(degree == 1)
+    path, start_at = np.unique(label[ends], return_index=True)
+    start = ends[start_at]
+    depth = _depth(g.n, ci, cj, start)
+    # ufunc.at adds in index order: with the edges in path order, each
+    # path's weight sums from its start, as a loop along the path would
+    weight = np.zeros(ncomp)
+    along = np.lexsort((np.minimum(depth[ci], depth[cj]), comp))
+    np.add.at(weight, comp[along], cw[along])
+    rank = np.empty(ncomp, dtype=np.int64)
+    rank[path[np.lexsort((start, -weight[path]))]] = np.arange(path.size)
+    touched = np.flatnonzero(degree > 0)
+    walk = touched[np.lexsort((depth[touched], rank[label[touched]]))]
     return Ordering(
-        pi=np.array(pi, dtype=np.int64),
-        retained=tuple(retained),
-        relaxed=tuple(relaxed),
+        pi=np.concatenate([walk, np.flatnonzero(degree == 0)]),
+        retained=np.stack((ci, cj), axis=1),
+        relaxed=np.stack((g.i[~cs.chosen], g.j[~cs.chosen]), axis=1),
     )
 
 
@@ -300,4 +259,4 @@ def path_cover(g: SupportGraph) -> Ordering:
         cs = b2_subgraph_bipartite(g)
     except NotBipartite:
         cs = b2_subgraph_general(g)
-    return make_ordering(break_cycles(cs), g)
+    return make_ordering(break_cycles(cs, g), g)

@@ -111,7 +111,7 @@ def build_relaxation(
     instance: Instance,
     dd: DDForm,
     ordering: np.ndarray,
-    retained: tuple[tuple[int, int], ...] | list[tuple[int, int]],
+    retained: np.ndarray | list[tuple[int, int]],
 ) -> Relaxation:
     """Permute, split retained from relaxed, and build the template.
 
@@ -142,7 +142,7 @@ def build_relaxation(
     if not known.all():
         # name the pair a scan over the set of retained pairs meets first
         term_set = set(zip(ti.tolist(), tj.tolist()))
-        for pair in {(min(i, j), max(i, j)) for i, j in retained}:
+        for pair in {(min(i, j), max(i, j)) for i, j in pairs.tolist()}:
             if pair not in term_set:
                 raise InputError(f"retained pair {pair} is not a coupling of the instance")
     kept = np.zeros(ti.size, dtype=bool)

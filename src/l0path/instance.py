@@ -153,10 +153,20 @@ class DDForm:
 
 @dataclass(frozen=True, eq=False)
 class SupportGraph:
-    """Undirected graph with an edge wherever Q_ij != 0, weighted |Q_ij|."""
+    """Undirected graph with an edge wherever Q_ij != 0, weighted |Q_ij|.
+
+    Edge k joins i[k] < j[k] with weight w[k]; the arrays are read-only
+    and sorted by (i, j, w).
+    """
 
     n: int
-    edges: tuple[tuple[int, int, float], ...]
+    i: np.ndarray
+    j: np.ndarray
+    w: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("i", np.int64), ("j", np.int64), ("w", np.float64)):
+            object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name), dtype=dtype)))
 
 
 def _first_storage_fault(instance: Instance) -> NotSymmetricStorage | None:
@@ -225,8 +235,7 @@ def support_graph(instance: Instance) -> SupportGraph:
     nz = (qi != qj) & (qv != 0.0)
     i, j, w = qi[nz], qj[nz], np.abs(qv[nz])
     order = np.lexsort((w, j, i))
-    edges = tuple(zip(i[order].tolist(), j[order].tolist(), w[order].tolist()))
-    return SupportGraph(n=instance.n, edges=edges)
+    return SupportGraph(n=instance.n, i=i[order], j=j[order], w=w[order])
 
 
 def permute(instance: Instance, pi) -> Instance:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from l0path import Instance
+from l0path import Instance, SupportGraph
 
 
 def make_instance(a, c, entries, offset=0.0, meta=None):
@@ -17,6 +17,13 @@ def make_instance(a, c, entries, offset=0.0, meta=None):
         offset=offset,
         meta=meta or {},
     )
+
+
+def make_graph(n, edges):
+    """Build a SupportGraph from (i, j, w) edges, i < j, in any order."""
+    e = np.array(edges, dtype=np.float64).reshape(-1, 3)
+    order = np.lexsort((e[:, 2], e[:, 1], e[:, 0]))
+    return SupportGraph(n=n, i=e[order, 0], j=e[order, 1], w=e[order, 2])
 
 
 # 4-variable running example: star coupling around variable 1 plus a

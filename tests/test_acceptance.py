@@ -25,7 +25,7 @@ from l0path.oracle import enumerate_supports
 from l0path.tridiag import solve, to_tridiagonal
 
 from conftest import EXAMPLE_A, EXAMPLE_C, EXAMPLE_Q, make_instance, random_dd_instance, rng_for
-from test_cover import brute_force_pstar, exhaustive_b2, random_bipartite, random_graph
+from test_cover import brute_force_pstar, exhaustive_b2, random_bipartite, random_graph, retained_weight
 from test_fenchel import dual_value, f_star_bruteforce, persp, random_triple, subgradient_plane_holds
 
 # dual trajectory of the worked four-variable instance, one alpha per
@@ -157,17 +157,15 @@ def test_a6_cover_approximation_ratios():
     rng = rng_for(90)
     for _ in range(100):
         g = random_bipartite(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
-        assert len(g.edges) <= 16
+        assert g.w.size <= 16
         assert abs(b2_subgraph_bipartite(g).weight - exhaustive_b2(g)) <= 1e-9
-        wmap = {(i, j): w for i, j, w in g.edges}
-        kept = sum(wmap[e] for e in path_cover(g).retained)
+        kept = retained_weight(g, path_cover(g))
         assert kept >= 0.75 * brute_force_pstar(g) - 1e-9
     for _ in range(100):
         g = random_graph(rng, int(rng.integers(2, 7)))
-        assert len(g.edges) <= 16
-        ordering = make_ordering(break_cycles(b2_subgraph_general(g)), g)
-        wmap = {(i, j): w for i, j, w in g.edges}
-        kept = sum(wmap[e] for e in ordering.retained)
+        assert g.w.size <= 16
+        ordering = make_ordering(break_cycles(b2_subgraph_general(g), g), g)
+        kept = retained_weight(g, ordering)
         assert kept >= (2.0 / 3.0) * brute_force_pstar(g) - 1e-9
 
 

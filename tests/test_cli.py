@@ -4,7 +4,11 @@ import warnings
 
 import pytest
 
+from l0path import NotBipartite, b2_subgraph_bipartite, read_instance, support_graph, write_instance
 from l0path.cli import main
+
+from conftest import random_dd_instance, rng_for
+from test_cover import edge_tuples, path_cover_loop
 
 
 def run_cli(*argv):
@@ -89,6 +93,24 @@ def test_decompose_json(tmp_path):
     edges = {tuple(e) for e in doc["retained"]} | {tuple(e) for e in doc["relaxed"]}
     assert len(edges) == len(doc["retained"]) + len(doc["relaxed"])
     assert all(1 <= i < j <= 9 for i, j in edges)
+    # the document is exactly the tuple-walk pipeline's, in plain ints, on
+    # a lattice and on a non-bipartite graph
+    rnd = random_dd_instance(rng_for(61), 9)
+    with pytest.raises(NotBipartite):
+        b2_subgraph_bipartite(support_graph(rnd))
+    write_instance(rnd, str(tmp_path / "rnd.json"))
+    for name in ("lat", "rnd"):
+        assert run_cli("decompose", str(tmp_path / f"{name}.json"), "-o", str(out)) == 0
+        g = support_graph(read_instance(str(tmp_path / f"{name}.json")))
+        pi, retained, relaxed = path_cover_loop(g)
+        wmap = {(i, j): w for i, j, w in edge_tuples(g)}
+        assert json.loads(out.read_text()) == {
+            "pi": [v + 1 for v in pi],
+            "retained": [[i + 1, j + 1] for i, j in retained],
+            "relaxed": [[i + 1, j + 1] for i, j in relaxed],
+            "weight_retained": float(sum(wmap[e] for e in retained)),
+            "weight_total": float(sum(w for _, _, w in edge_tuples(g))),
+        }
 
 
 def test_oracle_command(tmp_path, capsys):

@@ -1,11 +1,15 @@
+import os
+import subprocess
+import sys
 import numpy as np
 import pytest
 
+import l0path
 import l0path.cover as cover
 from l0path import (
-    CoverSolution,
     HasCycle,
     NotBipartite,
+    SupportGraph,
     TooLarge,
     b2_subgraph_bipartite,
     b2_subgraph_general,
@@ -15,15 +19,112 @@ from l0path import (
     path_cover,
     support_graph,
 )
-from l0path.instance import SupportGraph
 
-from conftest import rng_for
+from conftest import make_graph, rng_for
+from test_setup import same_bytes
 
-STAR = SupportGraph(n=4, edges=((0, 1, 1.5), (1, 2, 1.0), (1, 3, 0.8)))
-TRIANGLE = SupportGraph(n=3, edges=((0, 1, 3.0), (0, 2, 2.0), (1, 2, 1.0)))
-FOUR_CYCLE = SupportGraph(
-    n=4, edges=((0, 1, 4.0), (0, 3, 1.0), (1, 2, 3.0), (2, 3, 2.0))
-)
+STAR = make_graph(4, [(0, 1, 1.5), (1, 2, 1.0), (1, 3, 0.8)])
+TRIANGLE = make_graph(3, [(0, 1, 3.0), (0, 2, 2.0), (1, 2, 1.0)])
+FOUR_CYCLE = make_graph(4, [(0, 1, 4.0), (0, 3, 1.0), (1, 2, 3.0), (2, 3, 2.0)])
+
+
+def edge_tuples(g, mask=slice(None)):
+    """The graph's edges (i, j, w) as Python tuples, optionally masked."""
+    return list(zip(g.i[mask].tolist(), g.j[mask].tolist(), g.w[mask].tolist()))
+
+
+def retained_weight(g, ordering):
+    """Sum of the retained edges' weights, in retained order."""
+    wmap = {(i, j): w for i, j, w in edge_tuples(g)}
+    return sum(wmap[i, j] for i, j in ordering.retained.tolist())
+
+
+# Reference oracle: the tuple walks that break_cycles and make_ordering
+# replace, fed the same exact degree-<=2 subgraph. path_cover must agree
+# with it bitwise on pi, retained and relaxed.
+
+
+def decode_simple_loop(chosen):
+    """Split a degree-<=2 simple subgraph into path/cycle components."""
+    adj = {}
+    for i, j, _ in chosen:
+        adj.setdefault(i, []).append(j)
+        adj.setdefault(j, []).append(i)
+    for v in adj:
+        adj[v].sort()
+    seen = set()
+    comps = []
+
+    def walk(start):
+        nodes = [start]
+        seen.add(start)
+        cur = start
+        while True:
+            nxt = [v for v in adj[cur] if v not in seen]
+            if not nxt:
+                return nodes
+            cur = nxt[0]
+            seen.add(cur)
+            nodes.append(cur)
+
+    for v in sorted(adj):
+        if v not in seen and len(adj[v]) == 1:
+            comps.append(("path", tuple(walk(v))))
+    for v in sorted(adj):
+        if v not in seen:
+            comps.append(("cycle", tuple(walk(v))))
+    return tuple(comps)
+
+
+def break_cycles_loop(chosen, comps):
+    """Open every cycle at its lightest edge (ties: smallest (i, j))."""
+    wmap = {(i, j): w for i, j, w in chosen}
+    paths = []
+    for kind, nodes in comps:
+        if kind == "path":
+            paths.append((kind, nodes))
+            continue
+        pairs = list(zip(nodes, nodes[1:])) + [(nodes[-1], nodes[0])]
+        drop = min(pairs, key=lambda p: (wmap[(min(p), max(p))], min(p), max(p)))
+        k = pairs.index(drop)
+        paths.append(("path", nodes[k + 1 :] + nodes[: k + 1]))
+    return tuple(paths)
+
+
+def make_ordering_loop(comps, edges, n):
+    """(pi, retained, relaxed): paths heaviest first, then isolated nodes."""
+    wmap = {(i, j): w for i, j, w in edges}
+    ranked = []
+    for kind, nodes in comps:
+        if kind != "path":
+            raise HasCycle("cover still contains a cycle; break cycles first")
+        if nodes[-1] < nodes[0]:
+            nodes = tuple(reversed(nodes))
+        weight = sum(wmap[(min(u, v), max(u, v))] for u, v in zip(nodes, nodes[1:]))
+        ranked.append((-weight, nodes))
+    ranked.sort()
+    pi = []
+    for _, nodes in ranked:
+        pi.extend(nodes)
+    touched = set(pi)
+    pi.extend(v for v in range(n) if v not in touched)
+    retained = sorted(
+        (min(u, v), max(u, v)) for _, nodes in ranked for u, v in zip(nodes, nodes[1:])
+    )
+    kept = set(retained)
+    relaxed = sorted((i, j) for i, j, _ in edges if (i, j) not in kept)
+    return pi, retained, relaxed
+
+
+def path_cover_loop(g):
+    """(pi, retained, relaxed) as lists of Python ints and (i, j) tuples."""
+    try:
+        cs = b2_subgraph_bipartite(g)
+    except NotBipartite:
+        cs = b2_subgraph_general(g)
+    chosen = edge_tuples(g, cs.chosen)
+    comps = break_cycles_loop(chosen, decode_simple_loop(chosen))
+    return make_ordering_loop(comps, edge_tuples(g), g.n)
 
 
 MAX_BRUTE_EDGES = 20
@@ -31,7 +132,8 @@ MAX_BRUTE_EDGES = 20
 
 def brute_force_pstar(g: SupportGraph) -> float:
     """Exhaustive maximum-weight vertex-disjoint path cover (small |E|)."""
-    m = len(g.edges)
+    edges = edge_tuples(g)
+    m = len(edges)
     if m > MAX_BRUTE_EDGES:
         raise TooLarge(f"|E| = {m} exceeds the exhaustive cap {MAX_BRUTE_EDGES}")
     if m == 0:
@@ -40,7 +142,7 @@ def brute_force_pstar(g: SupportGraph) -> float:
     ok = np.ones(masks.shape, dtype=bool)
     for v in range(g.n):
         inc = 0
-        for e, (i, j, _) in enumerate(g.edges):
+        for e, (i, j, _) in enumerate(edges):
             if v in (i, j):
                 inc |= 1 << e
         if inc:
@@ -61,7 +163,7 @@ def brute_force_pstar(g: SupportGraph) -> float:
         for e in range(m):
             if not mask & (1 << e):
                 continue
-            i, j, w = g.edges[e]
+            i, j, w = edges[e]
             parent.setdefault(i, i)
             parent.setdefault(j, j)
             ri, rj = find(i), find(j)
@@ -81,7 +183,7 @@ def random_graph(rng, n, density=0.45):
         for j in range(i + 1, n):
             if rng.uniform() < density:
                 edges.append((i, j, float(rng.uniform(0.2, 3.0))))
-    return SupportGraph(n=n, edges=tuple(edges))
+    return make_graph(n, edges)
 
 
 def random_bipartite(rng, nl, nr, density=0.5):
@@ -90,12 +192,13 @@ def random_bipartite(rng, nl, nr, density=0.5):
         for j in range(nl, nl + nr):
             if rng.uniform() < density:
                 edges.append((i, j, float(rng.uniform(0.2, 3.0))))
-    return SupportGraph(n=nl + nr, edges=tuple(edges))
+    return make_graph(nl + nr, edges)
 
 
 def exhaustive_b2(g):
     """Best degree-limited subgraph weight, cycles allowed."""
-    m = len(g.edges)
+    edges = edge_tuples(g)
+    m = len(edges)
     best = 0.0
     for mask in range(1 << m):
         deg = {}
@@ -103,7 +206,7 @@ def exhaustive_b2(g):
         ok = True
         for e in range(m):
             if mask >> e & 1:
-                i, j, we = g.edges[e]
+                i, j, we = edges[e]
                 deg[i] = deg.get(i, 0) + 1
                 deg[j] = deg.get(j, 0) + 1
                 if deg[i] > 2 or deg[j] > 2:
@@ -115,35 +218,35 @@ def exhaustive_b2(g):
     return best
 
 
-def check_degrees(cs):
-    deg = {}
-    for i, j, _ in cs.edges:
-        deg[i] = deg.get(i, 0) + 1
-        deg[j] = deg.get(j, 0) + 1
-    assert all(d <= 2 for d in deg.values())
+def check_degrees(cs, g):
+    deg = np.bincount(np.concatenate([g.i[cs.chosen], g.j[cs.chosen]]), minlength=g.n)
+    assert deg.max(initial=0) <= 2
 
 
 def test_b2_star():
     cs = b2_subgraph_bipartite(STAR)
     assert cs.weight == 2.5
-    assert cs.components == (("path", (0, 1, 2)),)
+    assert edge_tuples(STAR, cs.chosen) == [(0, 1, 1.5), (1, 2, 1.0)]
+    # one path 0-1-2: it orders without breaking any cycle
+    assert make_ordering(cs, STAR).pi.tolist() == [0, 1, 2, 3]
     assert b2_subgraph_general(STAR).weight == 2.5
 
 
 def test_b2_four_cycle_all_edges():
     cs = b2_subgraph_bipartite(FOUR_CYCLE)
-    assert cs.weight == 10.0
-    assert len(cs.components) == 1 and cs.components[0][0] == "cycle"
-    after = break_cycles(cs)
+    assert cs.weight == 10.0 and cs.chosen.all()
+    with pytest.raises(HasCycle):
+        make_ordering(cs, FOUR_CYCLE)
+    after = break_cycles(cs, FOUR_CYCLE)
     assert after.weight == 9.0
-    assert after.components[0][0] == "path"
+    assert make_ordering(after, FOUR_CYCLE).pi.tolist() == [0, 1, 2, 3]
 
 
 def test_b2_path_graph_returns_itself():
-    path = SupportGraph(n=4, edges=((0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)))
+    path = make_graph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)])
     cs = b2_subgraph_bipartite(path)
-    assert cs.edges == path.edges
-    assert cs.components == (("path", (0, 1, 2, 3)),)
+    assert cs.chosen.all()
+    assert make_ordering(cs, path).pi.tolist() == [0, 1, 2, 3]
 
 
 def test_b2_bipartite_rejects_odd_cycle():
@@ -154,24 +257,24 @@ def test_b2_bipartite_rejects_odd_cycle():
 def test_b2_general_triangle():
     cs = b2_subgraph_general(TRIANGLE)
     assert cs.weight == 6.0
-    assert break_cycles(cs).weight == 5.0
+    assert break_cycles(cs, TRIANGLE).weight == 5.0
 
 
 def test_b2_matches_exhaustive():
     rng = rng_for(50)
     for _ in range(30):
         g = random_bipartite(rng, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
-        if len(g.edges) > 12:
+        if g.w.size > 12:
             continue
         cs = b2_subgraph_bipartite(g)
-        check_degrees(cs)
+        check_degrees(cs, g)
         assert abs(cs.weight - exhaustive_b2(g)) <= 1e-9
     for _ in range(30):
         g = random_graph(rng, int(rng.integers(2, 6)))
-        if len(g.edges) > 12:
+        if g.w.size > 12:
             continue
         cs = b2_subgraph_general(g)
-        check_degrees(cs)
+        check_degrees(cs, g)
         assert abs(cs.weight - exhaustive_b2(g)) <= 1e-9
 
 
@@ -181,7 +284,7 @@ def test_b2_bipartite_lattice_reaches_degree_bound(side):
     # and a Hamiltonian cycle of the even grid reaches that bound
     g = support_graph(gen_lattice2d(side, side, 0.3, 0.1, 0))
     cs = b2_subgraph_bipartite(g)
-    check_degrees(cs)
+    check_degrees(cs, g)
     assert cs.weight == 2.0 * side * side
 
 
@@ -191,7 +294,7 @@ def test_b2_bipartite_matches_general_beyond_exhaustive_cap():
         nl, nr = rng.integers(10, 21, size=2)
         g = random_bipartite(rng, int(nl), int(nr), density=0.25)
         cs = b2_subgraph_bipartite(g)
-        check_degrees(cs)
+        check_degrees(cs, g)
         assert abs(cs.weight - b2_subgraph_general(g).weight) <= 1e-9
 
 
@@ -199,7 +302,7 @@ def uniform_bipartite(rng, nl, nr, density=0.5):
     """Random bipartite graph whose edges all carry one weight."""
     g = random_bipartite(rng, nl, nr, density)
     w = float(rng.choice([2.0, rng.uniform(0.2, 3.0)]))
-    return SupportGraph(n=g.n, edges=tuple((i, j, w) for i, j, _ in g.edges))
+    return make_graph(g.n, [(i, j, w) for i, j, _ in edge_tuples(g)])
 
 
 def test_b2_equal_weights_max_flow_matches_exhaustive():
@@ -207,10 +310,10 @@ def test_b2_equal_weights_max_flow_matches_exhaustive():
     checked = 0
     for _ in range(40):
         g = uniform_bipartite(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
-        if len(g.edges) > 16:
+        if g.w.size > 16:
             continue
         cs = b2_subgraph_bipartite(g)
-        check_degrees(cs)
+        check_degrees(cs, g)
         assert cs.weight == pytest.approx(exhaustive_b2(g), rel=1e-12)
         checked += 1
     assert checked >= 30
@@ -223,7 +326,7 @@ def test_b2_equal_weights_max_flow_matches_general():
         g = uniform_bipartite(rng, nl, int(rng.integers(max(10, 20 - nl), 41 - nl)), density=0.2)
         assert 20 <= g.n <= 40
         cs = b2_subgraph_bipartite(g)
-        check_degrees(cs)
+        check_degrees(cs, g)
         assert cs.weight == pytest.approx(b2_subgraph_general(g).weight, rel=1e-12)
 
 
@@ -265,57 +368,47 @@ def test_path_cover_deterministic():
     for g in graphs:
         first, second = path_cover(g), path_cover(g)
         assert np.array_equal(first.pi, second.pi)
-        assert first.retained == second.retained
-        assert first.relaxed == second.relaxed
+        assert np.array_equal(first.retained, second.retained)
+        assert np.array_equal(first.relaxed, second.relaxed)
 
 
 def test_break_cycles_minimum_edge_and_ties():
     cs = b2_subgraph_bipartite(FOUR_CYCLE)
-    after = break_cycles(cs)
-    assert (0, 3, 1.0) not in after.edges
+    after = break_cycles(cs, FOUR_CYCLE)
+    assert (0, 3, 1.0) not in edge_tuples(FOUR_CYCLE, after.chosen)
     # all-equal weights: the lexicographically smallest edge goes
-    even = SupportGraph(
-        n=4, edges=((0, 1, 2.0), (0, 3, 2.0), (1, 2, 2.0), (2, 3, 2.0))
-    )
-    after = break_cycles(b2_subgraph_bipartite(even))
-    assert (0, 1, 2.0) not in after.edges
+    even = make_graph(4, [(0, 1, 2.0), (0, 3, 2.0), (1, 2, 2.0), (2, 3, 2.0)])
+    after = break_cycles(b2_subgraph_bipartite(even), even)
+    assert (0, 1, 2.0) not in edge_tuples(even, after.chosen)
     assert after.weight == 6.0
-    # a length-two cycle lists its edge twice and keeps one copy
-    two = CoverSolution(
-        edges=((0, 1, 2.0), (0, 1, 2.0)), components=(("cycle", (0, 1)),), weight=4.0
-    )
-    after = break_cycles(two)
-    assert after.edges == ((0, 1, 2.0),) and after.weight == 2.0
-    assert after.components == (("path", (1, 0)),)
 
 
 def test_break_cycles_keeps_paths():
     cs = b2_subgraph_bipartite(STAR)
-    assert break_cycles(cs) == cs or break_cycles(cs).edges == cs.edges
+    assert np.array_equal(break_cycles(cs, STAR).chosen, cs.chosen)
 
 
 def test_brute_force_pstar_examples():
     assert brute_force_pstar(STAR) == 2.5
     assert brute_force_pstar(TRIANGLE) == 5.0
     assert brute_force_pstar(FOUR_CYCLE) == 9.0
-    single = SupportGraph(n=2, edges=((0, 1, 2.0),))
-    assert brute_force_pstar(single) == 2.0
-    assert brute_force_pstar(SupportGraph(n=2, edges=())) == 0.0
+    assert brute_force_pstar(make_graph(2, [(0, 1, 2.0)])) == 2.0
+    assert brute_force_pstar(make_graph(2, [])) == 0.0
 
 
 def test_brute_force_pstar_cap():
     rng = rng_for(51)
     g = random_graph(rng, 10, density=0.6)
-    assert len(g.edges) > 20
+    assert g.w.size > 20
     with pytest.raises(TooLarge):
         brute_force_pstar(g)
 
 
 def test_make_ordering_star():
-    ordering = make_ordering(break_cycles(b2_subgraph_bipartite(STAR)), STAR)
+    ordering = make_ordering(break_cycles(b2_subgraph_bipartite(STAR), STAR), STAR)
     assert ordering.pi.tolist() == [0, 1, 2, 3]
-    assert ordering.retained == ((0, 1), (1, 2))
-    assert ordering.relaxed == ((1, 3),)
+    assert ordering.retained.tolist() == [[0, 1], [1, 2]]
+    assert ordering.relaxed.tolist() == [[1, 3]]
 
 
 def test_make_ordering_rejects_cycles():
@@ -329,9 +422,9 @@ def test_ordering_structure():
         g = random_graph(rng, int(rng.integers(2, 9)))
         ordering = path_cover(g)
         assert sorted(ordering.pi.tolist()) == list(range(g.n))
-        assert len(ordering.retained) + len(ordering.relaxed) == len(g.edges)
+        assert len(ordering.retained) + len(ordering.relaxed) == g.w.size
         pos = {v: t for t, v in enumerate(ordering.pi.tolist())}
-        for i, j in ordering.retained:
+        for i, j in ordering.retained.tolist():
             assert abs(pos[i] - pos[j]) == 1
 
 
@@ -339,15 +432,85 @@ def test_pipeline_ratio_spot_checks():
     rng = rng_for(53)
     for _ in range(20):
         g = random_graph(rng, int(rng.integers(2, 6)))
-        if len(g.edges) > 12:
+        if g.w.size > 12:
             continue
-        wmap = {(i, j): w for i, j, w in g.edges}
-        kept = sum(wmap[e] for e in path_cover(g).retained)
+        kept = retained_weight(g, path_cover(g))
         assert kept >= (2.0 / 3.0) * brute_force_pstar(g) - 1e-9
     for _ in range(20):
         g = random_bipartite(rng, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
-        if len(g.edges) > 12:
+        if g.w.size > 12:
             continue
-        wmap = {(i, j): w for i, j, w in g.edges}
-        kept = sum(wmap[e] for e in path_cover(g).retained)
+        kept = retained_weight(g, path_cover(g))
         assert kept >= 0.75 * brute_force_pstar(g) - 1e-9
+
+
+def assert_matches_loop(g):
+    got = path_cover(g)
+    pi, retained, relaxed = path_cover_loop(g)
+    assert same_bytes(got.pi, np.array(pi, dtype=np.int64))
+    assert same_bytes(got.retained, np.array(retained, dtype=np.int64).reshape(-1, 2))
+    assert same_bytes(got.relaxed, np.array(relaxed, dtype=np.int64).reshape(-1, 2))
+
+
+@pytest.mark.parametrize(
+    "rows, cols", [(6, 6), (6, 9), (9, 6), (7, 7), (10, 13), (20, 20), (17, 31), (40, 40), (100, 100)]
+)
+def test_path_cover_matches_loop_on_lattices(rows, cols):
+    assert_matches_loop(support_graph(gen_lattice2d(rows, cols, 0.3, 0.1, 0)))
+
+
+def cover_family_graph(rng, k):
+    """The k-th graph of the differential family: n = 1..29, bipartite
+    (sides interleaved) or general, with continuous, equal or small
+    integer weights (forced ties); every 37th graph is edgeless."""
+    n = 1 + k % 29
+    bipartite = k % 2 == 0
+    density = 0.0 if k % 37 == 0 else min(1.0, float(rng.uniform(1.0, 4.0)) / max(n - 1, 1))
+    side = rng.permutation(n) < n // 2
+    edges = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.uniform() < density and (not bipartite or side[i] != side[j])
+    ]
+    kind = k // 2 % 3
+    if kind == 0:
+        w = rng.uniform(0.2, 3.0, len(edges))
+    elif kind == 1:
+        w = np.full(len(edges), float(rng.choice([2.0, rng.uniform(0.2, 3.0)])))
+    else:
+        w = rng.integers(1, 4, len(edges)).astype(np.float64)
+    return make_graph(n, [(i, j, wk) for (i, j), wk in zip(edges, w.tolist())])
+
+
+def test_path_cover_matches_loop_on_random_graphs():
+    rng = rng_for(58)
+    graphs = [cover_family_graph(rng, k) for k in range(330)]
+    assert sum(g.n == 1 for g in graphs) >= 10
+    assert sum(g.w.size == 0 for g in graphs) >= 20
+    assert sum(cover._bipartition(g) is None for g in graphs) >= 100
+    for g in graphs:
+        assert_matches_loop(g)
+
+
+def test_path_weights_sum_in_path_order():
+    # 0.1 + 0.2 + 0.3 rounds up, 0.3 + 0.2 + 0.1 does not: summed from the
+    # smaller endpoint the two paths tie, and the smaller first node wins
+    w = 0.1 + 0.2 + 0.3
+    g = make_graph(6, [(0, 1, 0.1), (1, 2, 0.2), (2, 3, 0.3), (4, 5, w)])
+    assert path_cover(g).pi.tolist() == [0, 1, 2, 3, 4, 5]
+    assert_matches_loop(g)
+
+
+def test_import_leaves_networkx_unloaded():
+    # only covers of non-bipartite graphs use networkx
+    src = os.path.dirname(os.path.dirname(l0path.__file__))
+    probe = "import sys, l0path; print('networkx' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

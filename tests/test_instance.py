@@ -19,7 +19,7 @@ from l0path import (
     write_instance,
 )
 
-from conftest import make_instance, random_dd_instance, rng_for
+from conftest import make_graph, make_instance, random_dd_instance, rng_for
 
 
 def test_validate_example_split(example_instance):
@@ -84,7 +84,11 @@ def test_dd_form_reconstructs_quadratic():
 
 def test_support_graph_weights(example_instance):
     g = support_graph(example_instance)
-    assert g.edges == ((0, 1, 1.5), (1, 2, 1.0), (1, 3, 0.8))
+    want = make_graph(4, [(0, 1, 1.5), (1, 2, 1.0), (1, 3, 0.8)])
+    assert g.n == want.n
+    for got_a, want_a in ((g.i, want.i), (g.j, want.j), (g.w, want.w)):
+        assert got_a.dtype == want_a.dtype and np.array_equal(got_a, want_a)
+        assert not got_a.flags.writeable
 
 
 def test_permute_identity(example_instance):

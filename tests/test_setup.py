@@ -24,7 +24,7 @@ from l0path.instance import DD_TOL
 from l0path.tridiag import TridiagProblem
 from l0path.errors import NotPositiveDefinite
 
-from conftest import make_instance, random_dd_instance, rng_for
+from conftest import make_graph, make_instance, random_dd_instance, rng_for
 
 
 # Reference oracles: the loops the array code replaces.
@@ -219,7 +219,8 @@ def test_validate_and_support_graph_match_loops(inst):
         assert same_bytes(got.term_sign, np.array([t.sign for t in terms], dtype=np.int64))
         x = rng_for(7).standard_normal(inst.n)
         assert got.quad(x) == pytest.approx(quad_loop(D, terms, x), rel=1e-12, abs=1e-12)
-        assert support_graph(inst).edges == support_graph_loop(inst)
+        g, want = support_graph(inst), make_graph(inst.n, support_graph_loop(inst))
+        assert same_bytes(g.i, want.i) and same_bytes(g.j, want.j) and same_bytes(g.w, want.w)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -230,22 +231,25 @@ def test_build_relaxation_matches_loop(inst, data):
     except InputError:
         return
     ordering = path_cover(support_graph(inst))
-    pi, retained = ordering.pi, list(ordering.retained)
+    # build_relaxation takes the (k, 2) array as path_cover returns it; the
+    # loop takes the same pairs as Python ints, so the error texts compare
+    pi, retained = ordering.pi, ordering.retained
     # faulty retained sets: a pair that is no coupling, a coupling that is
     # not consecutive, or a shuffled ordering that splits retained pairs
     fault = data.draw(st.sampled_from(["none", "none", "no_coupling", "relaxed", "shuffle", "not_perm"]))
     if fault == "no_coupling":
         i, j = data.draw(st.integers(-1, inst.n)), data.draw(st.integers(-1, inst.n))
-        retained.insert(data.draw(st.integers(0, len(retained))), (i, j))
-    elif fault == "relaxed" and ordering.relaxed:
-        retained.append(data.draw(st.sampled_from(ordering.relaxed))[::-1])
+        retained = np.insert(retained, data.draw(st.integers(0, len(retained))), (i, j), axis=0)
+    elif fault == "relaxed" and len(ordering.relaxed):
+        pair = data.draw(st.sampled_from(ordering.relaxed.tolist()))[::-1]
+        retained = np.append(retained, [pair], axis=0)
     elif fault == "shuffle":
         pi = np.array(data.draw(st.permutations(range(inst.n))), dtype=np.int64)
     elif fault == "not_perm" and inst.n > 1:
         pi = pi.copy()
         pi[0] = pi[1]
     got, got_err = outcome(build_relaxation, inst, dd, pi, retained)
-    want, want_err = outcome(build_relaxation_loop, inst, dd, pi, retained)
+    want, want_err = outcome(build_relaxation_loop, inst, dd, pi, [tuple(p) for p in retained.tolist()])
     assert got_err == want_err
     if want is not None:
         pi_w, segments, block_diag, block_off, ret, rel = want
