@@ -17,6 +17,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,33 +43,44 @@ GAP_DIV_GUARD = 1e-8
 class Relaxation:
     """Ordered, segmented view of an instance with the relaxed terms.
 
-    Everything positional (a_ord, c_ord, segments, terms) lives in
-    permuted coordinates; pi[t] is the original index at position t.
-    bounds holds the segment starts and then n, read-only, so segment k
-    is [bounds[k], bounds[k+1]).
-    Retained terms join consecutive positions and are already folded into
-    one read-only tridiagonal template over all positions: diag (length n)
-    and off (length n - 1). off is zero at every cut between segments, so
-    segment [s, e) has the template diag[s:e], off[s:e-1]. The relaxed
-    terms are also held as read-only arrays (rel_i, rel_j, rel_w,
-    rel_sign), one entry per term in the order of `relaxed`, for the
-    per-iteration array code.
+    Everything positional lives in permuted coordinates; pi[t] is the
+    original index at position t. Segment k is [bounds[k], bounds[k+1]).
+    The retained terms are folded into one tridiagonal template over all
+    positions: diag (length n) and off (length n - 1), where off[p] is
+    the signed coupling of the retained term (p, p + 1) and zero at every
+    cut between segments. The relaxed terms are the arrays rel_i, rel_j,
+    rel_w and rel_sign, sorted by (i, j). All arrays are read-only.
+
+    `segments`, `retained` and `relaxed` are tuple views of these arrays,
+    built at first use. No solve step reads them: they exist for the
+    benchmark's tracer and the tests, and go with `Term` once the tracer
+    reads the arrays.
     """
 
     n: int
     pi: np.ndarray
     a_ord: np.ndarray
     c_ord: np.ndarray
-    segments: tuple[tuple[int, int], ...]
     bounds: np.ndarray
     diag: np.ndarray
     off: np.ndarray
-    retained: tuple[Term, ...]
-    relaxed: tuple[Term, ...]
     rel_i: np.ndarray
     rel_j: np.ndarray
     rel_w: np.ndarray
     rel_sign: np.ndarray
+
+    @cached_property
+    def segments(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.bounds[:-1].tolist(), self.bounds[1:].tolist()))
+
+    @cached_property
+    def retained(self) -> tuple[Term, ...]:
+        p = np.flatnonzero(self.off)
+        return _terms(p, p + 1, np.abs(self.off[p]), np.where(self.off[p] > 0, 1, -1))
+
+    @cached_property
+    def relaxed(self) -> tuple[Term, ...]:
+        return _terms(self.rel_i, self.rel_j, self.rel_w, self.rel_sign)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,10 +179,8 @@ def build_relaxation(
     np.add.at(diag, np.stack((ret_p, ret_p + 1), axis=1).ravel(), np.repeat(ret_w, 2))
     off = np.zeros(n - 1)
     off[ret_p] = ret_sign * ret_w
-    cut = np.ones(n - 1, dtype=bool)
-    cut[ret_p] = False
-    bounds = np.concatenate(([0], np.flatnonzero(cut) + 1, [n]))
-    segments = tuple(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+    # retained weights are nonzero, so the cuts are the zeros of off
+    bounds = np.concatenate(([0], np.flatnonzero(off == 0) + 1, [n]))
     rel_i, rel_j = p[rel], q[rel]
     rel_w, rel_sign = dd.term_w[rel], dd.term_sign[rel]
 
@@ -190,7 +200,7 @@ def build_relaxation(
                 f"({lhs} vs {rhs})"
             )
 
-    for s, e in segments:
+    for s, e in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         try:
             TridiagProblem(m=e - s, a=a_ord[s:e], c=c_ord[s:e], diag=diag[s:e], off=off[s : e - 1])
         except NotPositiveDefinite as exc:
@@ -201,12 +211,9 @@ def build_relaxation(
         pi=pi,
         a_ord=a_ord,
         c_ord=c_ord,
-        segments=segments,
         bounds=_frozen(bounds),
         diag=_frozen(diag),
         off=_frozen(off),
-        retained=_terms(ret_p, ret_p + 1, ret_w, ret_sign),
-        relaxed=_terms(rel_i, rel_j, rel_w, rel_sign),
         rel_i=_frozen(rel_i),
         rel_j=_frozen(rel_j),
         rel_w=_frozen(rel_w),
@@ -261,10 +268,10 @@ def h_eval(r: Relaxation, duals: np.ndarray) -> tuple[float, np.ndarray, np.ndar
 
     x_pos, z_pos, obj, fail = segments_kernel(r.bounds, a_psi, c_psi, r.diag, r.off)
     if fail >= 0:
-        raise SegmentNotPD(*r.segments[fail])
+        raise SegmentNotPD(int(r.bounds[fail]), int(r.bounds[fail + 1]))
 
     h = -0.5 * conj
-    for (s, e), o in zip(r.segments, obj.tolist()):
+    for s, e, o in zip(r.bounds[:-1].tolist(), r.bounds[1:].tolist(), obj.tolist()):
         if not math.isfinite(o):
             raise NumericalError(f"segment [{s}, {e}) has a non-finite optimum {o}")
         h += o

@@ -36,6 +36,15 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _assign_last(size: int, idx: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Zeros with out[idx[k]] = vals[k]; a repeated index keeps its last
+    value, as a loop of assignments would."""
+    out = np.zeros(size)
+    where, last = np.unique(idx[::-1], return_index=True)
+    out[where] = vals[::-1][last]
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class Instance:
     """One L0-penalized quadratic minimization problem.
@@ -67,11 +76,9 @@ class Instance:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        object.__setattr__(self, "a", _frozen(np.asarray(self.a, dtype=np.float64)))
-        object.__setattr__(self, "c", _frozen(np.asarray(self.c, dtype=np.float64)))
-        object.__setattr__(self, "qi", _frozen(np.asarray(self.qi, dtype=np.int64)))
-        object.__setattr__(self, "qj", _frozen(np.asarray(self.qj, dtype=np.int64)))
-        object.__setattr__(self, "qv", _frozen(np.asarray(self.qv, dtype=np.float64)))
+        for name in ("a", "c", "qi", "qj", "qv"):
+            dtype = np.int64 if name in ("qi", "qj") else np.float64
+            object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name), dtype=dtype)))
         if self.a.shape != (self.n,) or self.c.shape != (self.n,):
             raise ValueError("a and c must have length n")
         if not (self.qi.shape == self.qj.shape == self.qv.shape):
@@ -89,12 +96,14 @@ class Instance:
         return _frozen(oracle.fill_reducing_order(self))
 
     def dense_q(self) -> np.ndarray:
-        """Materialize Q as a dense symmetric matrix (small n only)."""
-        q = np.zeros((self.n, self.n))
-        for i, j, v in zip(self.qi, self.qj, self.qv):
-            q[i, j] = v
-            q[j, i] = v
-        return q
+        """Materialize Q as a dense symmetric matrix (small n only); each
+        triplet writes (i, j), then (j, i), and the last write wins."""
+        n = self.n
+        ij = np.stack((self.qi, self.qj), axis=1)
+        # numbering the cells by 2-d indexing raises on an out-of-range
+        # index and wraps a negative one, as q[i, j] = v would
+        cells = np.arange(n * n).reshape(n, n)[ij, ij[:, ::-1]].ravel()
+        return _assign_last(n * n, cells, np.repeat(self.qv, 2)).reshape(n, n)
 
     def objective(self, x: np.ndarray, z: np.ndarray) -> float:
         """Evaluate a . z + c . x + (1/2) x' Q x (offset excluded)."""
@@ -250,24 +259,19 @@ def permute(instance: Instance, pi) -> Instance:
         raise InvalidPermutation(f"not a bijection on 0..{n - 1}")
     inv = np.empty(n, dtype=np.int64)
     inv[pi] = np.arange(n)
-    trips = []
-    for i, j, v in zip(instance.qi, instance.qj, instance.qv):
-        ni, nj = int(inv[i]), int(inv[j])
-        if ni > nj:
-            ni, nj = nj, ni
-        trips.append((ni, nj, float(v)))
-    trips.sort()
+    ni, nj = inv[instance.qi], inv[instance.qj]
+    qi, qj = np.minimum(ni, nj), np.maximum(ni, nj)
+    order = np.lexsort((instance.qv, qj, qi))
     meta = dict(instance.meta)
     if "y" in meta:
-        y = np.asarray(meta["y"], dtype=np.float64)
-        meta["y"] = [float(y[k]) for k in pi]
+        meta["y"] = np.asarray(meta["y"], dtype=np.float64)[pi].tolist()
     return Instance(
         n=n,
         a=instance.a[pi],
         c=instance.c[pi],
-        qi=np.array([t[0] for t in trips], dtype=np.int64),
-        qj=np.array([t[1] for t in trips], dtype=np.int64),
-        qv=np.array([t[2] for t in trips], dtype=np.float64),
+        qi=qi[order],
+        qj=qj[order],
+        qv=instance.qv[order],
         offset=instance.offset,
         meta=meta,
     )
@@ -281,22 +285,26 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _build(n, a, c, diag, offdiag_edges, offset=0.0, meta=None) -> Instance:
-    trips = [(i, i, float(diag[i])) for i in range(n)]
-    trips += [(i, j, float(v)) for i, j, v in offdiag_edges if v != 0.0]
-    trips.sort()
+def _build(n, a, c, diag, i, j, v, offset=0.0, meta=None) -> Instance:
+    """Instance with diagonal `diag` and off-diagonal triplets (i, j, v),
+    exact zeros dropped, sorted by (i, j, v)."""
+    keep = v != 0.0
+    qi = np.concatenate((np.arange(n), i[keep]))
+    qj = np.concatenate((np.arange(n), j[keep]))
+    qv = np.concatenate((diag, v[keep]))
+    order = np.lexsort((qv, qj, qi))
     # extreme parameters overflow or turn into nan here; such an instance
     # could not be written and read back
-    for what, vals in (("a", a), ("c", c), ("Q", [t[2] for t in trips]), ("offset", [offset])):
+    for what, vals in (("a", a), ("c", c), ("Q", qv), ("offset", [offset])):
         if not np.all(np.isfinite(vals)):
             raise InputError(f"the generated {what} is not finite; the parameters are out of range")
     return Instance(
         n=n,
         a=a,
         c=c,
-        qi=np.array([t[0] for t in trips], dtype=np.int64),
-        qj=np.array([t[1] for t in trips], dtype=np.int64),
-        qv=np.array([t[2] for t in trips], dtype=np.float64),
+        qi=qi[order],
+        qj=qj[order],
+        qv=qv[order],
         offset=offset,
         meta=meta or {},
     )
@@ -319,8 +327,8 @@ def gen_tridiagonal(n: int, seed: int) -> Instance:
     if n > 1:
         diag[:-1] += np.abs(off)
         diag[1:] += np.abs(off)
-    edges = [(i, i + 1, off[i]) for i in range(n - 1)]
-    return _build(n, a, c, diag, edges)
+    i = np.arange(n - 1)
+    return _build(n, a, c, diag, i, i + 1, off)
 
 
 def _smooth_sparse_truth(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -350,15 +358,15 @@ def gen_signal1d(n: int, sigma: float, mu: float, seed: int) -> Instance:
     rng = _rng(seed)
     truth = _smooth_sparse_truth(n, rng)
     y = truth + rng.normal(0.0, sigma, n)
-    deg = np.full(n, 2.0)
-    deg[0] = deg[-1] = 1.0
+    i = np.arange(n - 1)
+    deg = np.bincount(np.concatenate((i, i + 1)), minlength=n)
     diag = 2.0 * (1.0 + deg)
-    edges = [(i, i + 1, -2.0) for i in range(n - 1)]
-    meta = {"y": [float(v) for v in y], "M": float(np.max(np.abs(y)))}
+    v = np.full(n - 1, -2.0)
+    meta = {"y": y.tolist(), "M": float(np.max(np.abs(y)))}
     # an extreme sigma overflows here; _build reports it as the one error
     with np.errstate(over="ignore", invalid="ignore"):
         offset = float(np.sum(y * y))
-    return _build(n, np.full(n, float(mu)), -2.0 * y, diag, edges, offset=offset, meta=meta)
+    return _build(n, np.full(n, float(mu)), -2.0 * y, diag, i, i + 1, v, offset=offset, meta=meta)
 
 
 def gen_lattice2d(rows: int, cols: int, sigma: float, mu: float, seed: int) -> Instance:
@@ -385,41 +393,32 @@ def gen_lattice2d(rows: int, cols: int, sigma: float, mu: float, seed: int) -> I
         amp = rng.uniform(0.5, 2.0) * (1 if rng.uniform() < 0.5 else -1)
         truth[r0 : r0 + ph, c0 : c0 + pw] = amp
     y = (truth + rng.normal(0.0, sigma, (rows, cols))).ravel()
-    edges = []
-    for r in range(rows):
-        for s in range(cols):
-            i = r * cols + s
-            if s + 1 < cols:
-                edges.append((i, i + 1, -2.0))
-            if r + 1 < rows:
-                edges.append((i, i + cols, -2.0))
-    deg = np.zeros(n)
-    for i, j, _ in edges:
-        deg[i] += 1
-        deg[j] += 1
+    # right neighbours, then down neighbours, of the row-major grid
+    grid = np.arange(n).reshape(rows, cols)
+    i = np.concatenate((grid[:, :-1].ravel(), grid[:-1, :].ravel()))
+    j = np.concatenate((grid[:, 1:].ravel(), grid[1:, :].ravel()))
+    deg = np.bincount(np.concatenate((i, j)), minlength=n)
     try:
         var = sigma**2
         diag = 2.0 / var + 2.0 * deg
     except (ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"sigma {sigma!r} is out of range: its square is not a usable variance") from None
-    meta = {"y": [float(v) for v in y], "M": float(np.max(np.abs(y)))}
+    meta = {"y": y.tolist(), "M": float(np.max(np.abs(y)))}
     # an extreme sigma overflows here; _build reports it as the one error
     with np.errstate(over="ignore", invalid="ignore"):
         c = -2.0 * y / var
         offset = float(np.sum(y * y) / var)
-    return _build(n, np.full(n, float(mu)), c, diag, edges, offset=offset, meta=meta)
+    v = np.full(i.size, -2.0)
+    return _build(n, np.full(n, float(mu)), c, diag, i, j, v, offset=offset, meta=meta)
 
 
 def write_instance(instance: Instance, path: str) -> None:
     """Write the JSON instance format (keys n, a, c, Q, offset, meta)."""
     doc = {
         "n": instance.n,
-        "a": [float(v) for v in instance.a],
-        "c": [float(v) for v in instance.c],
-        "Q": [
-            [int(i) + 1, int(j) + 1, float(v)]
-            for i, j, v in zip(instance.qi, instance.qj, instance.qv)
-        ],
+        "a": instance.a.tolist(),
+        "c": instance.c.tolist(),
+        "Q": [list(t) for t in zip((instance.qi + 1).tolist(), (instance.qj + 1).tolist(), instance.qv.tolist())],
         "offset": float(instance.offset),
         "meta": instance.meta,
     }
@@ -461,9 +460,10 @@ def _float_list(doc: dict, key: str, n: int, path: str) -> np.ndarray:
 def read_instance(path: str) -> Instance:
     """Read the JSON instance format; raises ParseError with field context."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # not JSON, not UTF-8 text, or nested past the recursion limit
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top-level value must be an object")

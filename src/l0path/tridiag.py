@@ -18,7 +18,7 @@ import numpy as np
 
 from ._kernels import PIVOT_TOL, labels_kernel, thomas_kernel
 from .errors import InputError, NotPositiveDefinite
-from .instance import Instance
+from .instance import Instance, _assign_last
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,15 +129,6 @@ def solve_fixed_z(p: TridiagProblem, zbar) -> tuple[np.ndarray, float]:
     on = zbar != 0
     value = float(np.sum(p.a[on]) + 0.5 * p.c[on] @ x[on])
     return x, value
-
-
-def _assign_last(size: int, idx: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Zeros with out[idx[k]] = vals[k]; a repeated index keeps its last
-    value, as a loop of assignments would."""
-    out = np.zeros(size)
-    where, last = np.unique(idx[::-1], return_index=True)
-    out[where] = vals[::-1][last]
-    return out
 
 
 def to_tridiagonal(instance: Instance) -> TridiagProblem:

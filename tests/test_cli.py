@@ -131,6 +131,13 @@ def test_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
     assert run_cli("solve-path", str(bad)) == 2
+    # not UTF-8, and nested past the recursion limit: both are parse errors
+    bad.write_bytes(b"\xff\xfe{}")
+    assert run_cli("solve-path", str(bad)) == 2
+    bad.write_text("[" * 200000)
+    assert run_cli("solve-path", str(bad)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 4 and all(line.startswith("error: ") for line in err)
 
     # indefinite tridiagonal: input parses but the solve must fail
     indef = tmp_path / "indef.json"

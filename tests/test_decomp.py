@@ -273,6 +273,27 @@ def test_h_eval_segment_not_pd():
     assert isinstance(info.value, NumericalError)
 
 
+def test_solve_path_builds_no_terms(monkeypatch):
+    # the Term tuples are views for the tracer and the tests only: building
+    # the relaxation, the ascent and the segment error all run on arrays
+    import l0path.instance as instance
+
+    def boom(*args):
+        raise AssertionError("a Term tuple was built on the solve path")
+
+    monkeypatch.setattr(instance, "_terms", boom)
+    monkeypatch.setattr(decomp, "_terms", boom)
+    inst = gen_lattice2d(6, 6, 0.3, 0.1, 0)
+    r = default_relaxation(inst)
+    assert run(inst, r, RunConfig("harmonic", eps=1e-3, max_iter=50)).iterations >= 1
+    s, e = r.bounds[1:3].tolist()
+    diag = r.diag.copy()
+    diag[s:e] = 0.0
+    with pytest.raises(SegmentNotPD) as info:
+        h_eval(dataclasses.replace(r, diag=diag), np.zeros((r.rel_w.size, 3)))
+    assert (info.value.start, info.value.end) == (s, e)
+
+
 def test_h_eval_zero_duals(example_instance):
     r = example_relaxation(example_instance)
     h, xbar, zbar = h_eval(r, np.zeros((1, 3)))
