@@ -10,6 +10,12 @@ dtype and contiguity check (`_ptr`), and each kernel allocates its own
 scratch, so a call costs a few microseconds of marshalling. The flags keep
 floating-point contraction and fast-math off, so every step rounds
 exactly as in the references `_labels_py`, `_thomas_py` and `_ldl_py`.
+The label sweep runs as a wavefront over blocks of rows: the cells of one
+column, from different rows, are independent, so their divisions overlap
+instead of waiting on each other. Each cell computes what the row-major
+sweep computes, and each column compares its candidates in the same row
+order, so labels, predecessors and the failing column are those of the
+row-major sweep, bit for bit.
 The segment kernel solves every segment of a dual evaluation in one call:
 per segment it runs the same label sweep, backtrack and cut Thomas solve as
 `tridiag.solve`, so its x, z and optima are those of one `tridiag.solve`
@@ -312,39 +318,81 @@ def enumerate_kernel(a, c, q):
     return best_val, best_mask, skipped
 
 
-# Row-major twins of _labels_py and _thomas_py, l0_segments built on them,
-# and l0_ldl, the twin of _ldl_py. `wbar += ...` keeps the numpy
-# association, wbar + (a - t), so both round identically.
+# Twins of _labels_py (as a wavefront over row blocks) and _thomas_py,
+# l0_segments built on them, and l0_ldl, the twin of _ldl_py. Every label
+# cell makes the row recurrence's operations in its order, and
+# `wbar += ...` keeps the numpy association, wbar + (a - t), so both
+# round identically.
 _C_SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 
 #define PIVOT_TOL 1e-12
+/* rows per wavefront block of l0_labels */
+#define R 8
 
+/* Row i of the label DP takes the skip arc (i, i+1), then one cell per
+   column j = i+2 .. m+1: the arc (i, j), whose weight wbar is a running
+   elimination of the block i+1 .. j-1. Row by row, every cell would wait
+   on its row's previous three divisions. Rows interact only through
+   labels[j] and preds[j], in increasing row order, so each block of R
+   rows sweeps the columns as a wavefront: at column j the block's rows
+   i <= j-2 apply their cells in increasing order, then row j-1 takes its
+   skip arc and starts from labels[j-1], which no later row changes. The
+   cells of a column are independent of each other and the CPU overlaps
+   their divisions. Each column sees the same operations, compared in the
+   same order, as row after row would apply them, so labels and preds
+   come out identical. A failing row stops the rows after it in its block;
+   the block's smallest failing row names the failing column, as the
+   first failing row would. Returns that column, or -1. */
 int64_t l0_labels(int64_t m, const double *a, const double *c,
                   const double *diag, const double *off,
                   double *labels, int64_t *preds)
 {
-    for (int64_t i = 0; i <= m; i++) {
-        if (labels[i] < labels[i + 1]) {
-            labels[i + 1] = labels[i];
-            preds[i + 1] = i;
-        }
-        double cbar = 0.0, qbar = INFINITY, wbar = 0.0, li = labels[i];
-        for (int64_t j = i + 2; j <= m + 1; j++) {
-            double o = j >= 3 ? off[j - 3] : 0.0;
-            cbar = c[j - 2] - o * cbar / qbar;
-            qbar = diag[j - 2] - o * o / qbar;
-            if (qbar <= PIVOT_TOL)
-                return j;
-            wbar += a[j - 2] - 0.5 * cbar * cbar / qbar;
-            double cand = li + wbar;
-            if (cand < labels[j]) {
-                labels[j] = cand;
-                preds[j] = i;
+    double cbar[R], qbar[R], wbar[R], li[R];
+    for (int64_t b0 = 0; b0 <= m; b0 += R) {
+        int64_t b1 = b0 + R < m + 1 ? b0 + R : m + 1, fail = -1;
+        for (int64_t j = b0 + 1; j <= m + 1 && b1 > b0; j++) {
+            double lab = labels[j];
+            int64_t pred = preds[j];
+            /* rows b0 .. b0+nk-1 have started */
+            int64_t nk = (j - 1 < b1 ? j - 1 : b1) - b0;
+            if (nk > 0) {
+                double o = j >= 3 ? off[j - 3] : 0.0;
+                double aj = a[j - 2], cj = c[j - 2], dj = diag[j - 2];
+                for (int64_t k = 0; k < nk; k++) {
+                    cbar[k] = cj - o * cbar[k] / qbar[k];
+                    qbar[k] = dj - o * o / qbar[k];
+                    if (qbar[k] <= PIVOT_TOL) {
+                        fail = j;
+                        b1 = b0 + k;
+                        break;
+                    }
+                    wbar[k] += aj - 0.5 * cbar[k] * cbar[k] / qbar[k];
+                    double cand = li[k] + wbar[k];
+                    if (cand < lab) {
+                        lab = cand;
+                        pred = b0 + k;
+                    }
+                }
             }
+            if (j - 1 < b1) {
+                int64_t k = j - 1 - b0;
+                if (labels[j - 1] < lab) {
+                    lab = labels[j - 1];
+                    pred = j - 1;
+                }
+                cbar[k] = 0.0;
+                qbar[k] = INFINITY;
+                wbar[k] = 0.0;
+                li[k] = labels[j - 1];
+            }
+            labels[j] = lab;
+            preds[j] = pred;
         }
+        if (fail >= 0)
+            return fail;
     }
     return -1;
 }
@@ -634,7 +682,8 @@ if _lib is None:
 else:
 
     def labels_kernel(a, c, diag, off):
-        """Row-major label sweep; returns (labels, preds, fail_col)."""
+        """Label sweep as a wavefront over blocks of rows, bitwise equal to
+        the row-major sweep; returns (labels, preds, fail_col)."""
         m = a.shape[0]
         _check_lengths(m, (c, diag), off)
         labels = np.full(m + 2, np.inf)

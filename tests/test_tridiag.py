@@ -1,3 +1,7 @@
+import re
+import shutil
+import subprocess
+
 import numpy as np
 import pytest
 
@@ -12,6 +16,7 @@ from l0path import (
     to_tridiagonal,
 )
 from l0path._kernels import (
+    _C_SOURCE,
     PIVOT_TOL,
     _labels_py,
     _segments_py,
@@ -242,6 +247,121 @@ def test_labels_kernel_matches_python():
         assert fast_fail == slow_fail == -1
         # the compiled solve rounds every step as the reference does
         assert np.array_equal(fast_x, slow_x)
+    # indefinite chains: both sweeps name the same failing column
+    failing = 0
+    for _ in range(200):
+        a, c, diag, off = chain_arrays(rng, int(rng.integers(2, 40)), indefinite=True)
+        fail = labels_kernel(a, c, diag, off)[2]
+        assert fail == _labels_py(a, c, diag, off)[2]
+        failing += fail >= 0
+    assert failing >= 100
+
+
+def chain_arrays(rng, m, indefinite=False):
+    """Fresh (a, c, diag, off) of a random positive definite chain; with
+    `indefinite`, its couplings are scaled up at one to three places, so
+    that most such chains are not positive definite."""
+    p = random_problem(rng, m)
+    a, c, diag, off = p.a.copy(), p.c.copy(), p.diag.copy(), p.off.copy()
+    if indefinite:
+        k = rng.integers(0, m - 1, int(rng.integers(1, 4)))
+        off[k] *= rng.uniform(2.0, 6.0, k.size)
+    return a, c, diag, off
+
+
+def labels_row_major(a, c, diag, off):
+    """Scalar transcription of the row-major label sweep: row i takes its
+    skip arc, then its cells j = i+2 .. m+1 in order, and the first failing
+    pivot ends the sweep. Python floats round as C doubles do without
+    contraction. Returns (labels, preds, fail_col)."""
+    a, c, diag, off = (v.tolist() for v in (a, c, diag, off))
+    m = len(a)
+    labels = [0.0] + [float("inf")] * (m + 1)
+    preds = [-1] * (m + 2)
+    for i in range(m + 1):
+        if labels[i] < labels[i + 1]:
+            labels[i + 1] = labels[i]
+            preds[i + 1] = i
+        cbar, qbar, wbar, li = 0.0, float("inf"), 0.0, labels[i]
+        for j in range(i + 2, m + 2):
+            o = off[j - 3] if j >= 3 else 0.0
+            cbar = c[j - 2] - o * cbar / qbar
+            qbar = diag[j - 2] - o * o / qbar
+            if qbar <= PIVOT_TOL:
+                return np.array(labels), np.array(preds), j
+            wbar = wbar + (a[j - 2] - 0.5 * cbar * cbar / qbar)
+            cand = li + wbar
+            if cand < labels[j]:
+                labels[j] = cand
+                preds[j] = i
+    return np.array(labels), np.array(preds), -1
+
+
+# rows per block of the compiled wavefront sweep
+BLOCK_ROWS = int(re.search(r"#define R (\d+)", _C_SOURCE).group(1))
+
+
+def assert_sweeps_equal(a, c, diag, off):
+    labels, preds, fail = labels_kernel(a, c, diag, off)
+    ref_labels, ref_preds, ref_fail = labels_row_major(a, c, diag, off)
+    assert fail == ref_fail
+    # on failure the labels are undefined for both
+    if fail < 0:
+        assert labels.tobytes() == ref_labels.tobytes()
+        assert np.array_equal(preds, ref_preds)
+    return fail
+
+
+@pytest.mark.skipif(labels_kernel is _labels_py, reason="no C compiler: the numpy kernels run")
+def test_wavefront_sweep_matches_row_major():
+    r = BLOCK_ROWS
+    rng = rng_for(38)
+    # shorter than a block, and lengths not divisible by it
+    for m in range(1, 3 * r + 2):
+        assert assert_sweeps_equal(*chain_arrays(rng, m)) == -1
+    # the first failing row r0 early and late in the first block, and in
+    # the second block only: a NaN coupling before it makes every earlier
+    # row's pivot NaN, which never fails, and the 2x2 block (r0, r0 + 1) is
+    # singular, so row r0 fails at column r0 + 3
+    for r0 in (2, r - 2, r - 1, r + 2):
+        a, c, diag, off = chain_arrays(rng, 2 * r + 5)
+        off[r0 - 2] = np.nan
+        off[r0] = np.sqrt(diag[r0] * diag[r0 + 1])
+        assert assert_sweeps_equal(a, c, diag, off) == r0 + 3
+    # an infinite coupling fails every row that spans it at once; the row
+    # that starts on it turns NaN and never fails
+    a, c, diag, off = chain_arrays(rng, 3 * r)
+    off[r + 3] = np.inf
+    assert assert_sweeps_equal(a, c, diag, off) == r + 6
+    # equal-weight ties between cells, and between a cell and the skip arc
+    for m in (r - 1, 2 * r + 3):
+        zero = np.zeros(m)
+        assert assert_sweeps_equal(zero, zero, np.full(m, 2.0), np.full(m - 1, -1.0)) == -1
+        a, c = np.full(m, 1.0), np.full(m, -2.0)
+        assert assert_sweeps_equal(a, c, np.full(m, 2.0), np.zeros(m - 1)) == -1
+        assert assert_sweeps_equal(a, -c, np.full(m, 2.0), np.zeros(m - 1)) == -1
+    # random chains, with NaN couplings, NaN linear terms, coarse values that
+    # tie, and indefinite blocks
+    for t in range(400):
+        m = int(rng.integers(2, 4 * r))
+        a, c, diag, off = chain_arrays(rng, m, indefinite=t % 2 == 1)
+        if t % 3 == 0:
+            a, c, diag, off = np.round(2 * a) / 2, np.round(c), np.round(2 * diag) / 2 + 1, np.round(off)
+        if t % 5 == 0:
+            off[rng.integers(0, m - 1)] = np.nan
+        if t % 7 == 0:
+            c[rng.integers(0, m)] = np.nan
+        assert_sweeps_equal(a, c, diag, off)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_kernels_compile_without_warnings(tmp_path):
+    # -Wconversion catches implicit narrowing, e.g. an int64_t into an int
+    src = tmp_path / "kernels.c"
+    src.write_text(_C_SOURCE)
+    cmd = ["cc", "-std=c99", "-Wall", "-Wextra", "-Wconversion", "-Werror", "-fsyntax-only", str(src)]
+    done = subprocess.run(cmd, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def random_chain(rng, sizes):
