@@ -1,11 +1,11 @@
 """Numerical kernels: shortest-path labeling, tridiagonal solves, batched
 segment solves, sparse LDL' refits, support enumeration.
 
-The label sweep, the Thomas solve, the segment kernel and the sparse
-LDL' factorisation run as a small C library. It is compiled once with the
-system C compiler, cached in this package's `__pycache__` under a hash of
-its source and flags, and called through `ctypes`, which releases the
-interpreter lock while it runs. Arrays cross as bare addresses after a
+The label sweep, the Thomas solve, the segment kernel, the sparse LDL'
+factorisation and the support enumeration run as a small C library. It is
+compiled once with the system C compiler, cached in this package's
+`__pycache__` under a hash of its source and flags, and called through
+`ctypes`, which releases the interpreter lock while it runs. Arrays cross as bare addresses after a
 dtype and contiguity check (`_ptr`), and each kernel allocates its own
 scratch, so a call costs a few microseconds of marshalling. The flags keep
 floating-point contraction and fast-math off, so every step rounds
@@ -26,9 +26,14 @@ solves); it refits x on a fixed support (`oracle.fixed_z_qp`), and
 `_ldl_py` is its scalar twin, equal to it bit for bit. Without a working
 compiler the references run instead, and a warning says so.
 
-The enumeration kernel is batched numpy: one vectorised elimination per
-chunk of equal-size supports. `_enumerate_py`, the scalar loop over
-supports, is its reference.
+The enumeration kernel walks the supports depth first. A support's
+children add one variable above its largest, so each child's dense L D L'
+factor is its parent's plus one row, and a failing pivot prunes the
+child's whole subtree. Its values round differently from an elimination
+per support: its twin, `_enumerate_batched` (one vectorised elimination
+per chunk of equal-size supports), finds the same value to rounding, and
+the same mask and skipped count unless two supports differ in value by
+rounding alone.
 
 The label recurrences initialize the running pivot to +inf so that the
 first elimination step of every row needs no special case (x/inf == 0 in
@@ -57,6 +62,9 @@ HAVE_NUMBA = False
 
 # supports per batched elimination; bounds the oracle's memory at any n
 ENUM_CHUNK = 1 << 14
+
+# largest n the exhaustive oracle accepts (oracle.MAX_ENUM_VARS)
+MAX_ENUM_VARS = 20
 
 
 def _labels_py(a, c, diag, off):
@@ -223,49 +231,9 @@ def _ldl_py(n, Ap, Ai, Ax, b):
     return -1
 
 
-def _enumerate_py(a, c, q):
-    """Minimize over all supports; returns (value, mask, skipped)."""
-    n = a.shape[0]
-    best_val = 0.0
-    best_mask = 0
-    skipped = 0
-    scratch = np.empty((n, n + 1))
-    for mask in range(1, 1 << n):
-        idx = [i for i in range(n) if mask & (1 << (n - 1 - i))]
-        k = len(idx)
-        g = scratch[:k, : k + 1]
-        for p in range(k):
-            for t in range(k):
-                g[p, t] = q[idx[p], idx[t]]
-            g[p, k] = -c[idx[p]]
-        ok = True
-        for p in range(k):
-            if g[p, p] <= PIVOT_TOL:
-                ok = False
-                break
-            for t in range(p + 1, k):
-                f = g[t, p] / g[p, p]
-                g[t, p : k + 1] -= f * g[p, p : k + 1]
-        if not ok:
-            skipped += 1
-            continue
-        x = np.empty(k)
-        for p in range(k - 1, -1, -1):
-            x[p] = (g[p, k] - g[p, p + 1 : k] @ x[p + 1 : k]) / g[p, p]
-        # at a stationary point Q_S x = -c_S, so the objective collapses to
-        # sum(a_S) + (1/2) c_S . x
-        val = 0.0
-        for p in range(k):
-            val += a[idx[p]] + 0.5 * c[idx[p]] * x[p]
-        if val < best_val:
-            best_val = val
-            best_mask = mask
-    return best_val, best_mask, skipped
-
-
 def _support_values(a, c, q, masks, k):
     """Values of the supports in `masks`, all of size k; returns
-    (values, ok) with ok False where a pivot fails, as in _enumerate_py."""
+    (values, ok) with ok False where a pivot of the elimination fails."""
     n = a.shape[0]
     bits = (masks[:, None] >> np.arange(n - 1, -1, -1)) & 1
     # nonzero walks rows in order, so each row's indices come out ascending
@@ -288,12 +256,12 @@ def _support_values(a, c, q, masks, k):
     return values, ok
 
 
-def enumerate_kernel(a, c, q):
+def _enumerate_batched(a, c, q):
     """Minimize over all supports; returns (value, mask, skipped).
 
-    Same result as `_enumerate_py`: the supports are grouped by size and
-    eliminated in chunks of at most ENUM_CHUNK, without pivoting; the
-    minimum wins and ties go to the smallest mask.
+    The supports are grouped by size and eliminated in chunks of at most
+    ENUM_CHUNK, without pivoting; the minimum wins and ties go to the
+    smallest mask.
     """
     n = a.shape[0]
     best_val = 0.0
@@ -319,7 +287,8 @@ def enumerate_kernel(a, c, q):
 
 
 # Twins of _labels_py (as a wavefront over row blocks) and _thomas_py,
-# l0_segments built on them, and l0_ldl, the twin of _ldl_py. Every label
+# l0_segments built on them, l0_ldl, the twin of _ldl_py, and
+# l0_enumerate, the depth-first twin of _enumerate_batched. Every label
 # cell makes the row recurrence's operations in its order, and
 # `wbar += ...` keeps the numpy association, wbar + (a - t), so both
 # round identically.
@@ -606,6 +575,79 @@ int64_t l0_ldl(int64_t n, const int64_t *Ap, const int64_t *Ai,
     free(Lx);
     return fail;
 }
+
+/* Minimize over every support of the dense n x n matrix q; variable i is
+   bit n-1-i of a mask. The supports are walked depth first: the children
+   of S are S + {v} for every v above max(S), so the L D L' factor of a
+   child's Q_S in natural order is its parent's plus one row. With y the
+   forward solve of L y = -c_S, the value sum(a_S) - (1/2) c_S' Q_S^-1 c_S
+   is the parent's plus a_v - (1/2) y_k^2 / d_k, so a child costs
+   O(|S|^2). A pivot d_k <= PIVOT_TOL fails every descendant too, since
+   each shares that leading block: the subtree of 2^(n-1-v) supports is
+   skipped. This is the factor reuse of Furnival and Wilson's "leaps and
+   bounds", Technometrics 16(4), 1974, without the bounding. The best
+   value starts at 0.0 with mask 0, and on equal values the smaller mask
+   wins. Returns the number of skipped supports, or -3 when memory runs
+   out. */
+int64_t l0_enumerate(int64_t n, const double *a, const double *c,
+                     const double *q, double *best_val, int64_t *best_mask)
+{
+    /* row k of L holds the factor of the support's (k+1)-th variable */
+    double *L = malloc((size_t)(n * n + 3 * n + 1) * sizeof(double));
+    int64_t *sel = malloc((size_t)(2 * n + 1) * sizeof(int64_t));
+    if (L == NULL || sel == NULL) {
+        free(L);
+        free(sel);
+        return -3;
+    }
+    double *D = L + n * n, *Y = D + n, *val = Y + n;
+    int64_t *mask = sel + n, skipped = 0, k = 0, v = 0;
+    val[0] = 0.0;
+    mask[0] = 0;
+    *best_val = 0.0;
+    *best_mask = 0;
+    for (;;) {
+        if (v == n) {
+            /* every child of the support sel[0 .. k-1] is done */
+            if (k == 0)
+                break;
+            v = sel[--k] + 1;
+            continue;
+        }
+        double *row = L + k * n, dk = q[v * n + v], yk = -c[v];
+        for (int64_t j = 0; j < k; j++) {
+            const double *lj = L + j * n;
+            double w = q[v * n + sel[j]];
+            for (int64_t t = 0; t < j; t++)
+                w -= row[t] * lj[t];
+            /* w = L[k][j] D[j]; the pass below divides out D[j] */
+            row[j] = w;
+        }
+        for (int64_t j = 0; j < k; j++) {
+            double w = row[j];
+            row[j] = w / D[j];
+            dk -= row[j] * w;
+            yk -= row[j] * Y[j];
+        }
+        if (dk <= PIVOT_TOL) {
+            skipped += (int64_t)1 << (n - 1 - v);
+            v++;
+            continue;
+        }
+        D[k] = dk;
+        Y[k] = yk;
+        val[k + 1] = val[k] + (a[v] - 0.5 * yk * yk / dk);
+        mask[k + 1] = mask[k] | (int64_t)1 << (n - 1 - v);
+        if (val[k + 1] < *best_val || (val[k + 1] == *best_val && mask[k + 1] < *best_mask)) {
+            *best_val = val[k + 1];
+            *best_mask = mask[k + 1];
+        }
+        sel[k++] = v++;
+    }
+    free(L);
+    free(sel);
+    return skipped;
+}
 """
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
@@ -649,7 +691,8 @@ def _load_library():
     lib.l0_thomas.argtypes = [i64] + [ptr] * 5
     lib.l0_segments.argtypes = [i64] + [ptr] * 8
     lib.l0_ldl.argtypes = [i64] + [ptr] * 4
-    for fn in (lib.l0_labels, lib.l0_thomas, lib.l0_segments, lib.l0_ldl):
+    lib.l0_enumerate.argtypes = [i64] + [ptr] * 5
+    for fn in (lib.l0_labels, lib.l0_thomas, lib.l0_segments, lib.l0_ldl, lib.l0_enumerate):
         fn.restype = i64
     return lib
 
@@ -679,6 +722,7 @@ if _lib is None:
     thomas_kernel = _thomas_py
     segments_kernel = _segments_py
     ldl_kernel = _ldl_py
+    enumerate_kernel = _enumerate_batched
 else:
 
     def labels_kernel(a, c, diag, off):
@@ -740,3 +784,19 @@ else:
         if fail == -3:
             raise MemoryError("sparse factor of the support")
         return fail
+
+    def enumerate_kernel(a, c, q):
+        """Minimize over all supports of the dense matrix q, depth first;
+        returns (value, mask, skipped)."""
+        n = a.shape[0]
+        if n > MAX_ENUM_VARS:
+            raise ValueError(f"enumerate_kernel takes at most {MAX_ENUM_VARS} variables")
+        if c.shape != (n,) or q.shape != (n, n) or q.dtype != _F64 or not q.flags.c_contiguous:
+            raise ValueError("enumerate_kernel needs c of length n and q a C-contiguous (n, n) float64 array")
+        val, mask = ctypes.c_double(), ctypes.c_int64()
+        skipped = _lib.l0_enumerate(
+            n, _ptr(a, _F64), _ptr(c, _F64), q.ctypes.data, ctypes.addressof(val), ctypes.addressof(mask)
+        )
+        if skipped == -3:
+            raise MemoryError("enumeration kernel scratch")
+        return val.value, mask.value, skipped

@@ -41,6 +41,9 @@ class TridiagProblem:
             raise ValueError("m must be >= 1")
         for name in ("a", "c", "diag", "off"):
             arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            # NaN would pass the pivot test below (NaN <= tol is false)
+            if not np.isfinite(arr).all():
+                raise InputError(f"{name} has a non-finite entry")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if not (self.a.shape == self.c.shape == self.diag.shape == (self.m,)):

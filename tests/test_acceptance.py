@@ -60,7 +60,8 @@ def test_a1_path_solver_matches_enumeration():
         ref = enumerate_supports(inst)
         scale = max(1.0, abs(ref.value))
         assert abs(sp.objective - ref.value) <= 1e-8 * scale
-    assert time.perf_counter() - t0 < 10.0
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 10.0, f"200 instances took {elapsed:.2f} s"
 
 
 def test_a2_reference_instance_reproduction():

@@ -28,7 +28,7 @@ from l0path import (
     write_instance,
 )
 from l0path import _kernels, decomp, oracle
-from l0path._kernels import PIVOT_TOL, _enumerate_py, _ldl_py, enumerate_kernel, ldl_kernel
+from l0path._kernels import PIVOT_TOL, _enumerate_batched, _ldl_py, enumerate_kernel, ldl_kernel
 
 from conftest import make_instance, random_dd_instance, rng_for
 
@@ -146,6 +146,46 @@ def test_value_permutation_invariant():
         assert abs(enumerate_supports(permute(inst, pi)).value - base) <= 1e-9
 
 
+def _enumerate_py(a, c, q):
+    """Minimize over all supports; returns (value, mask, skipped)."""
+    n = a.shape[0]
+    best_val = 0.0
+    best_mask = 0
+    skipped = 0
+    scratch = np.empty((n, n + 1))
+    for mask in range(1, 1 << n):
+        idx = [i for i in range(n) if mask & (1 << (n - 1 - i))]
+        k = len(idx)
+        g = scratch[:k, : k + 1]
+        for p in range(k):
+            for t in range(k):
+                g[p, t] = q[idx[p], idx[t]]
+            g[p, k] = -c[idx[p]]
+        ok = True
+        for p in range(k):
+            if g[p, p] <= PIVOT_TOL:
+                ok = False
+                break
+            for t in range(p + 1, k):
+                f = g[t, p] / g[p, p]
+                g[t, p : k + 1] -= f * g[p, p : k + 1]
+        if not ok:
+            skipped += 1
+            continue
+        x = np.empty(k)
+        for p in range(k - 1, -1, -1):
+            x[p] = (g[p, k] - g[p, p + 1 : k] @ x[p + 1 : k]) / g[p, p]
+        # at a stationary point Q_S x = -c_S, so the objective collapses to
+        # sum(a_S) + (1/2) c_S . x
+        val = 0.0
+        for p in range(k):
+            val += a[idx[p]] + 0.5 * c[idx[p]] * x[p]
+        if val < best_val:
+            best_val = val
+            best_mask = mask
+    return best_val, best_mask, skipped
+
+
 def test_kernel_matches_python_fallback():
     rng = rng_for(22)
     for _ in range(5):
@@ -162,9 +202,84 @@ def test_kernel_matches_python_fallback():
     a = np.full(3, 0.1)
     c = np.array([-1.0, -1.0, -3.0])
     q = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.5], [0.0, 0.5, 2.0]])
-    fast, slow = enumerate_kernel(a, c, q), _enumerate_py(a, c, q)
-    assert abs(fast[0] - slow[0]) <= 1e-12
-    assert fast[1:] == slow[1:] and slow[2] == 2
+    slow = _enumerate_py(a, c, q)
+    assert slow[1:] == (5, 2)
+    for kernel in (enumerate_kernel, _enumerate_batched):
+        fast = kernel(a, c, q)
+        assert abs(fast[0] - slow[0]) <= 1e-12
+        assert fast[1:] == slow[1:]
+
+
+def enumeration_case(kind, n, seed):
+    """(a, c, q) for the kernel comparison. "singular" duplicates a
+    variable's row and column, so every support holding both copies fails
+    a pivot and their subtrees are pruned. "ties" has runs of identical
+    variables, each run coupled within itself only, so equivalent supports
+    reach exactly equal values. (Nested supports of equal value, as with a
+    variable worth exactly 0, are left out: the batched kernel's pairwise
+    sums round them apart.) "positive" makes every support's value
+    positive, so the empty support wins."""
+    rng = rng_for(seed)
+    if kind == "ties":
+        a, c, q = np.empty(n), np.empty(n), np.zeros((n, n))
+        start = 0
+        while start < n:
+            end = min(n, start + int(rng.integers(1, 5)))
+            d = rng.uniform(0.5, 3.0)
+            a[start:end], c[start:end] = rng.uniform(0.0, 2.0), rng.uniform(-10.0, 5.0)
+            # decoupled, or coupled so strongly that one of the run is best
+            q[start:end, start:end] = rng.choice([0.0, rng.uniform(0.5, 0.95) * d])
+            q[range(start, end), range(start, end)] = d
+            start = end
+        return a, c, q
+    inst = random_dd_instance(rng, n)
+    a, c, q = inst.a.copy(), inst.c, np.ascontiguousarray(inst.dense_q())
+    if kind == "singular":
+        i, j = sorted(rng.choice(n, 2, replace=False)) if n > 1 else (0, 0)
+        q[j, :] = q[i, :]
+        q[:, j] = q[:, i]
+        if n == 1:
+            q[0, 0] = 0.0
+    elif kind == "positive":
+        # Gershgorin: Q_S's eigenvalues are at least 0.5 on every support
+        a += c * c
+    return a, c, q
+
+
+def assert_kernels_agree(a, c, q):
+    fast, slow = enumerate_kernel(a, c, q), _enumerate_batched(a, c, q)
+    assert fast[1:] == slow[1:]
+    assert abs(fast[0] - slow[0]) <= 1e-12 * abs(slow[0])
+    return fast
+
+
+@pytest.mark.skipif(enumerate_kernel is _enumerate_batched, reason="no C compiler: the batched kernel runs")
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    kind=st.sampled_from(["random", "singular", "ties", "positive"]),
+    n=st.integers(1, 14),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_depth_first_kernel_matches_batched(kind, n, seed):
+    value, mask, skipped = assert_kernels_agree(*enumeration_case(kind, n, seed))
+    if kind == "singular" and n > 1:
+        assert skipped > 0
+    if kind == "positive":
+        assert (value, mask) == (0.0, 0)
+
+
+@pytest.mark.skipif(enumerate_kernel is _enumerate_batched, reason="no C compiler: the batched kernel runs")
+def test_depth_first_kernel_ties_and_sixteen_variables():
+    # either variable alone is worth -0.5, both together only about -0.03;
+    # the depth-first walk meets mask 0b10 first, and mask 0b01 must win
+    q = np.array([[2.0, 1.9], [1.9, 2.0]])
+    assert enumerate_kernel(np.full(2, 0.5), np.full(2, -2.0), q) == (-0.5, 1, 0)
+    assert_kernels_agree(*enumeration_case("singular", 16, 16))
+    with pytest.raises(ValueError):
+        enumerate_kernel(np.zeros(21), np.zeros(21), np.eye(21))
+    for bad in (np.asfortranarray(q), q.astype(np.float32), q[:1]):
+        with pytest.raises(ValueError):
+            enumerate_kernel(np.zeros(2), np.zeros(2), bad)
 
 
 def splu_fixed_z_qp(instance, z):

@@ -116,6 +116,23 @@ def test_rejects_indefinite():
         )
 
 
+def test_rejects_non_finite_entries():
+    # with the NaN the C and numpy sweeps disagree (-6.0 against -3.0)
+    chain = dict(m=3, a=np.ones(3), c=np.array([-4.0, np.nan, -4.0]), diag=np.full(3, 2.0), off=np.zeros(2))
+    with pytest.raises(InputError, match="c has a non-finite entry"):
+        TridiagProblem(**chain)
+    chain["c"] = np.full(3, -4.0)
+    assert solve(TridiagProblem(**chain)).objective == -9.0
+    chain["off"] = np.array([0.0, np.inf])
+    with pytest.raises(InputError, match="off has a non-finite entry"):
+        TridiagProblem(**chain)
+    for name in ("a", "diag"):
+        bad = dict(chain, off=np.zeros(2))
+        bad[name] = np.array([1.0, 2.0, np.nan])
+        with pytest.raises(InputError, match=f"{name} has a non-finite entry"):
+            TridiagProblem(**bad)
+
+
 def test_solve_fixed_z():
     p = TridiagProblem(
         m=2,
