@@ -2,14 +2,17 @@
 segment solves, sparse LDL' refits, support enumeration.
 
 The label sweep, the Thomas solve, the segment kernel, the sparse LDL'
-factorisation and the support enumeration run as a small C library. It is
-compiled once with the system C compiler, cached in this package's
-`__pycache__` under a hash of its source and flags, and called through
-`ctypes`, which releases the interpreter lock while it runs. Arrays cross as bare addresses after a
-dtype and contiguity check (`_ptr`), and each kernel allocates its own
-scratch, so a call costs a few microseconds of marshalling. The flags keep
+factorisation and the support enumeration run as a small C library. The
+first import compiles it with the system C compiler (`cc`) and caches it
+in this package's `__pycache__` under a hash of its source and flags;
+later imports load it from there. Without a compiler, or when the build
+or the load fails, the import raises ImportError naming the cause. The
+kernels are called through `ctypes`, which releases the interpreter lock
+while they run. Arrays cross as bare addresses after a dtype and
+contiguity check (`_ptr`), and each kernel allocates its own scratch, so
+a call costs a few microseconds of marshalling. The flags keep
 floating-point contraction and fast-math off, so every step rounds
-exactly as in the references `_labels_py`, `_thomas_py` and `_ldl_py`.
+exactly as the scalar references in the tests do.
 The label sweep runs as a wavefront over blocks of rows: the cells of one
 column, from different rows, are independent, so their divisions overlap
 instead of waiting on each other. Each cell computes what the row-major
@@ -19,21 +22,17 @@ row-major sweep, bit for bit.
 The segment kernel solves every segment of a dual evaluation in one call:
 per segment it runs the same label sweep, backtrack and cut Thomas solve as
 `tridiag.solve`, so its x, z and optima are those of one `tridiag.solve`
-per segment, bit for bit; `_segments_py` is its numpy reference. The LDL'
-kernel is the up-looking factorisation of Davis's LDL package (elimination
-tree and column counts, then one row of L at a time, then the L, D and L'
-solves); it refits x on a fixed support (`oracle.fixed_z_qp`), and
-`_ldl_py` is its scalar twin, equal to it bit for bit. Without a working
-compiler the references run instead, and a warning says so.
+per segment, bit for bit. The LDL' kernel is the up-looking factorisation
+of Davis's LDL package (elimination tree and column counts, then one row
+of L at a time, then the L, D and L' solves); it refits x on a fixed
+support (`oracle.fixed_z_qp`).
 
 The enumeration kernel walks the supports depth first. A support's
 children add one variable above its largest, so each child's dense L D L'
 factor is its parent's plus one row, and a failing pivot prunes the
 child's whole subtree. Its values round differently from an elimination
-per support: its twin, `_enumerate_batched` (one vectorised elimination
-per chunk of equal-size supports), finds the same value to rounding, and
-the same mask and skipped count unless two supports differ in value by
-rounding alone.
+per support, which finds the same value to rounding, and the same mask
+and skipped count unless two supports differ in value by rounding alone.
 
 The label recurrences initialize the running pivot to +inf so that the
 first elimination step of every row needs no special case (x/inf == 0 in
@@ -44,7 +43,6 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-import logging
 import os
 import shutil
 import subprocess
@@ -53,245 +51,20 @@ from pathlib import Path
 
 import numpy as np
 
-logger = logging.getLogger(__name__)
-
 PIVOT_TOL = 1e-12
 
 # there is no numba backend; perfbench's environment block still reports this
 HAVE_NUMBA = False
 
-# supports per batched elimination; bounds the oracle's memory at any n
-ENUM_CHUNK = 1 << 14
-
 # largest n the exhaustive oracle accepts (oracle.MAX_ENUM_VARS)
 MAX_ENUM_VARS = 20
 
 
-def _labels_py(a, c, diag, off):
-    """Column-major label sweep; returns (labels, preds, fail_col)."""
-    m = a.shape[0]
-    labels = np.full(m + 2, np.inf)
-    labels[0] = 0.0
-    preds = np.full(m + 2, -1, dtype=np.int64)
-    cbar = np.empty(m + 1)
-    qbar = np.empty(m + 1)
-    wbar = np.empty(m + 1)
-    for j in range(1, m + 2):
-        if j >= 2:
-            # row i = j-2 starts its segment at this column
-            cbar[j - 2] = 0.0
-            qbar[j - 2] = np.inf
-            wbar[j - 2] = 0.0
-            o = off[j - 3] if j >= 3 else 0.0
-            s = slice(0, j - 1)
-            cbar[s] = c[j - 2] - o * cbar[s] / qbar[s]
-            qbar[s] = diag[j - 2] - o * o / qbar[s]
-            if np.any(qbar[s] <= PIVOT_TOL):
-                return labels, preds, j
-            wbar[s] += a[j - 2] - 0.5 * cbar[s] * cbar[s] / qbar[s]
-            cands = labels[: j - 1] + wbar[s]
-            besti = int(np.argmin(cands))
-            best = cands[besti]
-        else:
-            besti, best = -1, np.inf
-        # the zero-weight skip arc (j-1, j) is considered last; ties keep
-        # the smaller predecessor
-        if best <= labels[j - 1]:
-            labels[j] = best
-            preds[j] = besti
-        else:
-            labels[j] = labels[j - 1]
-            preds[j] = j - 1
-    return labels, preds, -1
-
-
-def _thomas_py(diag, off, rhs):
-    """Solve the tridiagonal system T x = rhs; returns (x, fail_row)."""
-    m = diag.shape[0]
-    piv = np.empty(m)
-    r = np.empty(m)
-    piv[0] = diag[0]
-    r[0] = rhs[0]
-    if piv[0] <= PIVOT_TOL:
-        return r, 0
-    for t in range(1, m):
-        l = off[t - 1] / piv[t - 1]
-        piv[t] = diag[t] - l * off[t - 1]
-        if piv[t] <= PIVOT_TOL:
-            return r, t
-        r[t] = rhs[t] - l * r[t - 1]
-    x = np.empty(m)
-    x[m - 1] = r[m - 1] / piv[m - 1]
-    for t in range(m - 2, -1, -1):
-        x[t] = (r[t] - off[t] * x[t + 1]) / piv[t]
-    return x, -1
-
-
-def _segments_py(bounds, a, c, diag, off):
-    """Solve every segment [bounds[k], bounds[k+1]) of one chain; returns
-    (x, z, obj, fail_segment), as tridiag.solve would segment by segment."""
-    n = a.shape[0]
-    x = np.zeros(n)
-    z = np.ones(n)
-    obj = np.empty(bounds.size - 1)
-    for k in range(bounds.size - 1):
-        s, e = int(bounds[k]), int(bounds[k + 1])
-        cs, dg, of = c[s:e], diag[s:e], off[s : e - 1]
-        labels, preds, fail = _labels_py(a[s:e], cs, dg, of)
-        if fail >= 0:
-            return x, z, obj, k
-        v = preds[e - s + 1]
-        while v > 0:
-            z[s + v - 1] = 0.0
-            v = preds[v]
-        obj[k] = labels[e - s + 1]
-        cut = z[s:e] == 0
-        xs, fail = _thomas_py(
-            np.where(cut, 1.0, dg), np.where(cut[:-1] | cut[1:], 0.0, of), np.where(cut, 0.0, -cs)
-        )
-        if fail >= 0:
-            return x, z, obj, k
-        xs[cut] = 0.0
-        x[s:e] = xs
-    return x, z, obj, -1
-
-
-def _ldl_py(n, Ap, Ai, Ax, b):
-    """Factor the symmetric matrix whose upper triangle is (Ap, Ai, Ax) in
-    CSC form as L D L' and overwrite b with the solution of A x = b;
-    returns the first column whose pivot is <= PIVOT_TOL, or -1.
-
-    Scalar twin of l0_ldl: the same elimination tree, row patterns and
-    operations in the same order, so both round identically. Entries
-    below the diagonal are ignored and repeated entries add up.
-    """
-    Ap, Ai, Ax = Ap.tolist(), Ai.tolist(), Ax.tolist()
-    if Ap[0] != 0 or any(Ap[k + 1] < Ap[k] for k in range(n)) or any(not 0 <= i < n for i in Ai[: Ap[n]]):
-        raise ValueError("malformed CSC pattern")
-    # elimination tree and nonzeros per column of L
-    parent, lnz, flag = [-1] * n, [0] * n, [-1] * n
-    for k in range(n):
-        flag[k] = k
-        for p in range(Ap[k], Ap[k + 1]):
-            i = Ai[p]
-            while i < k and flag[i] != k:
-                if parent[i] == -1:
-                    parent[i] = k
-                lnz[i] += 1
-                flag[i] = k
-                i = parent[i]
-    lp = [0] * (n + 1)
-    for k in range(n):
-        lp[k + 1] = lp[k] + lnz[k]
-    li, lx = [0] * lp[n], [0.0] * lp[n]
-    # row k of L along the tree paths from the entries of column k
-    d, y, pattern = [0.0] * n, [0.0] * n, [0] * n
-    for k in range(n):
-        top = n
-        flag[k] = k
-        lnz[k] = 0
-        for p in range(Ap[k], Ap[k + 1]):
-            i = Ai[p]
-            if i > k:
-                continue
-            y[i] += Ax[p]
-            path = []
-            while flag[i] != k:
-                path.append(i)
-                flag[i] = k
-                i = parent[i]
-            pattern[top - len(path) : top] = path
-            top -= len(path)
-        dk = y[k]
-        y[k] = 0.0
-        for i in pattern[top:n]:
-            yi = y[i]
-            y[i] = 0.0
-            p2 = lp[i] + lnz[i]
-            for p in range(lp[i], p2):
-                y[li[p]] -= lx[p] * yi
-            lki = yi / d[i]
-            dk -= lki * yi
-            li[p2] = k
-            lx[p2] = lki
-            lnz[i] += 1
-        if dk <= PIVOT_TOL:
-            return k
-        d[k] = dk
-    x = b.tolist()
-    for j in range(n):
-        for p in range(lp[j], lp[j + 1]):
-            x[li[p]] -= lx[p] * x[j]
-    for j in range(n):
-        x[j] /= d[j]
-    for j in range(n - 1, -1, -1):
-        for p in range(lp[j], lp[j + 1]):
-            x[j] -= lx[p] * x[li[p]]
-    b[:] = x
-    return -1
-
-
-def _support_values(a, c, q, masks, k):
-    """Values of the supports in `masks`, all of size k; returns
-    (values, ok) with ok False where a pivot of the elimination fails."""
-    n = a.shape[0]
-    bits = (masks[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    # nonzero walks rows in order, so each row's indices come out ascending
-    idx = np.nonzero(bits)[1].reshape(-1, k)
-    g = np.empty((masks.size, k, k + 1))
-    g[:, :, :k] = q[idx[:, :, None], idx[:, None, :]]
-    g[:, :, k] = -c[idx]
-    ok = np.ones(masks.size, dtype=bool)
-    for p in range(k):
-        ok &= ~(g[:, p, p] <= PIVOT_TOL)
-        # failed supports eliminate with a unit pivot; their values are dropped
-        g[~ok, p, p] = 1.0
-        f = g[:, p + 1 :, p] / g[:, p, p, None]
-        g[:, p + 1 :, p + 1 :] -= f[:, :, None] * g[:, p, None, p + 1 :]
-    x = np.empty((masks.size, k))
-    for p in range(k - 1, -1, -1):
-        dot = (g[:, p, p + 1 : k] * x[:, p + 1 :]).sum(axis=1)
-        x[:, p] = (g[:, p, k] - dot) / g[:, p, p]
-    values = (a[idx] + 0.5 * c[idx] * x).sum(axis=1)
-    return values, ok
-
-
-def _enumerate_batched(a, c, q):
-    """Minimize over all supports; returns (value, mask, skipped).
-
-    The supports are grouped by size and eliminated in chunks of at most
-    ENUM_CHUNK, without pivoting; the minimum wins and ties go to the
-    smallest mask.
-    """
-    n = a.shape[0]
-    best_val = 0.0
-    best_mask = 0
-    skipped = 0
-    masks = np.arange(1, 1 << n, dtype=np.int64)
-    sizes = np.zeros_like(masks)
-    for b in range(n):
-        sizes += (masks >> b) & 1
-    for k in range(1, n + 1):
-        of_size = masks[sizes == k]
-        for lo in range(0, of_size.size, ENUM_CHUNK):
-            chunk = of_size[lo : lo + ENUM_CHUNK]
-            values, ok = _support_values(a, c, q, chunk, k)
-            skipped += int(chunk.size - np.count_nonzero(ok))
-            values[~ok] = np.inf
-            # masks ascend within a chunk, so argmin picks the smallest tie
-            i = int(np.argmin(values))
-            val, mask = float(values[i]), int(chunk[i])
-            if val < best_val or (val == best_val and mask < best_mask):
-                best_val, best_mask = val, mask
-    return best_val, best_mask, skipped
-
-
-# Twins of _labels_py (as a wavefront over row blocks) and _thomas_py,
-# l0_segments built on them, l0_ldl, the twin of _ldl_py, and
-# l0_enumerate, the depth-first twin of _enumerate_batched. Every label
+# l0_labels, the row-major label sweep as a wavefront over row blocks;
+# l0_thomas; l0_segments, built on both; l0_ldl; l0_enumerate. Every label
 # cell makes the row recurrence's operations in its order, and
-# `wbar += ...` keeps the numpy association, wbar + (a - t), so both
-# round identically.
+# `wbar += ...` keeps the association wbar + (a - t) of the row-major
+# sweep, so both round identically.
 _C_SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
@@ -653,16 +426,16 @@ _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 
 def _load_library():
-    """The compiled kernels, built into the cache on first use; None, with
-    a warning, when no compiler is found or the build or load fails."""
+    """The compiled kernels, built into the cache on first use; raises
+    ImportError naming the cause when no compiler is found or the build or
+    load fails."""
     key = hashlib.sha256("\0".join((_C_SOURCE,) + _CFLAGS).encode()).hexdigest()[:16]
     cache = Path(__file__).with_name("__pycache__")
     path = cache / f"_kernels_c.{key}.so"
     if not path.exists():
         cc = shutil.which("cc")
         if cc is None:
-            logger.warning("no C compiler on PATH; using the numpy kernels")
-            return None
+            raise ImportError("no C compiler (cc) on PATH to build l0path's kernels at first import")
         try:
             cache.mkdir(exist_ok=True)
             with tempfile.TemporaryDirectory(dir=cache) as tmp:
@@ -676,16 +449,13 @@ def _load_library():
                 # concurrent builders each rename a complete file into place
                 os.replace(out, path)
         except subprocess.CalledProcessError as e:
-            logger.warning("building the C kernels failed; using the numpy kernels:\n%s", e.stderr)
-            return None
+            raise ImportError(f"building the C kernels with {cc} failed:\n{e.stderr}") from e
         except OSError as e:
-            logger.warning("building the C kernels failed (%s); using the numpy kernels", e)
-            return None
+            raise ImportError(f"building the C kernels into {cache} failed: {e}") from e
     try:
         lib = ctypes.CDLL(str(path))
     except OSError as e:
-        logger.warning("loading %s failed (%s); using the numpy kernels", path, e)
-        return None
+        raise ImportError(f"loading the C kernels failed: {e}") from e
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     lib.l0_labels.argtypes = [i64] + [ptr] * 6
     lib.l0_thomas.argtypes = [i64] + [ptr] * 5
@@ -696,6 +466,8 @@ def _load_library():
         fn.restype = i64
     return lib
 
+
+_lib = _load_library()
 
 _F64 = np.dtype(np.float64)
 _I64 = np.dtype(np.int64)
@@ -715,88 +487,82 @@ def _check_lengths(m, full, off):
         raise ValueError("kernel inputs need length m, and m - 1 for off")
 
 
-_lib = _load_library()
+def labels_kernel(a, c, diag, off):
+    """Label sweep as a wavefront over blocks of rows, bitwise equal to
+    the row-major sweep; returns (labels, preds, fail_col)."""
+    m = a.shape[0]
+    _check_lengths(m, (c, diag), off)
+    labels = np.full(m + 2, np.inf)
+    labels[0] = 0.0
+    preds = np.full(m + 2, -1, dtype=np.int64)
+    fail = _lib.l0_labels(
+        m, *(_ptr(v, _F64) for v in (a, c, diag, off, labels)), _ptr(preds, _I64)
+    )
+    return labels, preds, fail
 
-if _lib is None:
-    labels_kernel = _labels_py
-    thomas_kernel = _thomas_py
-    segments_kernel = _segments_py
-    ldl_kernel = _ldl_py
-    enumerate_kernel = _enumerate_batched
-else:
 
-    def labels_kernel(a, c, diag, off):
-        """Label sweep as a wavefront over blocks of rows, bitwise equal to
-        the row-major sweep; returns (labels, preds, fail_col)."""
-        m = a.shape[0]
-        _check_lengths(m, (c, diag), off)
-        labels = np.full(m + 2, np.inf)
-        labels[0] = 0.0
-        preds = np.full(m + 2, -1, dtype=np.int64)
-        fail = _lib.l0_labels(
-            m, *(_ptr(v, _F64) for v in (a, c, diag, off, labels)), _ptr(preds, _I64)
-        )
-        return labels, preds, fail
+def thomas_kernel(diag, off, rhs):
+    """Solve the tridiagonal system T x = rhs; returns (x, fail_row)."""
+    m = diag.shape[0]
+    _check_lengths(m, (rhs,), off)
+    if m < 1:
+        raise ValueError("thomas_kernel needs m >= 1")
+    # named, so that the arrays outlive the call that writes them
+    piv, x = np.empty(m), np.empty(m)
+    fail = _lib.l0_thomas(m, *(_ptr(v, _F64) for v in (diag, off, rhs, piv, x)))
+    return x, fail
 
-    def thomas_kernel(diag, off, rhs):
-        """Solve the tridiagonal system T x = rhs; returns (x, fail_row)."""
-        m = diag.shape[0]
-        _check_lengths(m, (rhs,), off)
-        if m < 1:
-            raise ValueError("thomas_kernel needs m >= 1")
-        # named, so that the arrays outlive the call that writes them
-        piv, x = np.empty(m), np.empty(m)
-        fail = _lib.l0_thomas(m, *(_ptr(v, _F64) for v in (diag, off, rhs, piv, x)))
-        return x, fail
 
-    def segments_kernel(bounds, a, c, diag, off):
-        """Solve every segment [bounds[k], bounds[k+1]) of one chain;
-        returns (x, z, obj, fail_segment)."""
-        n = a.shape[0]
-        _check_lengths(n, (c, diag), off)
-        if (
-            bounds.ndim != 1
-            or bounds.size < 2
-            or bounds[0] != 0
-            or bounds[-1] != n
-            or np.any(bounds[1:] <= bounds[:-1])
-        ):
-            raise ValueError("bounds must rise strictly from 0 to the chain length")
-        x = np.empty(n)
-        z = np.empty(n)
-        obj = np.empty(bounds.size - 1)
-        fail = _lib.l0_segments(
-            bounds.size - 1, _ptr(bounds, _I64), *(_ptr(v, _F64) for v in (a, c, diag, off, x, z, obj))
-        )
-        if fail == -3:
-            raise MemoryError("segment kernel scratch")
-        return x, z, obj, fail
+def segments_kernel(bounds, a, c, diag, off):
+    """Solve every segment [bounds[k], bounds[k+1]) of one chain;
+    returns (x, z, obj, fail_segment)."""
+    n = a.shape[0]
+    _check_lengths(n, (c, diag), off)
+    if (
+        bounds.ndim != 1
+        or bounds.size < 2
+        or bounds[0] != 0
+        or bounds[-1] != n
+        or np.any(bounds[1:] <= bounds[:-1])
+    ):
+        raise ValueError("bounds must rise strictly from 0 to the chain length")
+    x = np.empty(n)
+    z = np.empty(n)
+    obj = np.empty(bounds.size - 1)
+    fail = _lib.l0_segments(
+        bounds.size - 1, _ptr(bounds, _I64), *(_ptr(v, _F64) for v in (a, c, diag, off, x, z, obj))
+    )
+    if fail == -3:
+        raise MemoryError("segment kernel scratch")
+    return x, z, obj, fail
 
-    def ldl_kernel(n, Ap, Ai, Ax, b):
-        """Factor the symmetric matrix whose upper triangle is (Ap, Ai, Ax)
-        in CSC form and overwrite b with the solution of A x = b; returns
-        the first column whose pivot is <= PIVOT_TOL, or -1."""
-        if Ap.shape != (n + 1,) or b.shape != (n,) or Ai.shape != Ax.shape or Ai.shape != (Ap[n],):
-            raise ValueError("ldl_kernel needs Ap of length n + 1, b of length n, and Ap[n] entries")
-        fail = _lib.l0_ldl(n, _ptr(Ap, _I64), _ptr(Ai, _I64), _ptr(Ax, _F64), _ptr(b, _F64))
-        if fail == -2:
-            raise ValueError("malformed CSC pattern")
-        if fail == -3:
-            raise MemoryError("sparse factor of the support")
-        return fail
 
-    def enumerate_kernel(a, c, q):
-        """Minimize over all supports of the dense matrix q, depth first;
-        returns (value, mask, skipped)."""
-        n = a.shape[0]
-        if n > MAX_ENUM_VARS:
-            raise ValueError(f"enumerate_kernel takes at most {MAX_ENUM_VARS} variables")
-        if c.shape != (n,) or q.shape != (n, n) or q.dtype != _F64 or not q.flags.c_contiguous:
-            raise ValueError("enumerate_kernel needs c of length n and q a C-contiguous (n, n) float64 array")
-        val, mask = ctypes.c_double(), ctypes.c_int64()
-        skipped = _lib.l0_enumerate(
-            n, _ptr(a, _F64), _ptr(c, _F64), q.ctypes.data, ctypes.addressof(val), ctypes.addressof(mask)
-        )
-        if skipped == -3:
-            raise MemoryError("enumeration kernel scratch")
-        return val.value, mask.value, skipped
+def ldl_kernel(n, Ap, Ai, Ax, b):
+    """Factor the symmetric matrix whose upper triangle is (Ap, Ai, Ax)
+    in CSC form and overwrite b with the solution of A x = b; returns
+    the first column whose pivot is <= PIVOT_TOL, or -1."""
+    if Ap.shape != (n + 1,) or b.shape != (n,) or Ai.shape != Ax.shape or Ai.shape != (Ap[n],):
+        raise ValueError("ldl_kernel needs Ap of length n + 1, b of length n, and Ap[n] entries")
+    fail = _lib.l0_ldl(n, _ptr(Ap, _I64), _ptr(Ai, _I64), _ptr(Ax, _F64), _ptr(b, _F64))
+    if fail == -2:
+        raise ValueError("malformed CSC pattern")
+    if fail == -3:
+        raise MemoryError("sparse factor of the support")
+    return fail
+
+
+def enumerate_kernel(a, c, q):
+    """Minimize over all supports of the dense matrix q, depth first;
+    returns (value, mask, skipped)."""
+    n = a.shape[0]
+    if n > MAX_ENUM_VARS:
+        raise ValueError(f"enumerate_kernel takes at most {MAX_ENUM_VARS} variables")
+    if c.shape != (n,) or q.shape != (n, n) or q.dtype != _F64 or not q.flags.c_contiguous:
+        raise ValueError("enumerate_kernel needs c of length n and q a C-contiguous (n, n) float64 array")
+    val, mask = ctypes.c_double(), ctypes.c_int64()
+    skipped = _lib.l0_enumerate(
+        n, _ptr(a, _F64), _ptr(c, _F64), q.ctypes.data, ctypes.addressof(val), ctypes.addressof(mask)
+    )
+    if skipped == -3:
+        raise MemoryError("enumeration kernel scratch")
+    return val.value, mask.value, skipped

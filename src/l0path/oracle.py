@@ -102,9 +102,9 @@ def enumerate_supports(instance: Instance) -> OracleResult:
     """Minimize over every support; ties go to the lexicographically
     smallest z. Supports with a singular restriction are skipped.
 
-    `enumerate_kernel` finds the best support, depth first (or in batches
-    without a compiler); its value rounds as that walk does, so the winner
-    is refitted with `fixed_z_qp`, and x and the value come from there.
+    `enumerate_kernel` finds the best support, depth first; its value
+    rounds as that walk does, so the winner is refitted with `fixed_z_qp`,
+    and x and the value come from there.
     """
     n = instance.n
     if n > MAX_ENUM_VARS:

@@ -1,5 +1,4 @@
 import dataclasses
-import shutil
 import subprocess
 
 import numpy as np
@@ -27,8 +26,8 @@ from l0path import (
     validate,
     write_instance,
 )
-from l0path import _kernels, decomp, oracle
-from l0path._kernels import PIVOT_TOL, _enumerate_batched, _ldl_py, enumerate_kernel, ldl_kernel
+from l0path import decomp, oracle
+from l0path._kernels import _C_SOURCE, _CFLAGS, PIVOT_TOL, enumerate_kernel, ldl_kernel
 
 from conftest import make_instance, random_dd_instance, rng_for
 
@@ -186,6 +185,65 @@ def _enumerate_py(a, c, q):
     return best_val, best_mask, skipped
 
 
+# supports per batched elimination; bounds the reference's memory at any n
+ENUM_CHUNK = 1 << 14
+
+
+def _support_values(a, c, q, masks, k):
+    """Values of the supports in `masks`, all of size k; returns
+    (values, ok) with ok False where a pivot of the elimination fails."""
+    n = a.shape[0]
+    bits = (masks[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    # nonzero walks rows in order, so each row's indices come out ascending
+    idx = np.nonzero(bits)[1].reshape(-1, k)
+    g = np.empty((masks.size, k, k + 1))
+    g[:, :, :k] = q[idx[:, :, None], idx[:, None, :]]
+    g[:, :, k] = -c[idx]
+    ok = np.ones(masks.size, dtype=bool)
+    for p in range(k):
+        ok &= ~(g[:, p, p] <= PIVOT_TOL)
+        # failed supports eliminate with a unit pivot; their values are dropped
+        g[~ok, p, p] = 1.0
+        f = g[:, p + 1 :, p] / g[:, p, p, None]
+        g[:, p + 1 :, p + 1 :] -= f[:, :, None] * g[:, p, None, p + 1 :]
+    x = np.empty((masks.size, k))
+    for p in range(k - 1, -1, -1):
+        dot = (g[:, p, p + 1 : k] * x[:, p + 1 :]).sum(axis=1)
+        x[:, p] = (g[:, p, k] - dot) / g[:, p, p]
+    values = (a[idx] + 0.5 * c[idx] * x).sum(axis=1)
+    return values, ok
+
+
+def _enumerate_batched(a, c, q):
+    """Minimize over all supports; returns (value, mask, skipped).
+
+    The supports are grouped by size and eliminated in chunks of at most
+    ENUM_CHUNK, without pivoting; the minimum wins and ties go to the
+    smallest mask.
+    """
+    n = a.shape[0]
+    best_val = 0.0
+    best_mask = 0
+    skipped = 0
+    masks = np.arange(1, 1 << n, dtype=np.int64)
+    sizes = np.zeros_like(masks)
+    for b in range(n):
+        sizes += (masks >> b) & 1
+    for k in range(1, n + 1):
+        of_size = masks[sizes == k]
+        for lo in range(0, of_size.size, ENUM_CHUNK):
+            chunk = of_size[lo : lo + ENUM_CHUNK]
+            values, ok = _support_values(a, c, q, chunk, k)
+            skipped += int(chunk.size - np.count_nonzero(ok))
+            values[~ok] = np.inf
+            # masks ascend within a chunk, so argmin picks the smallest tie
+            i = int(np.argmin(values))
+            val, mask = float(values[i]), int(chunk[i])
+            if val < best_val or (val == best_val and mask < best_mask):
+                best_val, best_mask = val, mask
+    return best_val, best_mask, skipped
+
+
 def test_kernel_matches_python_fallback():
     rng = rng_for(22)
     for _ in range(5):
@@ -253,7 +311,6 @@ def assert_kernels_agree(a, c, q):
     return fast
 
 
-@pytest.mark.skipif(enumerate_kernel is _enumerate_batched, reason="no C compiler: the batched kernel runs")
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(
     kind=st.sampled_from(["random", "singular", "ties", "positive"]),
@@ -268,7 +325,6 @@ def test_depth_first_kernel_matches_batched(kind, n, seed):
         assert (value, mask) == (0.0, 0)
 
 
-@pytest.mark.skipif(enumerate_kernel is _enumerate_batched, reason="no C compiler: the batched kernel runs")
 def test_depth_first_kernel_ties_and_sixteen_variables():
     # either variable alone is worth -0.5, both together only about -0.03;
     # the depth-first walk meets mask 0b10 first, and mask 0b01 must win
@@ -367,7 +423,81 @@ def random_upper_csc(rng, n, density, spd):
     return colptr, rows[order], vals[order]
 
 
-@pytest.mark.skipif(ldl_kernel is _ldl_py, reason="no C compiler: the scalar twin runs")
+def _ldl_py(n, Ap, Ai, Ax, b):
+    """Factor the symmetric matrix whose upper triangle is (Ap, Ai, Ax) in
+    CSC form as L D L' and overwrite b with the solution of A x = b;
+    returns the first column whose pivot is <= PIVOT_TOL, or -1.
+
+    Scalar twin of l0_ldl: the same elimination tree, row patterns and
+    operations in the same order, so both round identically. Entries
+    below the diagonal are ignored and repeated entries add up.
+    """
+    Ap, Ai, Ax = Ap.tolist(), Ai.tolist(), Ax.tolist()
+    if Ap[0] != 0 or any(Ap[k + 1] < Ap[k] for k in range(n)) or any(not 0 <= i < n for i in Ai[: Ap[n]]):
+        raise ValueError("malformed CSC pattern")
+    # elimination tree and nonzeros per column of L
+    parent, lnz, flag = [-1] * n, [0] * n, [-1] * n
+    for k in range(n):
+        flag[k] = k
+        for p in range(Ap[k], Ap[k + 1]):
+            i = Ai[p]
+            while i < k and flag[i] != k:
+                if parent[i] == -1:
+                    parent[i] = k
+                lnz[i] += 1
+                flag[i] = k
+                i = parent[i]
+    lp = [0] * (n + 1)
+    for k in range(n):
+        lp[k + 1] = lp[k] + lnz[k]
+    li, lx = [0] * lp[n], [0.0] * lp[n]
+    # row k of L along the tree paths from the entries of column k
+    d, y, pattern = [0.0] * n, [0.0] * n, [0] * n
+    for k in range(n):
+        top = n
+        flag[k] = k
+        lnz[k] = 0
+        for p in range(Ap[k], Ap[k + 1]):
+            i = Ai[p]
+            if i > k:
+                continue
+            y[i] += Ax[p]
+            path = []
+            while flag[i] != k:
+                path.append(i)
+                flag[i] = k
+                i = parent[i]
+            pattern[top - len(path) : top] = path
+            top -= len(path)
+        dk = y[k]
+        y[k] = 0.0
+        for i in pattern[top:n]:
+            yi = y[i]
+            y[i] = 0.0
+            p2 = lp[i] + lnz[i]
+            for p in range(lp[i], p2):
+                y[li[p]] -= lx[p] * yi
+            lki = yi / d[i]
+            dk -= lki * yi
+            li[p2] = k
+            lx[p2] = lki
+            lnz[i] += 1
+        if dk <= PIVOT_TOL:
+            return k
+        d[k] = dk
+    x = b.tolist()
+    for j in range(n):
+        for p in range(lp[j], lp[j + 1]):
+            x[li[p]] -= lx[p] * x[j]
+    for j in range(n):
+        x[j] /= d[j]
+    for j in range(n - 1, -1, -1):
+        for p in range(lp[j], lp[j + 1]):
+            x[j] -= lx[p] * x[li[p]]
+    b[:] = x
+    return -1
+
+
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(
     n=st.integers(1, 40),
@@ -391,7 +521,6 @@ def test_ldl_kernel_matches_scalar_twin(n, seed, density, spd):
         assert np.allclose(a @ fast, b, rtol=1e-10, atol=1e-10)
 
 
-@pytest.mark.skipif(ldl_kernel is _ldl_py, reason="no C compiler: the scalar twin runs")
 def test_ldl_kernel_matches_scalar_twin_on_lattice_supports(monkeypatch):
     calls = []
 
@@ -554,12 +683,11 @@ def test_copies_get_their_own_order(monkeypatch):
     assert seen == [moved, wider]
 
 
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 def test_kernel_source_compiles_without_warnings(tmp_path):
     src = tmp_path / "kernels.c"
-    src.write_text(_kernels._C_SOURCE)
+    src.write_text(_C_SOURCE)
     out = subprocess.run(
-        ["cc", *_kernels._CFLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "kernels.so"), str(src)],
+        ["cc", *_CFLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "kernels.so"), str(src)],
         capture_output=True,
         text=True,
     )

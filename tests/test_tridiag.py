@@ -1,6 +1,8 @@
+import os
 import re
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,12 +17,11 @@ from l0path import (
     solve_fixed_z,
     to_tridiagonal,
 )
+import l0path
 from l0path._kernels import (
     _C_SOURCE,
+    _CFLAGS,
     PIVOT_TOL,
-    _labels_py,
-    _segments_py,
-    _thomas_py,
     labels_kernel,
     segments_kernel,
     thomas_kernel,
@@ -248,17 +249,33 @@ def test_to_tridiagonal_requires_band(example_instance):
     assert np.array_equal(p.diag, inst.qv[inst.qi == inst.qj])
 
 
-@pytest.mark.skipif(labels_kernel is _labels_py, reason="no C compiler: the numpy kernels run")
+def _thomas_py(diag, off, rhs):
+    """Solve the tridiagonal system T x = rhs; returns (x, fail_row)."""
+    m = diag.shape[0]
+    piv = np.empty(m)
+    r = np.empty(m)
+    piv[0] = diag[0]
+    r[0] = rhs[0]
+    if piv[0] <= PIVOT_TOL:
+        return r, 0
+    for t in range(1, m):
+        l = off[t - 1] / piv[t - 1]
+        piv[t] = diag[t] - l * off[t - 1]
+        if piv[t] <= PIVOT_TOL:
+            return r, t
+        r[t] = rhs[t] - l * r[t - 1]
+    x = np.empty(m)
+    x[m - 1] = r[m - 1] / piv[m - 1]
+    for t in range(m - 2, -1, -1):
+        x[t] = (r[t] - off[t] * x[t + 1]) / piv[t]
+    return x, -1
+
+
 def test_labels_kernel_matches_python():
     rng = rng_for(35)
     for m in (1, 2, 9, 40):
         p = random_problem(rng, m)
-        fast_labels, fast_pred, fast_fail = labels_kernel(p.a, p.c, p.diag, p.off)
-        slow_labels, slow_pred, slow_fail = _labels_py(p.a, p.c, p.diag, p.off)
-        assert fast_fail == slow_fail == -1
-        assert np.array_equal(fast_pred, slow_pred)
-        # identical recurrences, so agreement up to summation order
-        assert np.allclose(fast_labels, slow_labels, rtol=1e-12, atol=1e-12)
+        assert assert_sweeps_equal(p.a, p.c, p.diag, p.off) == -1
         fast_x, fast_fail = thomas_kernel(p.diag, p.off, -p.c)
         slow_x, slow_fail = _thomas_py(p.diag, p.off, -p.c)
         assert fast_fail == slow_fail == -1
@@ -268,9 +285,7 @@ def test_labels_kernel_matches_python():
     failing = 0
     for _ in range(200):
         a, c, diag, off = chain_arrays(rng, int(rng.integers(2, 40)), indefinite=True)
-        fail = labels_kernel(a, c, diag, off)[2]
-        assert fail == _labels_py(a, c, diag, off)[2]
-        failing += fail >= 0
+        failing += assert_sweeps_equal(a, c, diag, off) >= 0
     assert failing >= 100
 
 
@@ -329,7 +344,6 @@ def assert_sweeps_equal(a, c, diag, off):
     return fail
 
 
-@pytest.mark.skipif(labels_kernel is _labels_py, reason="no C compiler: the numpy kernels run")
 def test_wavefront_sweep_matches_row_major():
     r = BLOCK_ROWS
     rng = rng_for(38)
@@ -371,14 +385,40 @@ def test_wavefront_sweep_matches_row_major():
         assert_sweeps_equal(a, c, diag, off)
 
 
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 def test_kernels_compile_without_warnings(tmp_path):
+    # a full build with the library's flags, since some warnings need -O2;
     # -Wconversion catches implicit narrowing, e.g. an int64_t into an int
     src = tmp_path / "kernels.c"
     src.write_text(_C_SOURCE)
-    cmd = ["cc", "-std=c99", "-Wall", "-Wextra", "-Wconversion", "-Werror", "-fsyntax-only", str(src)]
-    done = subprocess.run(cmd, capture_output=True, text=True)
+    cmd = ["cc", *_CFLAGS, "-std=c99", "-Wall", "-Wextra", "-Wconversion", "-Werror"]
+    done = subprocess.run(cmd + ["-o", str(tmp_path / "kernels.so"), str(src)], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("compiler", ["missing", "failing"])
+def test_import_fails_without_a_working_compiler(tmp_path, compiler):
+    # a fresh copy of the package, so no cached library can be loaded
+    package = os.path.dirname(l0path.__file__)
+    shutil.copytree(package, tmp_path / "l0path", ignore=shutil.ignore_patterns("__pycache__"))
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    if compiler == "failing":
+        cc = bin_dir / "cc"
+        cc.write_text("#!/bin/sh\necho cc-marker-4711 >&2\nexit 1\n")
+        cc.chmod(0o755)
+    done = subprocess.run(
+        [sys.executable, "-c", "import l0path"],
+        env={**os.environ, "PATH": str(bin_dir), "PYTHONPATH": str(tmp_path)},
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode != 0
+    assert "ImportError: " in done.stderr
+    if compiler == "missing":
+        assert "no C compiler (cc) on PATH" in done.stderr
+    else:
+        assert "building the C kernels with" in done.stderr and "cc-marker-4711" in done.stderr
 
 
 def random_chain(rng, sizes):
@@ -393,7 +433,6 @@ def random_chain(rng, sizes):
     return parts, bounds, chain + (np.array(off[:-1]),)
 
 
-@pytest.mark.skipif(segments_kernel is _segments_py, reason="no C compiler: the numpy kernels run")
 def test_segments_kernel_matches_per_segment_solves():
     rng = rng_for(36)
     for sizes in ((1,), (1, 1, 1), (3, 1, 7, 2), (12, 1, 30), tuple(rng.integers(1, 15, 8))):
@@ -406,20 +445,13 @@ def test_segments_kernel_matches_per_segment_solves():
             assert x[s:e].tobytes() == sol.x.tobytes()
             assert np.array_equal(z[s:e], sol.z)
             assert obj[k] == sol.objective
-        x_py, z_py, obj_py, fail_py = _segments_py(bounds, *chain)
-        assert fail_py == -1
-        assert x_py.tobytes() == x.tobytes() and z_py.tobytes() == z.tobytes()
-        # identical recurrences, so agreement up to summation order
-        assert np.allclose(obj_py, obj, rtol=1e-12, atol=1e-12)
     # the third segment's 2x2 block is singular
     _, bounds, (a, c, diag, off) = random_chain(rng, (2, 3, 2, 4))
     diag[5:7] = 1.0
     off[5] = -1.0
-    for kernel in (segments_kernel, _segments_py):
-        assert kernel(bounds, a, c, diag, off)[3] == 2
+    assert segments_kernel(bounds, a, c, diag, off)[3] == 2
 
 
-@pytest.mark.skipif(segments_kernel is _segments_py, reason="no C compiler: the numpy kernels run")
 def test_kernels_refuse_arrays_they_cannot_address():
     _, bounds, (a, c, diag, off) = random_chain(rng_for(37), (3, 4))
     strided = np.repeat(c, 2)[::2]
