@@ -1,8 +1,10 @@
 """Numerical kernels: shortest-path labeling, tridiagonal solves, batched
-segment solves, sparse LDL' refits, support enumeration.
+segment solves, sparse LDL' refits, support enumeration, maximum-weight
+matching.
 
 The label sweep, the Thomas solve, the segment kernel, the sparse LDL'
-factorisation and the support enumeration run as a small C library. The
+factorisation, the support enumeration and the matching run as a small C
+library. The
 first import compiles it with the system C compiler (`cc`) and caches it
 in this package's `__pycache__` under a hash of its source and flags;
 later imports load it from there. Without a compiler, or when the build
@@ -34,6 +36,13 @@ child's whole subtree. Its values round differently from an elimination
 per support, which finds the same value to rounding, and the same mask
 and skipped count unless two supports differ in value by rounding alone.
 
+The matching kernel is the general-graph cover's maximum-weight matching
+(`cover.b2_subgraph_general`): Galil's primal-dual blossom method as Van
+Rantwijk implemented it, ported from NetworkX's `max_weight_matching`
+with its iteration order, so that both return the same matching, ties
+included. Its scratch is O(V + E), and blossom storage is allocated as
+blossoms form.
+
 The label recurrences initialize the running pivot to +inf so that the
 first elimination step of every row needs no special case (x/inf == 0 in
 IEEE arithmetic).
@@ -61,7 +70,8 @@ MAX_ENUM_VARS = 20
 
 
 # l0_labels, the row-major label sweep as a wavefront over row blocks;
-# l0_thomas; l0_segments, built on both; l0_ldl; l0_enumerate. Every label
+# l0_thomas; l0_segments, built on both; l0_ldl; l0_enumerate; l0_matching,
+# the blossom matching with its static mw_* helpers. Every label
 # cell makes the row recurrence's operations in its order, and
 # `wbar += ...` keeps the association wbar + (a - t) of the row-major
 # sweep, so both round identically.
@@ -69,6 +79,7 @@ _C_SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define PIVOT_TOL 1e-12
 /* rows per wavefront block of l0_labels */
@@ -421,6 +432,572 @@ int64_t l0_enumerate(int64_t n, const double *a, const double *c,
     free(sel);
     return skipped;
 }
+
+/* Maximum-weight matching of a simple graph, ported line by line from
+   the reference: max_weight_matching of NetworkX 3.6 with maxcardinality
+   False and float weights, Van Rantwijk's implementation of Galil's
+   primal-dual blossom method ("Efficient algorithms for finding maximum
+   matching in graphs", ACM Computing Surveys 18(1), 1986). The
+   reference's iteration order is kept, so ties resolve alike and the
+   matching is the same: vertices in order of first appearance in x[0],
+   y[0], x[1], ..., the neighbours of each in arc order, blossoms in
+   creation order. Vertices are 0 .. nv-1 in that order and blossoms
+   nv .. 2nv-1, slots reused from a free list: fewer than nv/2 live at
+   once, since each has at least three children. next and prev link the
+   vertices, then the live blossoms in creation order, which is the key
+   order of the reference's blossomparent and blossomdual dicts. Edge end
+   k = 2e + d runs from end[k] to end[k ^ 1]; labels, edges and mates
+   hold such ends, -1 for None. A blossom's child indices step modulo
+   its child count where the reference steps through negative indices. */
+typedef struct {
+    int64_t nv, nq, last, nfree;
+    const int64_t *end, *adjp, *adjk;
+    const double *wt;
+    int64_t *mate, *inb, *lv, *freeb, *label, *ledge, *parent, *base, *best,
+        *nch, *mybn, *next, *prev, *to, *ent, *keys, *stk, *buf, *queue;
+    int64_t **kids, **myb; /* a blossom's children, then its edges */
+    double *dual, *bdual;
+    unsigned char *allow;
+} mw_t;
+
+#define TAIL(k) (s->end[k])
+#define HEAD(k) (s->end[(k) ^ 1])
+
+static double mw_slack(const mw_t *s, int64_t k)
+{
+    return s->dual[TAIL(k)] + s->dual[HEAD(k)] - 2.0 * s->wt[k >> 1];
+}
+
+static void mw_reverse(int64_t *a, int64_t lo, int64_t hi)
+{
+    for (hi--; lo < hi; lo++, hi--) {
+        int64_t t = a[lo];
+        a[lo] = a[hi];
+        a[hi] = t;
+    }
+}
+
+/* b.leaves(): a stack walk that pops the last child first */
+static int64_t mw_leaves(const mw_t *s, int64_t b, int64_t *out)
+{
+    int64_t sp = 0, n = 0;
+    for (int64_t c = 0; c < s->nch[b]; c++)
+        s->stk[sp++] = s->kids[b][c];
+    while (sp > 0) {
+        int64_t t = s->stk[--sp];
+        if (t < s->nv)
+            out[n++] = t;
+        else
+            for (int64_t c = 0; c < s->nch[t]; c++)
+                s->stk[sp++] = s->kids[t][c];
+    }
+    return n;
+}
+
+/* assignLabel(w, t, v), with k the edge (v, w) or -1 */
+static void mw_assign(mw_t *s, int64_t w, int64_t t, int64_t k)
+{
+    for (;;) {
+        /* w and b are the same for a vertex outside any blossom */
+        int64_t b = s->inb[w];
+        s->label[w] = t;
+        s->label[b] = t;
+        s->ledge[w] = k;
+        s->ledge[b] = k;
+        s->best[w] = -1;
+        s->best[b] = -1;
+        if (t == 1) {
+            if (b < s->nv)
+                s->queue[s->nq++] = b;
+            else
+                s->nq += mw_leaves(s, b, s->queue + s->nq);
+            return;
+        }
+        /* a T-blossom's base labels its mate S */
+        k = s->mate[s->base[b]];
+        w = HEAD(k);
+        t = 1;
+    }
+}
+
+/* scanBlossom(v, w): the base of a new blossom, or -1 for an augmenting
+   path */
+static int64_t mw_scan(mw_t *s, int64_t v, int64_t w)
+{
+    int64_t base = -1, np = 0;
+    while (v != -1) {
+        int64_t b = s->inb[v];
+        if (s->label[b] & 4) {
+            base = s->base[b];
+            break;
+        }
+        s->buf[np++] = b;
+        s->label[b] = 5;
+        v = s->ledge[b] == -1 ? -1 : TAIL(s->ledge[s->inb[TAIL(s->ledge[b])]]);
+        if (w != -1) {
+            int64_t t = v;
+            v = w;
+            w = t;
+        }
+    }
+    while (np > 0)
+        s->label[s->buf[--np]] = 1;
+    return base;
+}
+
+/* addBlossom's bestedgeto: the least-slack edge k to each S-blossom
+   bj != b, keyed in order of first sight as a dict is */
+static void mw_bestto(mw_t *s, int64_t b, int64_t k, int64_t *nto)
+{
+    int64_t bj = s->inb[HEAD(k)] == b ? s->inb[TAIL(k)] : s->inb[HEAD(k)];
+    if (bj == b || s->label[bj] != 1)
+        return;
+    if (s->to[bj] < 0) {
+        s->to[bj] = *nto;
+        s->keys[(*nto)++] = bj;
+    } else if (!(mw_slack(s, k) < mw_slack(s, s->ent[s->to[bj]]))) {
+        return;
+    }
+    s->ent[s->to[bj]] = k;
+}
+
+/* addBlossom(base, v, w) for k = (v, w); -3 when memory runs out */
+static int64_t mw_add(mw_t *s, int64_t base, int64_t k)
+{
+    int64_t nv = s->nv, bb = s->inb[base], bv = s->inb[TAIL(k)], bw = s->inb[HEAD(k)];
+    int64_t b = s->freeb[--s->nfree], n = 0, ne = 1, nto = 0, *C = s->buf, *E = s->buf + nv;
+    s->base[b] = base;
+    s->parent[b] = -1;
+    s->parent[bb] = b;
+    E[0] = k;
+    for (; bv != bb; bv = s->inb[TAIL(s->ledge[bv])]) {
+        s->parent[bv] = b;
+        C[n++] = bv;
+        E[ne++] = s->ledge[bv];
+    }
+    C[n++] = bb;
+    mw_reverse(C, 0, n);
+    mw_reverse(E, 0, ne);
+    for (; bw != bb; bw = s->inb[TAIL(s->ledge[bw])]) {
+        s->parent[bw] = b;
+        C[n++] = bw;
+        E[ne++] = s->ledge[bw] ^ 1;
+    }
+    int64_t *kids = s->kids[b] = malloc((size_t)(2 * n) * sizeof(int64_t));
+    if (kids == NULL)
+        return -3;
+    for (int64_t c = 0; c < n; c++) {
+        kids[c] = C[c];
+        kids[n + c] = E[c];
+    }
+    s->nch[b] = n;
+    s->label[b] = 1;
+    s->ledge[b] = s->ledge[bb];
+    s->bdual[b] = 0.0;
+    s->prev[b] = s->last;
+    s->next[b] = -1;
+    s->next[s->last] = b;
+    s->last = b;
+    for (int64_t t = 0, nl = mw_leaves(s, b, s->lv); t < nl; t++) {
+        int64_t v = s->lv[t];
+        if (s->label[s->inb[v]] == 2)
+            s->queue[s->nq++] = v;
+        s->inb[v] = b;
+    }
+    for (int64_t c = 0; c < n; c++) {
+        bv = kids[c];
+        if (bv >= nv && s->myb[bv] != NULL) {
+            for (int64_t t = 0; t < s->mybn[bv]; t++)
+                mw_bestto(s, b, s->myb[bv][t], &nto);
+            free(s->myb[bv]);
+            s->myb[bv] = NULL;
+        } else {
+            int64_t nl = 1;
+            if (bv < nv)
+                s->lv[0] = bv;
+            else
+                nl = mw_leaves(s, bv, s->lv);
+            for (int64_t t = 0; t < nl; t++)
+                for (int64_t p = s->adjp[s->lv[t]]; p < s->adjp[s->lv[t] + 1]; p++)
+                    mw_bestto(s, b, s->adjk[p], &nto);
+        }
+        s->best[bv] = -1;
+    }
+    if ((s->myb[b] = malloc((size_t)(nto + 1) * sizeof(int64_t))) == NULL)
+        return -3;
+    s->mybn[b] = nto;
+    s->best[b] = -1;
+    double least = 0.0;
+    for (int64_t t = 0; t < nto; t++) {
+        double d = mw_slack(s, s->ent[t]);
+        s->myb[b][t] = s->ent[t];
+        s->to[s->keys[t]] = -1;
+        if (s->best[b] == -1 || d < least) {
+            s->best[b] = s->ent[t];
+            least = d;
+        }
+    }
+    return 0;
+}
+
+/* expandBlossom(b, False)'s relabelling of a T-blossom b whose children
+   are top-level again; step is +1 or -1 modulo the n children */
+static void mw_relabel(mw_t *s, int64_t b)
+{
+    int64_t n = s->nch[b], *C = s->kids[b], *E = C + n, j = 0;
+    int64_t entry = s->inb[HEAD(s->ledge[b])], kvw = s->ledge[b];
+    while (C[j] != entry)
+        j++;
+    int64_t step = j & 1 ? 1 : n - 1;
+    while (j != 0) {
+        int64_t kpq = step == 1 ? E[j] : E[j - 1] ^ 1;
+        s->label[HEAD(kvw)] = 0;
+        s->label[HEAD(kpq)] = 0;
+        mw_assign(s, HEAD(kvw), 2, kvw);
+        s->allow[kpq >> 1] = 1;
+        j = (j + step) % n;
+        kvw = step == 1 ? E[j] : E[j - 1] ^ 1;
+        s->allow[kvw >> 1] = 1;
+        j = (j + step) % n;
+    }
+    s->label[HEAD(kvw)] = 2;
+    s->label[C[0]] = 2;
+    s->ledge[HEAD(kvw)] = kvw;
+    s->ledge[C[0]] = kvw;
+    s->best[C[0]] = -1;
+    for (j = step; C[j] != entry; j = (j + step) % n) {
+        int64_t bv = C[j], v = bv;
+        if (s->label[bv] == 1)
+            continue;
+        for (int64_t t = 0, nl = bv < s->nv ? 0 : mw_leaves(s, bv, s->lv); t < nl; t++)
+            if (s->label[v = s->lv[t]])
+                break;
+        if (s->label[v]) {
+            s->label[v] = 0;
+            s->label[HEAD(s->mate[s->base[bv]])] = 0;
+            mw_assign(s, v, 2, s->ledge[v]);
+        }
+    }
+}
+
+/* expandBlossom(b, endstage): at the end of a stage, sub-blossoms of zero
+   dual expand too. Each expansion touches only its own blossom and the
+   leaves below it, so a worklist stands for the reference's recursion. */
+static void mw_expand(mw_t *s, int64_t b, int endstage)
+{
+    int64_t sp = 0;
+    s->buf[sp++] = b;
+    while (sp > 0) {
+        b = s->buf[--sp];
+        for (int64_t i = 0; i < s->nch[b]; i++) {
+            int64_t c = s->kids[b][i];
+            s->parent[c] = -1;
+            if (c < s->nv)
+                s->inb[c] = c;
+            else if (endstage && s->bdual[c] == 0.0)
+                s->buf[sp++] = c;
+            else
+                for (int64_t t = 0, nl = mw_leaves(s, c, s->lv); t < nl; t++)
+                    s->inb[s->lv[t]] = c;
+        }
+        if (!endstage && s->label[b] == 2)
+            mw_relabel(s, b);
+        s->label[b] = 0;
+        s->ledge[b] = s->best[b] = -1;
+        s->next[s->prev[b]] = s->next[b];
+        *(s->next[b] >= 0 ? &s->prev[s->next[b]] : &s->last) = s->prev[b];
+        free(s->kids[b]);
+        free(s->myb[b]);
+        s->kids[b] = s->myb[b] = NULL;
+        s->freeb[s->nfree++] = b;
+    }
+}
+
+/* augmentBlossom(b, v): swap the matched and unmatched edges on the
+   alternating path from v to b's base, then rotate b so v's child comes
+   first. Each call writes the mates of its own children's edges and
+   rotates only b, so a worklist stands for the reference's recursion,
+   and b's new base is v, as the reference asserts. */
+static void mw_augment_blossom(mw_t *s, int64_t b, int64_t v)
+{
+    int64_t sp = 0;
+    s->buf[sp++] = b;
+    s->buf[sp++] = v;
+    while (sp > 0) {
+        v = s->buf[--sp];
+        b = s->buf[--sp];
+        int64_t n = s->nch[b], *C = s->kids[b], *E = C + n, t = v, i = 0;
+        while (s->parent[t] != b)
+            t = s->parent[t];
+        if (t >= s->nv) {
+            s->buf[sp++] = t;
+            s->buf[sp++] = v;
+        }
+        while (C[i] != t)
+            i++;
+        int64_t step = i & 1 ? 1 : n - 1;
+        for (int64_t j = i; j != 0;) {
+            j = (j + step) % n;
+            int64_t k = step == 1 ? E[j] : E[j - 1] ^ 1;
+            if (C[j] >= s->nv) {
+                s->buf[sp++] = C[j];
+                s->buf[sp++] = TAIL(k);
+            }
+            j = (j + step) % n;
+            if (C[j] >= s->nv) {
+                s->buf[sp++] = C[j];
+                s->buf[sp++] = HEAD(k);
+            }
+            s->mate[TAIL(k)] = k;
+            s->mate[HEAD(k)] = k ^ 1;
+        }
+        mw_reverse(C, 0, i);
+        mw_reverse(C, i, n);
+        mw_reverse(C, 0, n);
+        mw_reverse(E, 0, i);
+        mw_reverse(E, i, n);
+        mw_reverse(E, 0, n);
+        s->base[b] = v;
+    }
+}
+
+/* augmentMatching(v, w) for k = (v, w) */
+static void mw_augment(mw_t *s, int64_t k)
+{
+    for (int pass = 0; pass < 2; pass++) {
+        for (int64_t kk = pass ? k ^ 1 : k;;) {
+            int64_t bs = s->inb[TAIL(kk)];
+            if (bs >= s->nv)
+                mw_augment_blossom(s, bs, TAIL(kk));
+            s->mate[TAIL(kk)] = kk;
+            if (s->ledge[bs] == -1)
+                break;
+            int64_t bt = s->inb[TAIL(s->ledge[bs])];
+            kk = s->ledge[bt];
+            if (bt >= s->nv)
+                mw_augment_blossom(s, bt, HEAD(kk));
+            s->mate[HEAD(kk)] = kk ^ 1;
+        }
+    }
+}
+
+/* One stage after another until no delta step augments; -3 when memory
+   runs out */
+static int64_t mw_solve(mw_t *s)
+{
+    int64_t nv = s->nv;
+    for (;;) {
+        for (int64_t b = 0; b < 2 * nv; b++) {
+            s->label[b] = 0;
+            s->ledge[b] = s->best[b] = -1;
+            free(s->myb[b]);
+            s->myb[b] = NULL;
+        }
+        memset(s->allow, 0, (size_t)s->adjp[nv] / 2);
+        s->nq = 0;
+        for (int64_t v = 0; v < nv; v++)
+            if (s->mate[v] == -1 && s->label[s->inb[v]] == 0)
+                mw_assign(s, v, 1, -1);
+        int augmented = 0;
+        for (;;) {
+            while (s->nq > 0 && !augmented) {
+                int64_t v = s->queue[--s->nq];
+                for (int64_t p = s->adjp[v]; p < s->adjp[v + 1]; p++) {
+                    int64_t k = s->adjk[p], w = HEAD(k), bv = s->inb[v], bw = s->inb[w];
+                    double kslack = 0.0;
+                    if (bv == bw)
+                        continue;
+                    if (!s->allow[k >> 1] && (kslack = mw_slack(s, k)) <= 0)
+                        s->allow[k >> 1] = 1;
+                    if (s->allow[k >> 1]) {
+                        if (s->label[bw] == 0) {
+                            mw_assign(s, w, 2, k);
+                        } else if (s->label[bw] == 1) {
+                            int64_t base = mw_scan(s, v, w);
+                            if (base == -1) {
+                                mw_augment(s, k);
+                                augmented = 1;
+                                break;
+                            }
+                            if (mw_add(s, base, k) < 0)
+                                return -3;
+                        } else if (s->label[w] == 0) {
+                            s->label[w] = 2;
+                            s->ledge[w] = k;
+                        }
+                    } else if (s->label[bw] == 1) {
+                        if (s->best[bv] == -1 || kslack < mw_slack(s, s->best[bv]))
+                            s->best[bv] = k;
+                    } else if (s->label[w] == 0) {
+                        if (s->best[w] == -1 || kslack < mw_slack(s, s->best[w]))
+                            s->best[w] = k;
+                    }
+                }
+            }
+            if (augmented)
+                break;
+            /* delta1 .. delta4, ties to the first in the reference's order */
+            int64_t type = 1, edge = -1, blossom = -1;
+            double delta = s->dual[0];
+            for (int64_t v = 1; v < nv; v++)
+                if (s->dual[v] < delta)
+                    delta = s->dual[v];
+            for (int64_t v = 0; v < nv; v++) {
+                if (s->label[s->inb[v]] != 0 || s->best[v] == -1)
+                    continue;
+                double d = mw_slack(s, s->best[v]);
+                if (d < delta) {
+                    delta = d;
+                    type = 2;
+                    edge = s->best[v];
+                }
+            }
+            for (int64_t b = 0; b >= 0; b = s->next[b]) {
+                if (s->parent[b] != -1 || s->label[b] != 1 || s->best[b] == -1)
+                    continue;
+                double d = mw_slack(s, s->best[b]) / 2.0;
+                if (d < delta) {
+                    delta = d;
+                    type = 3;
+                    edge = s->best[b];
+                }
+            }
+            for (int64_t b = s->next[nv - 1]; b >= 0; b = s->next[b]) {
+                if (s->parent[b] == -1 && s->label[b] == 2 && s->bdual[b] < delta) {
+                    delta = s->bdual[b];
+                    type = 4;
+                    blossom = b;
+                }
+            }
+            for (int64_t v = 0; v < nv; v++) {
+                if (s->label[s->inb[v]] == 1)
+                    s->dual[v] -= delta;
+                else if (s->label[s->inb[v]] == 2)
+                    s->dual[v] += delta;
+            }
+            for (int64_t b = s->next[nv - 1]; b >= 0; b = s->next[b]) {
+                if (s->parent[b] == -1 && s->label[b] == 1)
+                    s->bdual[b] += delta;
+                else if (s->parent[b] == -1 && s->label[b] == 2)
+                    s->bdual[b] -= delta;
+            }
+            if (type == 1)
+                break;
+            if (type == 4) {
+                mw_expand(s, blossom, 0);
+            } else {
+                s->allow[edge >> 1] = 1;
+                s->queue[s->nq++] = TAIL(edge);
+            }
+        }
+        if (!augmented)
+            return 0;
+        for (int64_t b = s->next[nv - 1], next; b >= 0; b = next) {
+            next = s->next[b];
+            if (s->parent[b] == -1 && s->label[b] == 1 && s->bdual[b] == 0.0)
+                mw_expand(s, b, 1);
+        }
+    }
+}
+
+/* mate[v] <- v's partner in the maximum-weight matching of the graph on
+   nodes 0 .. nnodes-1 with edges (x[e], y[e]) of weight w[e], or -1.
+   Returns 0, -2 for a node outside 0 .. nnodes-1, a loop, a repeated
+   pair or a weight that is not finite, or -3 when memory runs out. */
+int64_t l0_matching(int64_t nnodes, int64_t narcs, const int64_t *x,
+                    const int64_t *y, const double *w, int64_t *mate)
+{
+    int64_t *pos = malloc((size_t)(2 * nnodes + 1) * sizeof(int64_t)), *node = pos + nnodes;
+    int64_t nv = 0, ne = 2 * narcs, fail = -3;
+    if (pos == NULL)
+        return -3;
+    for (int64_t v = 0; v < nnodes; v++)
+        pos[v] = mate[v] = -1;
+    for (int64_t e = 0; e < ne; e++) {
+        int64_t u = e & 1 ? y[e / 2] : x[e / 2];
+        if (u < 0 || u >= nnodes || x[e / 2] == y[e / 2] || !isfinite(w[e / 2])) {
+            free(pos);
+            return -2;
+        }
+        if (pos[u] < 0)
+            node[pos[u] = nv++] = u;
+    }
+    mw_t st = {.nv = nv, .last = nv - 1, .nfree = nv, .wt = w};
+    mw_t *s = &st;
+    int64_t *iw = malloc((size_t)(2 * ne + 35 * nv + 1) * sizeof(int64_t));
+    double *dw = malloc((size_t)(3 * nv + 1) * sizeof(double));
+    int64_t **pw = calloc((size_t)(4 * nv + 1), sizeof(int64_t *));
+    s->allow = malloc((size_t)narcs + 1);
+    if (iw == NULL || dw == NULL || pw == NULL || s->allow == NULL)
+        goto done;
+    int64_t *end = iw, *adjk = end + ne, *adjp = adjk + ne, **id2[] = {
+        &s->label, &s->ledge, &s->parent, &s->base, &s->best, &s->nch, &s->mybn,
+        &s->next, &s->prev, &s->to, &s->ent, &s->keys, &s->stk, &s->buf, &s->queue};
+    s->mate = adjp + nv + 1;
+    s->inb = s->mate + nv;
+    s->lv = s->inb + nv;
+    s->freeb = s->lv + nv;
+    for (int64_t a = 0; a < 15; a++)
+        *id2[a] = s->freeb + nv + 2 * nv * a;
+    s->end = end;
+    s->adjk = adjk;
+    s->adjp = adjp;
+    s->kids = pw;
+    s->myb = pw + 2 * nv;
+    s->dual = dw;
+    s->bdual = dw + nv;
+    /* neighbours in arc order, as the reference's adjacency dicts hold them */
+    for (int64_t v = 0; v <= nv; v++)
+        adjp[v] = 0;
+    for (int64_t e = 0; e < ne; e++)
+        adjp[(end[e] = pos[e & 1 ? y[e / 2] : x[e / 2]]) + 1]++;
+    for (int64_t v = 0; v < nv; v++)
+        adjp[v + 1] += adjp[v];
+    for (int64_t v = 0; v < nv; v++)
+        s->lv[v] = adjp[v];
+    for (int64_t e = 0; e < ne; e++)
+        adjk[s->lv[end[e]]++] = e;
+    double maxweight = 0.0;
+    for (int64_t e = 0; e < narcs; e++)
+        if (w[e] > maxweight)
+            maxweight = w[e];
+    for (int64_t v = 0; v < 2 * nv; v++) {
+        s->to[v] = -1;
+        s->parent[v] = -1;
+        s->base[v] = v;
+        s->next[v] = v + 1 < nv ? v + 1 : -1;
+        s->prev[v] = v - 1;
+    }
+    for (int64_t v = 0; v < nv; v++) {
+        s->inb[v] = v;
+        s->mate[v] = -1;
+        s->dual[v] = maxweight;
+        s->freeb[v] = 2 * nv - 1 - v;
+        for (int64_t p = adjp[v]; p < adjp[v + 1]; p++) {
+            if (s->to[HEAD(adjk[p])] == v) {
+                fail = -2;
+                goto done;
+            }
+            s->to[HEAD(adjk[p])] = v;
+        }
+    }
+    for (int64_t v = 0; v < nv; v++)
+        s->to[v] = -1;
+    if ((fail = nv > 0 ? mw_solve(s) : 0) == 0)
+        for (int64_t v = 0; v < nv; v++)
+            if (s->mate[v] >= 0)
+                mate[node[v]] = node[HEAD(s->mate[v])];
+done:
+    if (pw != NULL)
+        for (int64_t b = 0; b < 4 * nv; b++)
+            free(pw[b]);
+    free(pos);
+    free(iw);
+    free(dw);
+    free(pw);
+    free(s->allow);
+    return fail;
+}
 """
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
@@ -462,7 +1039,8 @@ def _load_library():
     lib.l0_segments.argtypes = [i64] + [ptr] * 8
     lib.l0_ldl.argtypes = [i64] + [ptr] * 4
     lib.l0_enumerate.argtypes = [i64] + [ptr] * 5
-    for fn in (lib.l0_labels, lib.l0_thomas, lib.l0_segments, lib.l0_ldl, lib.l0_enumerate):
+    lib.l0_matching.argtypes = [i64, i64] + [ptr] * 4
+    for fn in (lib.l0_labels, lib.l0_thomas, lib.l0_segments, lib.l0_ldl, lib.l0_enumerate, lib.l0_matching):
         fn.restype = i64
     return lib
 
@@ -566,3 +1144,19 @@ def enumerate_kernel(a, c, q):
     if skipped == -3:
         raise MemoryError("enumeration kernel scratch")
     return val.value, mask.value, skipped
+
+
+def matching_kernel(n, x, y, w):
+    """Maximum-weight matching of the simple graph on nodes 0 .. n-1 with
+    edges (x[e], y[e]) of weight w[e], the one NetworkX's
+    max_weight_matching finds on the same arcs, ties included; returns
+    mate, with mate[v] the partner of v or -1."""
+    if n < 0 or x.ndim != 1 or x.shape != y.shape or x.shape != w.shape:
+        raise ValueError("matching_kernel needs n >= 0 and x, y and w of one length")
+    mate = np.empty(n, dtype=np.int64)
+    done = _lib.l0_matching(n, x.size, _ptr(x, _I64), _ptr(y, _I64), _ptr(w, _F64), _ptr(mate, _I64))
+    if done == -2:
+        raise ValueError("matching_kernel needs nodes in 0 .. n-1, no loops, no repeated pairs and finite weights")
+    if done == -3:
+        raise MemoryError("matching kernel scratch")
+    return mate

@@ -6,9 +6,9 @@ couplings and everything else is dualized. Pipeline: solve the degree-<=2
 maximum-weight subgraph exactly (an integer maximum flow on bipartite
 graphs whose weights are all equal; otherwise a maximum-weight matching
 on an edge gadget: a sparse assignment on bipartite graphs, where the
-gadget is bipartite too, and a general matching from networkx on the
-rest), break each surviving cycle at its lightest edge, and concatenate
-the paths into a variable ordering.
+gadget is bipartite too, and the compiled blossom matching
+`_kernels.matching_kernel` on the rest), break each surviving cycle at its
+lightest edge, and concatenate the paths into a variable ordering.
 
 The graph, the chosen subgraph and the ordering are arrays throughout:
 the subgraph is a boolean mask over the graph's sorted edge arrays, and
@@ -34,6 +34,7 @@ from scipy.sparse.csgraph import (
     shortest_path,
 )
 
+from ._kernels import matching_kernel
 from .errors import HasCycle, NotBipartite
 from .instance import SupportGraph
 
@@ -190,15 +191,13 @@ def _b2_max_flow(g: SupportGraph, color: np.ndarray, tail: np.ndarray, head: np.
 
 def b2_subgraph_general(g: SupportGraph) -> CoverSolution:
     """Exact maximum-weight degree-<=2 subgraph of any graph: a general
-    maximum-weight matching on the edge gadget (see `_gadget`). networkx
-    loads here, on the first non-bipartite graph."""
-    import networkx as nx
-
+    maximum-weight matching on the edge gadget (see `_gadget`), by the
+    compiled blossom method in O(V + E) scratch (see
+    `_kernels.matching_kernel`)."""
     x, y, wx = _gadget(g.n, g.i, g.j, g.w)
-    gm = nx.Graph()
-    gm.add_weighted_edges_from(zip(x.tolist(), y.tolist(), wx.tolist()))
-    pairs = np.array(sorted(nx.max_weight_matching(gm)), dtype=np.int64).reshape(-1, 2)
-    return _decode_matching(g, pairs[:, 0], pairs[:, 1])
+    mate = matching_kernel(2 * g.n + 2 * g.w.size, x, y, wx)
+    matched = np.flatnonzero(mate >= 0)
+    return _decode_matching(g, matched, mate[matched])
 
 
 def break_cycles(cs: CoverSolution, g: SupportGraph) -> CoverSolution:

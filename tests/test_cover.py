@@ -1,10 +1,15 @@
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
+
+import networkx as nx
 import numpy as np
 import pytest
 
 import l0path
+import l0path._kernels as _kernels
 import l0path.cover as cover
 from l0path import (
     HasCycle,
@@ -18,9 +23,11 @@ from l0path import (
     make_ordering,
     path_cover,
     support_graph,
+    write_instance,
 )
+from l0path._kernels import matching_kernel
 
-from conftest import make_graph, rng_for
+from conftest import make_graph, random_dd_instance, rng_for
 from test_setup import same_bytes
 
 STAR = make_graph(4, [(0, 1, 1.5), (1, 2, 1.0), (1, 3, 0.8)])
@@ -502,10 +509,19 @@ def test_path_weights_sum_in_path_order():
     assert_matches_loop(g)
 
 
-def test_import_leaves_networkx_unloaded():
-    # only covers of non-bipartite graphs use networkx
+def test_import_leaves_networkx_unloaded(tmp_path):
+    # networkx is the test suite's reference matching, never the solver's
+    inst = random_dd_instance(rng_for(0), 12, 0.4)
+    assert cover._bipartition(support_graph(inst)) is None
+    write_instance(inst, str(tmp_path / "inst.txt"))
     src = os.path.dirname(os.path.dirname(l0path.__file__))
-    probe = "import sys, l0path; print('networkx' in sys.modules)"
+    probe = (
+        "import sys; import numpy as np; import l0path\n"
+        "from l0path import SupportGraph, default_relaxation, path_cover, read_instance\n"
+        "path_cover(SupportGraph(3, np.array([0, 0, 1]), np.array([1, 2, 2]), np.array([3.0, 2.0, 1.0])))\n"
+        f"default_relaxation(read_instance({str(tmp_path / 'inst.txt')!r}))\n"
+        "print('networkx' in sys.modules)"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": src},
@@ -514,3 +530,126 @@ def test_import_leaves_networkx_unloaded():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_no_package_module_imports_networkx():
+    for path in Path(l0path.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "networkx" for n in names), path.name
+
+
+def matched_pairs(mate):
+    v = np.flatnonzero(mate >= 0)
+    return {frozenset(p) for p in zip(v.tolist(), mate[v].tolist())}
+
+
+def reference_pairs(x, y, w):
+    """networkx's matching on the arcs, added in order with float weights."""
+    gm = nx.Graph()
+    gm.add_weighted_edges_from(zip(x.tolist(), y.tolist(), w.tolist()))
+    return {frozenset(p) for p in nx.max_weight_matching(gm)}
+
+
+def assert_matches_networkx(n, x, y, w):
+    assert matched_pairs(matching_kernel(n, x, y, w)) == reference_pairs(x, y, w)
+
+
+def assert_gadget_matches_networkx(g):
+    x, y, wx = cover._gadget(g.n, g.i, g.j, g.w)
+    assert_matches_networkx(2 * g.n + 2 * g.w.size, x, y, wx)
+
+
+def equal_weight_odd_graph(rng, n):
+    """A random graph on n >= 3 vertices with the triangle 0-1-2, every
+    edge of one weight."""
+    w = float(rng.choice([1.0, 2.0, rng.uniform(0.2, 3.0)]))
+    edges = {(0, 1), (0, 2), (1, 2)}
+    edges |= {(i, j) for i in range(n) for j in range(i + 1, n) if rng.uniform() < 0.4}
+    return make_graph(n, [(i, j, w) for i, j in sorted(edges)])
+
+
+def test_matching_kernel_matches_networkx_on_gadgets():
+    # the gadget ties by construction: each edge gives 5 arcs of one weight
+    rng = rng_for(61)
+    weighted = [random_graph(rng, int(rng.integers(2, 8))) for _ in range(600)]
+    equal = [equal_weight_odd_graph(rng, int(rng.integers(3, 8))) for _ in range(500)]
+    graphs = [g for g in weighted + equal if g.w.size]
+    assert len(graphs) >= 1000
+    assert sum(cover._bipartition(g) is None for g in graphs) >= 700
+    for g in graphs:
+        assert_gadget_matches_networkx(g)
+
+
+def test_matching_kernel_matches_networkx_on_tied_graphs():
+    # larger graphs with weights on a grid of quarters: blossoms nest, and
+    # T-blossoms expand, relabel their children and augment. Under this
+    # tag, every branch of networkx's float-weight path runs except two
+    # rare ones in a T-blossom's relabelling.
+    rng = rng_for(64)
+    for t in range(300):
+        n = int(rng.integers(4, 31))
+        density = rng.uniform(0.05, 0.6)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.uniform() < density]
+        e = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        flip = rng.uniform(size=len(e)) < 0.5
+        x, y = np.where(flip, e[:, 1], e[:, 0]), np.where(flip, e[:, 0], e[:, 1])
+        w = rng.integers(0, 10, len(e)) / 4.0 if t % 2 else rng.integers(1, 4, len(e)).astype(np.float64)
+        assert_matches_networkx(n, x, y, w)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        make_graph(0, []),
+        make_graph(3, []),
+        make_graph(2, [(0, 1, 1.5)]),
+        # two triangles and an isolated vertex
+        make_graph(7, [(0, 1, 1.0), (0, 2, 2.0), (1, 2, 3.0), (4, 5, 1.0), (4, 6, 1.0), (5, 6, 1.0)]),
+        make_graph(4, [(0, 1, 0.0), (1, 2, 1.0), (0, 2, 1.0), (2, 3, 0.0)]),
+    ],
+    ids=["empty", "no-edges", "single-edge", "disconnected", "zero-weight"],
+)
+def test_matching_kernel_edge_cases(g):
+    assert_gadget_matches_networkx(g)
+    assert_matches_networkx(g.n, g.i, g.j, g.w)
+
+
+def test_matching_kernel_rejects_arcs_of_different_lengths():
+    x, y, w = np.array([0, 1]), np.array([1, 2]), np.ones(2)
+    for args in ((x, y[:1], w), (x, y, w[:1]), (x[:, None], y[:, None], w[:, None])):
+        with pytest.raises(ValueError, match="of one length"):
+            matching_kernel(3, *args)
+
+
+@pytest.mark.parametrize("node", [-1, 3])
+def test_matching_kernel_rejects_nodes_out_of_range(node):
+    x, y, w = np.array([0, 1]), np.array([1, node]), np.ones(2)
+    with pytest.raises(ValueError, match="nodes in 0 .. n-1"):
+        matching_kernel(3, x, y, w)
+
+
+@pytest.mark.parametrize(
+    "x, y, w",
+    [([0, 1], [1, 1], [1.0, 1.0]), ([0, 1], [1, 0], [1.0, 2.0]), ([0, 1], [1, 2], [1.0, np.nan])],
+    ids=["loop", "repeated-pair", "nan-weight"],
+)
+def test_matching_kernel_rejects_non_simple_graphs(x, y, w):
+    with pytest.raises(ValueError, match="no loops, no repeated pairs and finite weights"):
+        matching_kernel(3, np.array(x), np.array(y), np.array(w))
+
+
+def test_matching_kernel_raises_memory_error(monkeypatch):
+    class OutOfMemory:
+        @staticmethod
+        def l0_matching(*args):
+            return -3
+
+    monkeypatch.setattr(_kernels, "_lib", OutOfMemory)
+    with pytest.raises(MemoryError, match="matching kernel scratch"):
+        matching_kernel(3, np.array([0, 1]), np.array([1, 2]), np.ones(2))

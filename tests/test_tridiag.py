@@ -386,8 +386,9 @@ def test_wavefront_sweep_matches_row_major():
 
 
 def test_kernels_compile_without_warnings(tmp_path):
-    # a full build with the library's flags, since some warnings need -O2;
-    # -Wconversion catches implicit narrowing, e.g. an int64_t into an int
+    # the one compile check of every kernel: a full build with the
+    # library's flags, since some warnings need -O2; -Wconversion catches
+    # implicit narrowing, e.g. an int64_t into an int
     src = tmp_path / "kernels.c"
     src.write_text(_C_SOURCE)
     cmd = ["cc", *_CFLAGS, "-std=c99", "-Wall", "-Wextra", "-Wconversion", "-Werror"]
