@@ -93,9 +93,9 @@ class RunConfig:
 
 @dataclass(frozen=True, eq=False)
 class IterationRecord:
-    """One ascent iteration. lower/upper are the best bounds so far;
-    h is this iteration's dual value and duals the point it was
-    evaluated at (before the update)."""
+    """One ascent iteration, as scalars only, so a run's memory does not
+    grow with its iteration count. lower/upper are the best bounds so
+    far; h is this iteration's dual value."""
 
     k: int
     lower: float
@@ -104,7 +104,6 @@ class IterationRecord:
     step: float
     elapsed_ms: float
     h: float
-    duals: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,8 +367,10 @@ def run(instance: Instance, r: Relaxation, config: RunConfig) -> RunResult:
         ub = upper_bound(instance, xbar, zbar)
         xcand = xbar
         # refit x on each support the inner solve proposes; any feasible
-        # pair is a valid incumbent and the refit only improves it
-        key = zbar.tobytes()
+        # pair is a valid incumbent and the refit only improves it. zbar
+        # is 0/1 of fixed length n, so its packed bits name the support
+        # in n/8 bytes instead of 8n
+        key = np.packbits(zbar != 0).tobytes()
         if key not in polished:
             polished.add(key)
             try:
@@ -403,7 +404,6 @@ def run(instance: Instance, r: Relaxation, config: RunConfig) -> RunResult:
                 step=step,
                 elapsed_ms=(time.perf_counter() - t0) * 1e3,
                 h=h,
-                duals=duals.copy(),
             )
         )
         if gap <= config.eps:

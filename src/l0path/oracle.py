@@ -23,10 +23,12 @@ from scipy.sparse import csc_array
 from scipy.sparse.linalg import splu
 
 from ._kernels import MAX_ENUM_VARS, PIVOT_TOL, enumerate_kernel, ldl_kernel
-from .errors import SingularSupport, TooLarge
-from .instance import Instance
+from .errors import InputError, SingularSupport, TooLarge
+from .instance import Instance, _first_storage_fault
 
 logger = logging.getLogger(__name__)
+
+PSD_TOL = 1e-9  # relative eigenvalue tolerance of enumerate_supports' semidefiniteness check
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,14 +104,27 @@ def enumerate_supports(instance: Instance) -> OracleResult:
     """Minimize over every support; ties go to the lexicographically
     smallest z. Supports with a singular restriction are skipped.
 
+    Raises validate's NotSymmetricStorage on the first storage fault, and
+    InputError when an eigenvalue of Q lies below -PSD_TOL (1e-9) times
+    the largest eigenvalue magnitude. On such a Q the objective is
+    unbounded below, while the enumeration, skipping every support with
+    a pivot at or below PIVOT_TOL, would report a finite value. A
+    singular positive semidefinite Q is accepted.
+
     `enumerate_kernel` finds the best support, depth first; its value
     rounds as that walk does, so the winner is refitted with `fixed_z_qp`,
     and x and the value come from there.
     """
+    fault = _first_storage_fault(instance)
+    if fault is not None:
+        raise fault
     n = instance.n
     if n > MAX_ENUM_VARS:
         raise TooLarge(f"n = {n} exceeds the enumeration cap {MAX_ENUM_VARS}")
     q = instance.dense_q()
+    eig = np.linalg.eigvalsh(q)
+    if eig[0] < -PSD_TOL * np.abs(eig).max():
+        raise InputError(f"Q is not positive semidefinite: least eigenvalue {eig[0]:.6g}")
     best_val, best_mask, skipped = enumerate_kernel(
         np.ascontiguousarray(instance.a),
         np.ascontiguousarray(instance.c),

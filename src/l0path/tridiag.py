@@ -18,7 +18,7 @@ import numpy as np
 
 from ._kernels import PIVOT_TOL, labels_kernel, thomas_kernel
 from .errors import InputError, NotPositiveDefinite
-from .instance import Instance, _assign_last
+from .instance import Instance, _first_storage_fault
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,8 +136,16 @@ def solve_fixed_z(p: TridiagProblem, zbar) -> tuple[np.ndarray, float]:
 
 def to_tridiagonal(instance: Instance) -> TridiagProblem:
     """View an instance whose stored order is already a path as a
-    TridiagProblem; rejects any entry beyond the first off-diagonal,
-    naming the first one in storage order."""
+    TridiagProblem.
+
+    Applies validate's storage contract first, raising its
+    NotSymmetricStorage for the first duplicate, lower-triangle or
+    zero-valued off-diagonal triplet; then rejects any entry beyond the
+    first off-diagonal, naming the first one in storage order.
+    """
+    fault = _first_storage_fault(instance)
+    if fault is not None:
+        raise fault
     qi, qj, qv = instance.qi, instance.qj, instance.qv
     beyond = np.flatnonzero(qj - qi > 1)
     if beyond.size:
@@ -147,6 +155,9 @@ def to_tridiagonal(instance: Instance) -> TridiagProblem:
             "reorder the instance (see the decompose command) first"
         )
     on = qi == qj
-    diag = _assign_last(instance.n, qi[on], qv[on])
-    off = _assign_last(max(instance.n - 1, 0), qi[~on], qv[~on])
+    # every cell is stored at most once, so plain assignment places it
+    diag = np.zeros(instance.n)
+    diag[qi[on]] = qv[on]
+    off = np.zeros(max(instance.n - 1, 0))
+    off[qi[~on]] = qv[~on]
     return TridiagProblem(m=instance.n, a=instance.a, c=instance.c, diag=diag, off=off)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import l0path.decomp as decomp
 from l0path import Instance, SupportGraph
 
 
@@ -41,6 +42,24 @@ EXAMPLE_Q = [
 ]
 
 
+# storage faults that validate rejects, each with the message naming it;
+# every command that reads an instance must reject them the same way
+STORAGE_FAULTS = [
+    pytest.param(
+        # the off-band (0, 2) comes first: the storage check runs before
+        # any other
+        [(0, 2, 0.5), (0, 0, 2.0), (0, 0, 1.0), (0, 1, -0.5), (1, 1, 2.0), (2, 2, 2.0)],
+        "duplicate triplet (0, 0)",
+        id="duplicate",
+    ),
+    pytest.param(
+        [(0, 0, 2.0), (0, 1, 0.0), (1, 1, 2.0), (2, 2, 2.0)],
+        "zero-valued off-diagonal (0, 1)",
+        id="zero_off_diagonal",
+    ),
+]
+
+
 @pytest.fixture
 def example_instance():
     return make_instance(EXAMPLE_A, EXAMPLE_C, EXAMPLE_Q)
@@ -68,3 +87,19 @@ def random_dd_instance(rng, n, density=0.4):
 
 def rng_for(tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=tag))
+
+
+def record_duals(monkeypatch, h_eval=None):
+    """Wrap decomp.h_eval, or the stand-in h_eval given, so that every call
+    appends a copy of the dual point it is evaluated at; returns that list.
+    decomp.run evaluates each iteration's point once, before the update,
+    so entry k - 1 is the point of iteration k."""
+    inner = h_eval or decomp.h_eval
+    points = []
+
+    def recording(r, duals):
+        points.append(np.array(duals, copy=True))
+        return inner(r, duals)
+
+    monkeypatch.setattr(decomp, "h_eval", recording)
+    return points

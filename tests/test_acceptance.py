@@ -24,7 +24,15 @@ from l0path.instance import gen_lattice2d, gen_tridiagonal
 from l0path.oracle import enumerate_supports
 from l0path.tridiag import solve, to_tridiagonal
 
-from conftest import EXAMPLE_A, EXAMPLE_C, EXAMPLE_Q, make_instance, random_dd_instance, rng_for
+from conftest import (
+    EXAMPLE_A,
+    EXAMPLE_C,
+    EXAMPLE_Q,
+    make_instance,
+    random_dd_instance,
+    record_duals,
+    rng_for,
+)
 from test_cover import brute_force_pstar, exhaustive_b2, random_bipartite, random_graph, retained_weight
 from test_fenchel import dual_value, f_star_bruteforce, persp, random_triple, subgradient_plane_holds
 
@@ -64,7 +72,7 @@ def test_a1_path_solver_matches_enumeration():
     assert elapsed < 10.0, f"200 instances took {elapsed:.2f} s"
 
 
-def test_a2_reference_instance_reproduction():
+def test_a2_reference_instance_reproduction(monkeypatch):
     """Worked four-variable instance: optimum, first relaxation, ascent."""
     t0 = time.perf_counter()
     inst = make_instance(EXAMPLE_A, EXAMPLE_C, EXAMPLE_Q)
@@ -79,11 +87,13 @@ def test_a2_reference_instance_reproduction():
     assert np.all(np.abs(xbar0 - np.array([0.0, 0.0, -1.53, 6.50])) <= 0.01)
 
     cfg = RunConfig(schedule="geometric", ratio=1.01, eps=1e-4, max_iter=100)
+    points = record_duals(monkeypatch)
     res = run(inst, rel, cfg)
     assert res.reason == "gap"
     assert len(res.records) <= 12
     assert res.records[-1].gap < 1e-4
-    alphas = [float(r.duals[0][0]) for r in res.records]
+    assert len(points) == len(res.records)
+    alphas = [float(p[0][0]) for p in points]
     assert len(alphas) >= len(REFERENCE_ALPHAS)
     for got, want in zip(alphas, REFERENCE_ALPHAS):
         assert abs(got - want) <= 0.05

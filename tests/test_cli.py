@@ -177,6 +177,22 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_storage_and_semidefiniteness_exit_2(tmp_path, capsys):
+    dup = tmp_path / "dup.json"
+    dup.write_text(json.dumps({
+        "n": 2, "a": [1.0, 0.5], "c": [-3.0, 1.0],
+        "Q": [[1, 1, 2.0], [1, 1, 1.0], [1, 2, -0.5], [2, 2, 2.0]],
+    }))
+    for command in ("solve-decomp", "solve-path", "oracle"):
+        assert run_cli(command, str(dup)) == 2
+        assert capsys.readouterr().err == "error: duplicate triplet (0, 0)\n"
+
+    indef = tmp_path / "indef.json"
+    indef.write_text(json.dumps({"n": 2, "a": [1.0, 0.5], "c": [-3.0, 1.0], "Q": [[1, 2, 0.5]]}))
+    assert run_cli("oracle", str(indef)) == 2
+    assert "Q is not positive semidefinite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from l0path import (
 from l0path.fenchel import f_star, f_star_subgradient
 from l0path.tridiag import TridiagProblem
 
-from conftest import make_instance, random_dd_instance, rng_for
+from conftest import make_instance, random_dd_instance, record_duals, rng_for
 
 QUOTED_ALPHAS = [0.0, -1.0, -1.99, -2.97, -3.94, -4.90, -5.85, -6.79, -7.72]
 
@@ -226,22 +227,73 @@ def test_run_matches_scalar_loops(monkeypatch):
     inst = gen_lattice2d(6, 6, 0.3, 0.1, 0)
     r = default_relaxation(inst)
     config = RunConfig(schedule="harmonic", eps=1e-3, max_iter=300)
+    got_points = record_duals(monkeypatch)
     got = run(inst, r, config)
     monkeypatch.setattr(decomp, "assemble_psi", assemble_psi_loop)
     monkeypatch.setattr(decomp, "subgradient", subgradient_loop)
-    monkeypatch.setattr(decomp, "h_eval", h_eval_loop)
+    want_points = record_duals(monkeypatch, h_eval_loop)
     want = run(inst, r, config)
     assert r.relaxed and got.iterations > 1
     assert (got.iterations, got.reason) == (want.iterations, want.reason)
+    assert len(got_points) == len(want_points) == got.iterations
 
     def fields(rec):
         return np.array([rec.k, rec.h, rec.lower, rec.upper, rec.gap, rec.step]).tobytes()
 
     for a, b in zip(got.records, want.records):
         assert fields(a) == fields(b)
-        assert a.duals.tobytes() == b.duals.tobytes()
+    for a, b in zip(got_points, want_points):
+        assert a.tobytes() == b.tobytes()
     assert got.x.tobytes() == want.x.tobytes()
     assert got.z.tobytes() == want.z.tobytes()
+
+
+def test_run_memory_does_not_grow_with_iterations():
+    inst = gen_lattice2d(20, 20, 0.3, 0.1, 0)
+    r = default_relaxation(inst)
+
+    def peak(max_iter):
+        tracemalloc.start()
+        try:
+            res = run(inst, r, RunConfig(schedule="harmonic", eps=1e-15, max_iter=max_iter))
+            return tracemalloc.get_traced_memory()[1], res
+        finally:
+            tracemalloc.stop()
+
+    peak_short, short = peak(10)
+    peak_long, long = peak(80)
+    assert (short.iterations, long.iterations) == (10, 80)
+    # 70 more iterations keep 70 more scalar records and at most 70 more
+    # memo keys of n/8 bytes, about 30 KB in all; keeping one dual array
+    # per iteration would add 70 * 370 relaxed terms * 3 * 8 bytes, 0.6 MB
+    assert peak_long - peak_short < 128 * 1024
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [gen_lattice2d(6, 6, 0.3, 0.1, 0), random_dd_instance(rng_for(11), 12)],
+    ids=["lattice", "random_dd"],
+)
+def test_run_refits_each_support_once(monkeypatch, inst):
+    proposed, refit = [], []
+    h_eval, fixed_z_qp = decomp.h_eval, decomp.fixed_z_qp
+
+    def recording_h_eval(r, duals):
+        out = h_eval(r, duals)
+        proposed.append(out[2].tolist())
+        return out
+
+    def recording_fixed_z_qp(instance, z):
+        refit.append(np.asarray(z).tolist())
+        return fixed_z_qp(instance, z)
+
+    monkeypatch.setattr(decomp, "h_eval", recording_h_eval)
+    monkeypatch.setattr(decomp, "fixed_z_qp", recording_fixed_z_qp)
+    res = run(inst, default_relaxation(inst), RunConfig(schedule="harmonic", eps=1e-15, max_iter=60))
+    distinct = list(dict.fromkeys(map(tuple, proposed)))
+    # the memo is exercised: some support repeats, and more than one is seen
+    assert len(proposed) == res.iterations > len(distinct) > 1
+    assert refit == [list(z) for z in distinct]
 
 
 def test_h_eval_segment_not_pd():
@@ -362,13 +414,15 @@ def test_upper_bound_values(example_instance):
         upper_bound(example_instance, np.array([0.0, 1.0, 0.0, 0.0]), np.zeros(4))
 
 
-def test_run_reproduces_reference_trajectory(example_instance):
+def test_run_reproduces_reference_trajectory(example_instance, monkeypatch):
     r = example_relaxation(example_instance)
+    points = record_duals(monkeypatch)
     res = run(example_instance, r, RunConfig(schedule="geometric", ratio=1.01, eps=1e-4))
     assert res.reason == "gap"
     assert res.iterations <= 12
     assert res.gap <= 1e-4
-    alphas = [rec.duals[0, 0] for rec in res.records]
+    assert len(points) == res.iterations
+    alphas = [p[0, 0] for p in points]
     for got, want in zip(alphas, QUOTED_ALPHAS):
         assert abs(got - want) <= 0.05
     assert abs(res.records[0].h - (-24.876666666666665)) <= 0.02

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from scipy.sparse import csc_array
 from scipy.sparse.linalg import splu
 
 from l0path import (
+    InputError,
     Instance,
+    NotSymmetricStorage,
     RunConfig,
     SingularSupport,
     TooLarge,
@@ -28,7 +31,7 @@ from l0path import (
 from l0path import decomp, oracle
 from l0path._kernels import PIVOT_TOL, enumerate_kernel, ldl_kernel
 
-from conftest import make_instance, random_dd_instance, rng_for
+from conftest import STORAGE_FAULTS, make_instance, random_dd_instance, rng_for
 
 
 def test_example_optimum(example_instance):
@@ -124,6 +127,47 @@ def test_size_cap():
     inst = random_dd_instance(rng, 21)
     with pytest.raises(TooLarge):
         enumerate_supports(inst)
+
+
+@pytest.mark.parametrize("entries, fault", STORAGE_FAULTS)
+def test_enumerate_checks_storage(entries, fault):
+    inst = make_instance([0.5] * 3, [-3.0, 1.0, 0.0], entries)
+    with pytest.raises(NotSymmetricStorage, match=re.escape(fault)):
+        enumerate_supports(inst)
+
+
+def test_enumerate_rejects_indefinite_q():
+    # Q = [[0, 0.5], [0.5, 0]] has eigenvalues -0.5 and 0.5, so the
+    # objective is unbounded below; every support's pivot is non-positive,
+    # and skipping them all would certify a value of 0
+    inst = make_instance([1.0, 0.5], [-3.0, 1.0], [(0, 1, 0.5)])
+    assert inst.objective(np.array([1.0, -1.0]), np.ones(2)) == -3.0
+    with pytest.raises(InputError, match="not positive semidefinite"):
+        enumerate_supports(inst)
+
+
+def test_enumerate_accepts_singular_psd_q():
+    # variable 2 duplicates variable 0's row and column (and its cost),
+    # so Q is positive semidefinite of rank 2 and the objective is bounded
+    inst = make_instance(
+        [0.5, 0.5, 0.5],
+        [-2.0, -1.0, -2.0],
+        [(0, 0, 2.0), (0, 1, 1.0), (0, 2, 2.0), (1, 1, 3.0), (1, 2, 1.0), (2, 2, 2.0)],
+    )
+    q = inst.dense_q()
+    assert np.linalg.matrix_rank(q) == 2
+    res = enumerate_supports(inst)
+    # a support holding both copies is singular and skipped; it is never
+    # better than the same support with one copy dropped
+    best = 0.0
+    for mask in range(1, 8):
+        s = [i for i in range(3) if mask >> i & 1]
+        if {0, 2} <= set(s):
+            continue
+        xs = np.linalg.solve(q[np.ix_(s, s)], -inst.c[s])
+        best = min(best, float(inst.a[s].sum() + 0.5 * inst.c[s] @ xs))
+    assert abs(res.value - best) <= 1e-12
+    assert abs(inst.objective(res.x, res.z) - res.value) <= 1e-12
 
 
 def test_matches_path_solver():

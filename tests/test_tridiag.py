@@ -10,6 +10,7 @@ import pytest
 from l0path import (
     InputError,
     NotPositiveDefinite,
+    NotSymmetricStorage,
     SPSolution,
     TridiagProblem,
     gen_tridiagonal,
@@ -27,7 +28,7 @@ from l0path._kernels import (
     thomas_kernel,
 )
 
-from conftest import make_instance, rng_for
+from conftest import STORAGE_FAULTS, make_instance, rng_for
 
 
 def arc_weight_row(p: TridiagProblem, i: int):
@@ -247,6 +248,13 @@ def test_to_tridiagonal_requires_band(example_instance):
     p = to_tridiagonal(inst)
     assert p.m == 12
     assert np.array_equal(p.diag, inst.qv[inst.qi == inst.qj])
+
+
+@pytest.mark.parametrize("entries, fault", STORAGE_FAULTS)
+def test_to_tridiagonal_checks_storage(entries, fault):
+    inst = make_instance([0.5] * 3, [-3.0, 1.0, 0.0], entries)
+    with pytest.raises(NotSymmetricStorage, match=re.escape(fault)):
+        to_tridiagonal(inst)
 
 
 def _thomas_py(diag, off, rhs):
