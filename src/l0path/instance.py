@@ -7,8 +7,10 @@ The objective convention throughout is
 
 with Q kept as upper-triangle coordinate triplets (i <= j, one entry per
 cell). Python-level indices are 0-based; the on-disk JSON format is
-1-based. Instances are immutable after construction and safe to share
-across threads.
+1-based. An Instance checks this storage contract and the finiteness of
+its data when it is constructed, and is immutable afterwards, so every
+Instance is valid for its whole life and safe to share across threads;
+the solvers do not check again.
 """
 
 from __future__ import annotations
@@ -36,15 +38,6 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _assign_last(size: int, idx: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Zeros with out[idx[k]] = vals[k]; a repeated index keeps its last
-    value, as a loop of assignments would."""
-    out = np.zeros(size)
-    where, last = np.unique(idx[::-1], return_index=True)
-    out[where] = vals[::-1][last]
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class Instance:
     """One L0-penalized quadratic minimization problem.
@@ -62,6 +55,11 @@ class Instance:
             any support S is an M-matrix A with A 1 >= (1/sigma^2) 1 and
             x_S = A^-1 y_S / sigma^2, so each x_i is a combination of y
             values with nonnegative weights summing to at most 1.
+
+    Construction raises InputError on inconsistent shapes or a
+    non-finite a, c, qv or offset, and NotSymmetricStorage naming the
+    first triplet in storage order that lies outside the upper triangle,
+    repeats an earlier one, or is a zero off-diagonal.
     """
 
     n: int
@@ -75,14 +73,20 @@ class Instance:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("n must be >= 1")
+            raise InputError("n must be >= 1")
         for name in ("a", "c", "qi", "qj", "qv"):
             dtype = np.int64 if name in ("qi", "qj") else np.float64
             object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name), dtype=dtype)))
         if self.a.shape != (self.n,) or self.c.shape != (self.n,):
-            raise ValueError("a and c must have length n")
+            raise InputError("a and c must have length n")
         if not (self.qi.shape == self.qj.shape == self.qv.shape):
-            raise ValueError("Q triplet arrays must have equal length")
+            raise InputError("Q triplet arrays must have equal length")
+        fault = _first_storage_fault(self)
+        if fault is not None:
+            raise fault
+        for name in ("a", "c", "qv", "offset"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise InputError(f"{name} has a non-finite entry")
 
     @cached_property
     def fill_order(self) -> np.ndarray:
@@ -96,14 +100,11 @@ class Instance:
         return _frozen(oracle.fill_reducing_order(self))
 
     def dense_q(self) -> np.ndarray:
-        """Materialize Q as a dense symmetric matrix (small n only); each
-        triplet writes (i, j), then (j, i), and the last write wins."""
-        n = self.n
-        ij = np.stack((self.qi, self.qj), axis=1)
-        # numbering the cells by 2-d indexing raises on an out-of-range
-        # index and wraps a negative one, as q[i, j] = v would
-        cells = np.arange(n * n).reshape(n, n)[ij, ij[:, ::-1]].ravel()
-        return _assign_last(n * n, cells, np.repeat(self.qv, 2)).reshape(n, n)
+        """Materialize Q as a dense symmetric matrix (small n only)."""
+        q = np.zeros((self.n, self.n))
+        q[self.qi, self.qj] = self.qv
+        q[self.qj, self.qi] = self.qv
+        return q
 
     def objective(self, x: np.ndarray, z: np.ndarray) -> float:
         """Evaluate a . z + c . x + (1/2) x' Q x (offset excluded)."""
@@ -205,16 +206,11 @@ def _first_storage_fault(instance: Instance) -> NotSymmetricStorage | None:
 
 
 def validate(instance: Instance) -> DDForm:
-    """Check storage structure and diagonal dominance; return the split.
+    """Check diagonal dominance; return the split.
 
-    Raises NotSymmetricStorage for duplicate, lower-triangle, or zero-valued
-    off-diagonal triplets, naming the first offending triplet in storage
-    order, and NotDiagonallyDominant at the first variable whose residual
-    D_i falls below -1e-9. Residuals in [-1e-9, 0) are clamped to zero.
+    Raises NotDiagonallyDominant at the first variable whose residual D_i
+    falls below -1e-9. Residuals in [-1e-9, 0) are clamped to zero.
     """
-    fault = _first_storage_fault(instance)
-    if fault is not None:
-        raise fault
     n = instance.n
     qi, qj, qv = instance.qi, instance.qj, instance.qv
     on_diag = qi == qj
@@ -241,7 +237,7 @@ def validate(instance: Instance) -> DDForm:
 def support_graph(instance: Instance) -> SupportGraph:
     """Edges (i, j, |Q_ij|) for the nonzero off-diagonals, sorted."""
     qi, qj, qv = instance.qi, instance.qj, instance.qv
-    nz = (qi != qj) & (qv != 0.0)
+    nz = qi != qj
     i, j, w = qi[nz], qj[nz], np.abs(qv[nz])
     order = np.lexsort((w, j, i))
     return SupportGraph(n=instance.n, i=i[order], j=j[order], w=w[order])
@@ -293,11 +289,6 @@ def _build(n, a, c, diag, i, j, v, offset=0.0, meta=None) -> Instance:
     qj = np.concatenate((np.arange(n), j[keep]))
     qv = np.concatenate((diag, v[keep]))
     order = np.lexsort((qv, qj, qi))
-    # extreme parameters overflow or turn into nan here; such an instance
-    # could not be written and read back
-    for what, vals in (("a", a), ("c", c), ("Q", qv), ("offset", [offset])):
-        if not np.all(np.isfinite(vals)):
-            raise InputError(f"the generated {what} is not finite; the parameters are out of range")
     return Instance(
         n=n,
         a=a,
@@ -363,7 +354,8 @@ def gen_signal1d(n: int, sigma: float, mu: float, seed: int) -> Instance:
     diag = 2.0 * (1.0 + deg)
     v = np.full(n - 1, -2.0)
     meta = {"y": y.tolist(), "M": float(np.max(np.abs(y)))}
-    # an extreme sigma overflows here; _build reports it as the one error
+    # an extreme sigma overflows here; the Instance constructor reports it
+    # as the one error
     with np.errstate(over="ignore", invalid="ignore"):
         offset = float(np.sum(y * y))
     return _build(n, np.full(n, float(mu)), -2.0 * y, diag, i, i + 1, v, offset=offset, meta=meta)
@@ -404,7 +396,8 @@ def gen_lattice2d(rows: int, cols: int, sigma: float, mu: float, seed: int) -> I
     except (ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"sigma {sigma!r} is out of range: its square is not a usable variance") from None
     meta = {"y": y.tolist(), "M": float(np.max(np.abs(y)))}
-    # an extreme sigma overflows here; _build reports it as the one error
+    # an extreme sigma overflows here; the Instance constructor reports it
+    # as the one error
     with np.errstate(over="ignore", invalid="ignore"):
         c = -2.0 * y / var
         offset = float(np.sum(y * y) / var)

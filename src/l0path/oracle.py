@@ -24,11 +24,15 @@ from scipy.sparse.linalg import splu
 
 from ._kernels import MAX_ENUM_VARS, PIVOT_TOL, enumerate_kernel, ldl_kernel
 from .errors import InputError, SingularSupport, TooLarge
-from .instance import Instance, _first_storage_fault
+from .instance import Instance
 
 logger = logging.getLogger(__name__)
 
 PSD_TOL = 1e-9  # relative eigenvalue tolerance of enumerate_supports' semidefiniteness check
+# relative size of c's component in Q's numerical null space above which
+# enumerate_supports reports the objective unbounded below; eigenvectors
+# within PSD_TOL of that space are accurate to about 2e-16 / PSD_TOL
+NULL_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,8 +53,6 @@ def fill_reducing_order(instance: Instance) -> np.ndarray:
     off = instance.qi != instance.qj
     i, j = instance.qi[off], instance.qj[off]
     adj = csc_array((np.ones(2 * i.size), (np.concatenate([i, j]), np.concatenate([j, i]))), shape=(n, n))
-    adj.sum_duplicates()
-    adj.data[:] = 1.0
     degree_plus_one = csc_array((np.diff(adj.indptr) + 1.0, (np.arange(n), np.arange(n))), shape=(n, n))
     lu = splu(
         degree_plus_one - adj,
@@ -85,7 +87,7 @@ def fixed_z_qp(instance: Instance, z) -> tuple[np.ndarray, float]:
     qi, qj = pos[instance.qi], pos[instance.qj]
     on = (qi >= 0) & (qj >= 0)
     qi, qj, qv = qi[on], qj[on], instance.qv[on]
-    # the upper triangle by columns; repeated and lower-triangle triplets add
+    # the upper triangle, in elimination positions, by columns
     row, col = np.minimum(qi, qj), np.maximum(qi, qj)
     order = np.argsort(col, kind="stable")
     colptr = np.zeros(sub.size + 1, dtype=np.int64)
@@ -104,27 +106,32 @@ def enumerate_supports(instance: Instance) -> OracleResult:
     """Minimize over every support; ties go to the lexicographically
     smallest z. Supports with a singular restriction are skipped.
 
-    Raises validate's NotSymmetricStorage on the first storage fault, and
-    InputError when an eigenvalue of Q lies below -PSD_TOL (1e-9) times
-    the largest eigenvalue magnitude. On such a Q the objective is
-    unbounded below, while the enumeration, skipping every support with
-    a pivot at or below PIVOT_TOL, would report a finite value. A
-    singular positive semidefinite Q is accepted.
+    Raises InputError when the objective is unbounded below, where the
+    enumeration, skipping every support with a pivot at or below
+    PIVOT_TOL, would report a finite value: when an eigenvalue of Q lies
+    below -PSD_TOL times the largest eigenvalue magnitude, or when c has
+    a relative component above NULL_TOL along the eigenvectors of the
+    eigenvalues at or below that tolerance. For positive semidefinite Q,
+    null(Q_S) = {v in null(Q) : supp v in S}, so some support is
+    unbounded exactly when c has a component in null(Q).
 
     `enumerate_kernel` finds the best support, depth first; its value
     rounds as that walk does, so the winner is refitted with `fixed_z_qp`,
     and x and the value come from there.
     """
-    fault = _first_storage_fault(instance)
-    if fault is not None:
-        raise fault
     n = instance.n
     if n > MAX_ENUM_VARS:
         raise TooLarge(f"n = {n} exceeds the enumeration cap {MAX_ENUM_VARS}")
     q = instance.dense_q()
-    eig = np.linalg.eigvalsh(q)
-    if eig[0] < -PSD_TOL * np.abs(eig).max():
+    eig, vec = np.linalg.eigh(q)
+    tol = PSD_TOL * np.abs(eig).max()
+    if eig[0] < -tol:
         raise InputError(f"Q is not positive semidefinite: least eigenvalue {eig[0]:.6g}")
+    along_null = np.linalg.norm(vec[:, eig <= tol].T @ instance.c)
+    if along_null > NULL_TOL * np.linalg.norm(instance.c):
+        raise InputError(
+            f"objective unbounded below: c has a component of size {along_null:.6g} in the null space of Q"
+        )
     best_val, best_mask, skipped = enumerate_kernel(
         np.ascontiguousarray(instance.a),
         np.ascontiguousarray(instance.c),

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._kernels import PIVOT_TOL, labels_kernel, thomas_kernel
 from .errors import InputError, NotPositiveDefinite
-from .instance import Instance, _first_storage_fault
+from .instance import Instance
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,14 +138,9 @@ def to_tridiagonal(instance: Instance) -> TridiagProblem:
     """View an instance whose stored order is already a path as a
     TridiagProblem.
 
-    Applies validate's storage contract first, raising its
-    NotSymmetricStorage for the first duplicate, lower-triangle or
-    zero-valued off-diagonal triplet; then rejects any entry beyond the
-    first off-diagonal, naming the first one in storage order.
+    Rejects any entry beyond the first off-diagonal, naming the first one
+    in storage order.
     """
-    fault = _first_storage_fault(instance)
-    if fault is not None:
-        raise fault
     qi, qj, qv = instance.qi, instance.qj, instance.qv
     beyond = np.flatnonzero(qj - qi > 1)
     if beyond.size:
@@ -155,7 +150,8 @@ def to_tridiagonal(instance: Instance) -> TridiagProblem:
             "reorder the instance (see the decompose command) first"
         )
     on = qi == qj
-    # every cell is stored at most once, so plain assignment places it
+    # an Instance stores every cell at most once, so plain assignment
+    # places it
     diag = np.zeros(instance.n)
     diag[qi[on]] = qv[on]
     off = np.zeros(max(instance.n - 1, 0))

@@ -42,8 +42,8 @@ EXAMPLE_Q = [
 ]
 
 
-# storage faults that validate rejects, each with the message naming it;
-# every command that reads an instance must reject them the same way
+# storage faults that the Instance constructor rejects, each with the
+# message naming it; every command that reads an instance reports them so
 STORAGE_FAULTS = [
     pytest.param(
         # the off-band (0, 2) comes first: the storage check runs before

@@ -192,6 +192,13 @@ def test_storage_and_semidefiniteness_exit_2(tmp_path, capsys):
     assert run_cli("oracle", str(indef)) == 2
     assert "Q is not positive semidefinite" in capsys.readouterr().err
 
+    # Q is singular and c has a component in its null space: the objective
+    # is -200 at x = (100, -100), z = (1, 1), and unbounded below
+    unbounded = tmp_path / "unbounded.json"
+    unbounded.write_text(json.dumps({"n": 2, "a": [0, 0], "c": [-1, 1], "Q": [[1, 1, 1], [1, 2, 1], [2, 2, 1]]}))
+    assert run_cli("oracle", str(unbounded)) == 2
+    assert "objective unbounded below" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "argv",

@@ -1,10 +1,14 @@
+import ast
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import l0path
 from l0path import (
+    InputError,
     Instance,
     InvalidPermutation,
     NotDiagonallyDominant,
@@ -22,7 +26,7 @@ from l0path import (
 )
 from l0path.instance import _build, _rng, _smooth_sparse_truth
 
-from conftest import make_graph, make_instance, random_dd_instance, rng_for
+from conftest import EXAMPLE_A, EXAMPLE_C, EXAMPLE_Q, make_graph, make_instance, random_dd_instance, rng_for
 
 
 def test_validate_example_split(example_instance):
@@ -60,17 +64,89 @@ def test_validate_rejects_missing_diagonal():
 
 
 def test_validate_rejects_bad_storage():
-    dup = make_instance(
-        [0.0, 0.0], [0.0, 0.0],
-        [(0, 0, 1.0), (0, 1, 0.2), (0, 1, 0.2), (1, 1, 1.0)],
-    )
+    # the constructor rejects bad storage, so no instance reaches validate
+    # with it
     with pytest.raises(NotSymmetricStorage):
-        validate(dup)
-    zero = make_instance(
-        [0.0, 0.0], [0.0, 0.0], [(0, 0, 1.0), (0, 1, 0.0), (1, 1, 1.0)]
-    )
+        make_instance(
+            [0.0, 0.0], [0.0, 0.0],
+            [(0, 0, 1.0), (0, 1, 0.2), (0, 1, 0.2), (1, 1, 1.0)],
+        )
     with pytest.raises(NotSymmetricStorage):
-        validate(zero)
+        make_instance(
+            [0.0, 0.0], [0.0, 0.0], [(0, 0, 1.0), (0, 1, 0.0), (1, 1, 1.0)]
+        )
+
+
+# Before the constructor checked finiteness, such values reached the
+# solvers: enumerate_supports on a NaN in a, c or Q returned value 0.0 with
+# z = 0, and default_relaxation on a NaN off-diagonal leaked scipy's
+# ValueError "no full matching exists", outside the error taxonomy.
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "where, name",
+    [("a", "a"), ("c", "c"), ("diagonal", "qv"), ("off_diagonal", "qv"), ("offset", "offset")],
+)
+def test_constructor_rejects_non_finite_data(where, name, bad):
+    a, c, q, offset = list(EXAMPLE_A), list(EXAMPLE_C), list(EXAMPLE_Q), 0.0
+    if where == "a":
+        a[2] = bad
+    elif where == "c":
+        c[2] = bad
+    elif where == "offset":
+        offset = bad
+    else:
+        k = 2 if where == "diagonal" else 3
+        i, j, _ = q[k]
+        assert (i == j) == (where == "diagonal")
+        q[k] = (i, j, bad)
+    with pytest.raises(InputError, match=f"^{name} has a non-finite entry$"):
+        make_instance(a, c, q, offset=offset)
+
+
+def test_replace_cannot_bypass_the_storage_check(example_instance):
+    inst = example_instance
+    with pytest.raises(NotSymmetricStorage, match=r"duplicate triplet \(1, 2\)"):
+        dataclasses.replace(
+            inst,
+            qi=np.append(inst.qi, 1),
+            qj=np.append(inst.qj, 2),
+            qv=np.append(inst.qv, -1.0),
+        )
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(n=0, a=[], c=[]),
+        dict(n=2, a=[1.0], c=[1.0, 1.0]),
+        dict(n=2, a=[1.0, 1.0], c=[1.0, 1.0, 1.0]),
+        dict(n=2, a=[1.0, 1.0], c=[1.0, 1.0], qv=[1.0]),
+    ],
+    ids=["n_zero", "short_a", "long_c", "unequal_triplets"],
+)
+def test_shape_faults_raise_input_error(kwargs):
+    args = dict(qi=[0, 1], qj=[0, 1], qv=[1.0, 1.0]) | kwargs
+    with pytest.raises(InputError):
+        Instance(**args)
+
+
+def test_only_the_instance_module_checks_storage():
+    # the storage contract is checked once, by the constructor; another
+    # caller of the check would start a second copy of the contract
+    seen = []
+    for path in sorted(Path(l0path.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, (ast.alias, ast.FunctionDef)):
+                name = node.name
+            else:
+                continue
+            if name == "_first_storage_fault":
+                seen.append((path.name, type(node).__name__))
+    assert sorted(seen) == [("instance.py", "FunctionDef"), ("instance.py", "Name")]
 
 
 def test_dd_form_reconstructs_quadratic():
@@ -347,18 +423,8 @@ def test_permute_matches_loop():
     rng = rng_for(13)
     for _ in range(30):
         inst = random_dd_instance(rng, int(rng.integers(1, 12)), 0.5)
-        # a repeated triplet, once with its own value and once with a
-        # smaller one, which sorts before the stored copy
-        k = int(rng.integers(0, inst.qi.size))
-        for v in (inst.qv[k], inst.qv[k] - 1.0):
-            dup = dataclasses.replace(
-                inst,
-                qi=np.append(inst.qi, inst.qi[k]),
-                qj=np.append(inst.qj, inst.qj[k]),
-                qv=np.append(inst.qv, v),
-            )
-            pi = rng.permutation(inst.n)
-            assert_same_instance(permute(dup, pi), permute_loop(dup, pi))
+        pi = rng.permutation(inst.n)
+        assert_same_instance(permute(inst, pi), permute_loop(inst, pi))
     lattice = gen_lattice2d(4, 5, 0.3, 0.1, 2)
     pi = rng.permutation(lattice.n)
     assert_same_instance(permute(lattice, pi), permute_loop(lattice, pi))
@@ -369,15 +435,8 @@ def test_dense_q_matches_loop():
     for _ in range(20):
         inst = random_dd_instance(rng, int(rng.integers(1, 10)), 0.5)
         assert inst.dense_q().tobytes() == dense_q_loop(inst).tobytes()
-    # a repeated cell keeps its last value, also when written through its
-    # mirror (1, 0)
-    inst = make_instance(
-        [0.0, 0.0], [0.0, 0.0],
-        [(0, 0, 2.0), (0, 1, -0.5), (1, 1, 2.0), (0, 1, -0.25), (1, 0, -0.75), (1, 1, 3.0)],
-    )
-    q = inst.dense_q()
-    assert q.tobytes() == dense_q_loop(inst).tobytes()
-    assert q.tolist() == [[2.0, -0.75], [-0.75, 3.0]]
+    inst = gen_lattice2d(4, 5, 0.3, 0.1, 2)
+    assert inst.dense_q().tobytes() == dense_q_loop(inst).tobytes()
 
 
 def test_build_drops_exact_zero_couplings():

@@ -131,9 +131,9 @@ def test_size_cap():
 
 @pytest.mark.parametrize("entries, fault", STORAGE_FAULTS)
 def test_enumerate_checks_storage(entries, fault):
-    inst = make_instance([0.5] * 3, [-3.0, 1.0, 0.0], entries)
+    # the constructor names the fault, so enumerate_supports never sees it
     with pytest.raises(NotSymmetricStorage, match=re.escape(fault)):
-        enumerate_supports(inst)
+        enumerate_supports(make_instance([0.5] * 3, [-3.0, 1.0, 0.0], entries))
 
 
 def test_enumerate_rejects_indefinite_q():
@@ -168,6 +168,17 @@ def test_enumerate_accepts_singular_psd_q():
         best = min(best, float(inst.a[s].sum() + 0.5 * inst.c[s] @ xs))
     assert abs(res.value - best) <= 1e-12
     assert abs(inst.objective(res.x, res.z) - res.value) <= 1e-12
+
+
+def test_enumerate_rejects_c_outside_the_range_of_singular_q():
+    # Q = [[1, 1], [1, 1]] is positive semidefinite with null vector
+    # (1, -1), and c = (-1, 1) lies along it: the objective is -2t + 2 at
+    # x = t (1, -1), z = 1, unbounded below, while every support the
+    # enumeration does not skip as singular has a finite optimum
+    inst = make_instance([0.0, 0.0], [-1.0, 1.0], [(0, 0, 1.0), (0, 1, 1.0), (1, 1, 1.0)])
+    assert inst.objective(np.array([100.0, -100.0]), np.ones(2)) == -200.0
+    with pytest.raises(InputError, match="objective unbounded below"):
+        enumerate_supports(inst)
 
 
 def test_matches_path_solver():
@@ -624,21 +635,6 @@ def test_fixed_z_singular_mid_factor(monkeypatch, twin):
     assert failed[0] >= 1
     # without one of the pair the support factors
     fixed_z_qp(inst, np.array([1, 0, 1, 1, 1]))
-
-
-def test_fixed_z_sums_repeated_and_lower_triplets():
-    # (0, 0) is given twice and (1, 0) lies below the diagonal: csc_array
-    # summed both into Q_S, and so does the factorisation
-    inst = make_instance(
-        [0.5, 0.5, 0.5],
-        [-3.0, 1.0, -2.0],
-        [(0, 0, 2.0), (0, 0, 1.5), (1, 0, -0.5), (0, 1, -0.25), (1, 1, 2.0), (1, 2, 0.5), (2, 2, 1.0)],
-    )
-    z = np.ones(3)
-    assert_matches_splu(inst, z)
-    q = np.array([[3.5, -0.75, 0.0], [-0.75, 2.0, 0.5], [0.0, 0.5, 1.0]])
-    x, value = fixed_z_qp(inst, z)
-    assert np.allclose(x, np.linalg.solve(q, -inst.c), rtol=1e-14, atol=0)
 
 
 def test_fixed_z_scalar_twin_is_bitwise_equal(monkeypatch):

@@ -1,7 +1,7 @@
 """The setup layer's array code against the per-triplet and per-term loops
-it replaces: `validate`, `support_graph`, `DDForm.quad` and
-`build_relaxation` must give the same split, the same relaxation bytes and
-the same errors as the loops."""
+it replaces: `Instance` construction with `validate`, `support_graph`,
+`DDForm.quad` and `build_relaxation` must give the same split, the same
+relaxation bytes and the same errors as the loops."""
 
 import numpy as np
 import pytest
@@ -30,14 +30,14 @@ from conftest import make_graph, make_instance, random_dd_instance, rng_for
 # Reference oracles: the loops the array code replaces.
 
 
-def validate_loop(instance):
-    """(D, terms) of the split, raising as the array form must."""
-    n = instance.n
+def validate_loop(n, trips):
+    """(D, terms) of the split of the (i, j, v) triplets, raising as
+    construction and validate together must."""
     seen = set()
     diag = np.zeros(n)
     absrow = np.zeros(n)
     terms = []
-    for i, j, v in zip(instance.qi, instance.qj, instance.qv):
+    for i, j, v in trips:
         i, j, v = int(i), int(j), float(v)
         if not (0 <= i <= j < n):
             raise NotSymmetricStorage(f"triplet ({i}, {j}) outside the upper triangle")
@@ -162,20 +162,26 @@ def same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-# Strategies: well-formed instances, lattices, and malformed triplet sets
-# carrying one or several storage or dominance faults.
+# Strategy: the (a, c, triplets) of well-formed instances, of lattices, and
+# of malformed triplet sets carrying one or several storage or dominance
+# faults.
 
 _FAULTS = ("lower", "outside", "duplicate", "zero", "not_dd", "not_dd", "tight")
 
 
+def triplets(inst):
+    return list(zip(inst.qi.tolist(), inst.qj.tolist(), inst.qv.tolist()))
+
+
 @st.composite
-def instances(draw):
+def triplet_sets(draw):
     if draw(st.booleans()):
         rows, cols = draw(st.integers(2, 5)), draw(st.integers(2, 5))
-        return gen_lattice2d(rows, cols, 0.3, 0.1, draw(st.integers(0, 50)))
+        inst = gen_lattice2d(rows, cols, 0.3, 0.1, draw(st.integers(0, 50)))
+        return inst.a, inst.c, triplets(inst)
     n = draw(st.integers(1, 9))
     inst = random_dd_instance(rng_for(draw(st.integers(0, 10**6))), n)
-    trips = list(zip(inst.qi.tolist(), inst.qj.tolist(), inst.qv.tolist()))
+    trips = triplets(inst)
     for _ in range(draw(st.integers(0, 3))):
         k = draw(st.integers(0, len(trips) - 1))
         i, j, v = trips[k]
@@ -201,16 +207,22 @@ def instances(draw):
                     absrow[a] += abs(w)
                     absrow[b] += abs(w)
             trips = [(a, b, float(absrow[a]) if a == b else w) for a, b, w in trips]
-    return make_instance(inst.a, inst.c, trips)
+    return inst.a, inst.c, trips
+
+
+def make_and_validate(a, c, trips):
+    return validate(make_instance(a, c, trips))
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(instances())
-def test_validate_and_support_graph_match_loops(inst):
-    got, got_err = outcome(validate, inst)
-    want, want_err = outcome(validate_loop, inst)
+@given(triplet_sets())
+def test_validate_and_support_graph_match_loops(case):
+    a, c, trips = case
+    got, got_err = outcome(make_and_validate, a, c, trips)
+    want, want_err = outcome(validate_loop, len(a), trips)
     assert got_err == want_err
     if want is not None:
+        inst = make_instance(a, c, trips)
         D, terms = want
         assert same_bytes(got.D, D)
         assert same_bytes(got.term_i, np.array([t.i for t in terms], dtype=np.int64))
@@ -224,9 +236,10 @@ def test_validate_and_support_graph_match_loops(inst):
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(instances(), st.data())
-def test_build_relaxation_matches_loop(inst, data):
+@given(triplet_sets(), st.data())
+def test_build_relaxation_matches_loop(case, data):
     try:
+        inst = make_instance(*case)
         dd = validate(inst)
     except InputError:
         return
@@ -272,19 +285,17 @@ def test_build_relaxation_matches_loop(inst, data):
 
 def test_validate_names_the_first_fault_in_storage_order():
     # a zero off-diagonal stored before a lower-triangle triplet and a
-    # duplicate: the zero is named; dominance is only checked afterwards
-    inst = make_instance(
-        [0.0] * 3,
-        [0.0] * 3,
-        [(0, 0, 0.1), (0, 1, 0.0), (2, 1, 1.0), (0, 0, 1.0), (1, 1, 9.0), (2, 2, 9.0)],
-    )
+    # duplicate: construction names the zero; dominance is only checked
+    # afterwards, by validate
     with pytest.raises(NotSymmetricStorage, match=r"zero-valued off-diagonal \(0, 1\)"):
-        validate(inst)
+        make_instance(
+            [0.0] * 3,
+            [0.0] * 3,
+            [(0, 0, 0.1), (0, 1, 0.0), (2, 1, 1.0), (0, 0, 1.0), (1, 1, 9.0), (2, 2, 9.0)],
+        )
     # a zero-valued lower-triangle triplet is named for its position
-    inst = make_instance([0.0] * 2, [0.0] * 2, [(0, 0, 2.0), (1, 0, 0.0), (1, 1, 2.0)])
     with pytest.raises(NotSymmetricStorage, match=r"triplet \(1, 0\) outside the upper triangle"):
-        validate(inst)
+        make_instance([0.0] * 2, [0.0] * 2, [(0, 0, 2.0), (1, 0, 0.0), (1, 1, 2.0)])
     # the first copy of a repeated triplet is valid; the second is named
-    inst = make_instance([0.0] * 2, [0.0] * 2, [(0, 0, 2.0), (0, 1, 1.0), (0, 1, 1.0), (1, 1, 2.0)])
     with pytest.raises(NotSymmetricStorage, match=r"duplicate triplet \(0, 1\)"):
-        validate(inst)
+        make_instance([0.0] * 2, [0.0] * 2, [(0, 0, 2.0), (0, 1, 1.0), (0, 1, 1.0), (1, 1, 2.0)])

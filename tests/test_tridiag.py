@@ -252,9 +252,9 @@ def test_to_tridiagonal_requires_band(example_instance):
 
 @pytest.mark.parametrize("entries, fault", STORAGE_FAULTS)
 def test_to_tridiagonal_checks_storage(entries, fault):
-    inst = make_instance([0.5] * 3, [-3.0, 1.0, 0.0], entries)
+    # the constructor names the fault, so to_tridiagonal never sees it
     with pytest.raises(NotSymmetricStorage, match=re.escape(fault)):
-        to_tridiagonal(inst)
+        to_tridiagonal(make_instance([0.5] * 3, [-3.0, 1.0, 0.0], entries))
 
 
 def _thomas_py(diag, off, rhs):
