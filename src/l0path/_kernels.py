@@ -17,17 +17,16 @@ floating-point contraction and fast-math off, so every step rounds
 exactly as the scalar references in the tests do.
 The label sweep runs as a wavefront over blocks of rows: the cells of one
 column, from different rows, are independent, so their divisions overlap
-instead of waiting on each other. Each cell computes what the row-major
-sweep computes, and each column compares its candidates in the same row
-order, so labels, predecessors and the failing column are those of the
-row-major sweep, bit for bit.
-The segment kernel solves every segment of a dual evaluation in one call:
-per segment it runs the same label sweep, backtrack and cut Thomas solve as
-`tridiag.solve`, so its x, z and optima are those of one `tridiag.solve`
-per segment, bit for bit. The LDL' kernel is the up-looking factorisation
-of Davis's LDL package (elimination tree and column counts, then one row
-of L at a time, then the L, D and L' solves); it refits x on a fixed
-support (`oracle.fixed_z_qp`).
+instead of waiting on each other. Labels, predecessors and the failing
+column are those of the row-major sweep, bit for bit. The sweep ends by
+backtracking its optimal support z, and the Thomas solve cuts the chain
+at the zeros of z. `tridiag.solve` calls these two steps once; the segment
+kernel calls them on every segment of a dual evaluation in one call, so
+its x, z and optima are those of one `tridiag.solve` per segment, bit for
+bit. The LDL' kernel is the up-looking factorisation of Davis's LDL
+package (elimination tree and column counts, then one row of L at a time,
+then the L, D and L' solves); it refits x on a fixed support
+(`oracle.fixed_z_qp`).
 
 The enumeration kernel walks the supports depth first. A support's
 children add one variable above its largest, so each child's dense L D L'
@@ -69,9 +68,10 @@ HAVE_NUMBA = False
 MAX_ENUM_VARS = 20
 
 
-# l0_labels, the row-major label sweep as a wavefront over row blocks;
-# l0_thomas; l0_segments, built on both; l0_ldl; l0_enumerate; l0_matching,
-# the blossom matching with its static mw_* helpers. Every label
+# l0_labels, the row-major label sweep as a wavefront over row blocks, and
+# its backtrack; l0_thomas, cut at the zeros of z; l0_segments, both per
+# segment; l0_ldl; l0_enumerate; l0_matching, the blossom matching with its
+# static mw_* helpers. PIVOT_TOL comes from _CFLAGS. Every label
 # cell makes the row recurrence's operations in its order, and
 # `wbar += ...` keeps the association wbar + (a - t) of the row-major
 # sweep, so both round identically.
@@ -81,7 +81,6 @@ _C_SOURCE = r"""
 #include <stdlib.h>
 #include <string.h>
 
-#define PIVOT_TOL 1e-12
 /* rows per wavefront block of l0_labels */
 #define R 8
 
@@ -98,12 +97,18 @@ _C_SOURCE = r"""
    same order, as row after row would apply them, so labels and preds
    come out identical. A failing row stops the rows after it in its block;
    the block's smallest failing row names the failing column, as the
-   first failing row would. Returns that column, or -1. */
+   first failing row would. Returns that column, or -1 after setting z to
+   0.0 on the interior nodes of the path to the sink m+1, 1.0 elsewhere. */
 int64_t l0_labels(int64_t m, const double *a, const double *c,
                   const double *diag, const double *off,
-                  double *labels, int64_t *preds)
+                  double *labels, int64_t *preds, double *z)
 {
     double cbar[R], qbar[R], wbar[R], li[R];
+    for (int64_t j = 0; j <= m + 1; j++) {
+        labels[j] = INFINITY;
+        preds[j] = -1;
+    }
+    labels[0] = 0.0;
     for (int64_t b0 = 0; b0 <= m; b0 += R) {
         int64_t b1 = b0 + R < m + 1 ? b0 + R : m + 1, fail = -1;
         for (int64_t j = b0 + 1; j <= m + 1 && b1 > b0; j++) {
@@ -147,79 +152,71 @@ int64_t l0_labels(int64_t m, const double *a, const double *c,
         if (fail >= 0)
             return fail;
     }
+    for (int64_t t = 0; t < m; t++)
+        z[t] = 1.0;
+    for (int64_t v = preds[m + 1]; v > 0; v = preds[v])
+        z[v - 1] = 0.0;
     return -1;
 }
 
-/* x holds the forward-eliminated right-hand side until back substitution */
+/* Solve T x = -c with the couplings cut at the zeros of z, where a row
+   reads 1 * x = 0, so each support block rounds as a solve of its own; x
+   holds the eliminated right-hand side until back substitution */
+#define CUT(t) (z[t] == 0.0)
+#define CDIAG(t) (CUT(t) ? 1.0 : diag[t])
+#define COFF(t) (CUT(t) || CUT((t) + 1) ? 0.0 : off[t])
 int64_t l0_thomas(int64_t m, const double *diag, const double *off,
-                  const double *rhs, double *piv, double *x)
+                  const double *c, const double *z, double *piv, double *x)
 {
-    piv[0] = diag[0];
-    x[0] = rhs[0];
+    piv[0] = CDIAG(0);
+    x[0] = CUT(0) ? 0.0 : -c[0];
     if (piv[0] <= PIVOT_TOL)
         return 0;
     for (int64_t t = 1; t < m; t++) {
-        double l = off[t - 1] / piv[t - 1];
-        piv[t] = diag[t] - l * off[t - 1];
+        double l = COFF(t - 1) / piv[t - 1];
+        piv[t] = CDIAG(t) - l * COFF(t - 1);
         if (piv[t] <= PIVOT_TOL)
             return t;
-        x[t] = rhs[t] - l * x[t - 1];
+        x[t] = (CUT(t) ? 0.0 : -c[t]) - l * x[t - 1];
     }
     x[m - 1] = x[m - 1] / piv[m - 1];
     for (int64_t t = m - 2; t >= 0; t--)
-        x[t] = (x[t] - off[t] * x[t + 1]) / piv[t];
+        x[t] = (x[t] - COFF(t) * x[t + 1]) / piv[t];
+    for (int64_t t = 0; t < m; t++)
+        if (CUT(t))
+            x[t] = 0.0;
     return -1;
 }
 
 /* Solve every segment [bounds[k], bounds[k+1]) of one chain as
-   tridiag.solve does: label sweep, backtrack from the sink, then one
-   Thomas pass with the couplings cut at the zeros of z. The label and
-   solve scratch is allocated here. Returns the first segment whose sweep
-   or solve fails a pivot, -1 on success, or -3 when memory runs out. */
+   tridiag.solve does, with the scratch allocated here. Returns the first
+   segment whose sweep or solve fails a pivot, -1 on success, or -3 when
+   memory runs out. */
 int64_t l0_segments(int64_t nseg, const int64_t *bounds,
                     const double *a, const double *c,
                     const double *diag, const double *off,
                     double *x, double *z, double *obj)
 {
     int64_t n = bounds[nseg], fail = -1;
-    double *labels = malloc((size_t)(5 * n + 2) * sizeof(double));
+    double *labels = malloc((size_t)(2 * n + 2) * sizeof(double));
     int64_t *preds = malloc((size_t)(n + 2) * sizeof(int64_t));
     if (labels == NULL || preds == NULL) {
         free(labels);
         free(preds);
         return -3;
     }
-    double *cd = labels + n + 2, *co = cd + n, *rhs = co + n, *piv = rhs + n;
+    double *piv = labels + n + 2;
     for (int64_t k = 0; k < nseg; k++) {
         int64_t s = bounds[k], m = bounds[k + 1] - s;
-        for (int64_t j = 0; j <= m + 1; j++) {
-            labels[j] = INFINITY;
-            preds[j] = -1;
-        }
-        labels[0] = 0.0;
-        if (l0_labels(m, a + s, c + s, diag + s, off + s, labels, preds) >= 0) {
+        if (l0_labels(m, a + s, c + s, diag + s, off + s, labels, preds, z + s) >= 0) {
             fail = k;
             break;
         }
-        for (int64_t t = s; t < s + m; t++)
-            z[t] = 1.0;
-        for (int64_t v = preds[m + 1]; v > 0; v = preds[v])
-            z[s + v - 1] = 0.0;
         obj[k] = labels[m + 1];
-        for (int64_t t = s; t < s + m; t++) {
-            int cut = z[t] == 0.0;
-            cd[t] = cut ? 1.0 : diag[t];
-            rhs[t] = cut ? 0.0 : -c[t];
-            if (t + 1 < s + m)
-                co[t] = cut || z[t + 1] == 0.0 ? 0.0 : off[t];
-        }
-        if (l0_thomas(m, cd + s, co + s, rhs + s, piv, x + s) >= 0) {
+        if (l0_thomas(m, diag + s, off + s, c + s, z + s, piv, x + s) >= 0) {
             fail = k;
             break;
         }
-        for (int64_t t = s; t < s + m; t++)
-            if (z[t] == 0.0)
-                x[t] = 0.0;
     }
     free(labels);
     free(preds);
@@ -999,7 +996,9 @@ done:
     return fail;
 }
 """
-_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+# the pivot tolerance reaches the C source as a flag, so that Python and C
+# read one definition
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", f"-DPIVOT_TOL={PIVOT_TOL!r}")
 
 
 def _load_library():
@@ -1034,8 +1033,8 @@ def _load_library():
     except OSError as e:
         raise ImportError(f"loading the C kernels failed: {e}") from e
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    lib.l0_labels.argtypes = [i64] + [ptr] * 6
-    lib.l0_thomas.argtypes = [i64] + [ptr] * 5
+    lib.l0_labels.argtypes = [i64] + [ptr] * 7
+    lib.l0_thomas.argtypes = [i64] + [ptr] * 6
     lib.l0_segments.argtypes = [i64] + [ptr] * 8
     lib.l0_ldl.argtypes = [i64] + [ptr] * 4
     lib.l0_enumerate.argtypes = [i64] + [ptr] * 5
@@ -1067,27 +1066,27 @@ def _check_lengths(m, full, off):
 
 def labels_kernel(a, c, diag, off):
     """Label sweep as a wavefront over blocks of rows, bitwise equal to
-    the row-major sweep; returns (labels, preds, fail_col)."""
+    the row-major sweep; returns (labels, preds, z, fail_col), with z the
+    optimal support as 0.0/1.0 (undefined when a pivot fails)."""
     m = a.shape[0]
     _check_lengths(m, (c, diag), off)
-    labels = np.full(m + 2, np.inf)
-    labels[0] = 0.0
-    preds = np.full(m + 2, -1, dtype=np.int64)
+    labels, preds, z = np.empty(m + 2), np.empty(m + 2, dtype=np.int64), np.empty(m)
     fail = _lib.l0_labels(
-        m, *(_ptr(v, _F64) for v in (a, c, diag, off, labels)), _ptr(preds, _I64)
+        m, *(_ptr(v, _F64) for v in (a, c, diag, off, labels)), _ptr(preds, _I64), _ptr(z, _F64)
     )
-    return labels, preds, fail
+    return labels, preds, z, fail
 
 
-def thomas_kernel(diag, off, rhs):
-    """Solve the tridiagonal system T x = rhs; returns (x, fail_row)."""
+def thomas_kernel(diag, off, c, z):
+    """Solve T x = -c with the couplings cut at the zeros of z, x zero
+    there; returns (x, fail_row)."""
     m = diag.shape[0]
-    _check_lengths(m, (rhs,), off)
+    _check_lengths(m, (c, z), off)
     if m < 1:
         raise ValueError("thomas_kernel needs m >= 1")
     # named, so that the arrays outlive the call that writes them
     piv, x = np.empty(m), np.empty(m)
-    fail = _lib.l0_thomas(m, *(_ptr(v, _F64) for v in (diag, off, rhs, piv, x)))
+    fail = _lib.l0_thomas(m, *(_ptr(v, _F64) for v in (diag, off, c, z, piv, x)))
     return x, fail
 
 

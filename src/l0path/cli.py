@@ -72,7 +72,6 @@ def _cmd_solve_decomp(args) -> int:
     inst = read_instance(args.instance)
     config = RunConfig(
         schedule=args.steps,
-        ratio=args.ratio,
         eps=args.eps,
         max_iter=args.max_iter,
     )
@@ -167,7 +166,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sd = sub.add_parser("solve-decomp", help="certified bounds for sparse instances")
     sd.add_argument("instance")
     sd.add_argument("--steps", choices=["geometric", "harmonic"], default="geometric")
-    sd.add_argument("--ratio", type=float, default=1.01, help="geometric step base")
     sd.add_argument("--eps", type=float, default=1e-4, help="relative gap target")
     sd.add_argument("--max-iter", type=int, default=100)
     sd.add_argument("--log", help="write per-iteration CSV here")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import operator
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -37,6 +38,9 @@ from .errors import NotPositiveDefinite, SingularSupport
 logger = logging.getLogger(__name__)
 
 GAP_DIV_GUARD = 1e-8
+
+# base of the geometric step sequence GEOMETRIC_RATIO^(1-k)
+GEOMETRIC_RATIO = 1.01
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +90,6 @@ class Relaxation:
 @dataclass(frozen=True, eq=False)
 class RunConfig:
     schedule: str = "geometric"
-    ratio: float = 1.01
     eps: float = 1e-4
     max_iter: int = 100
 
@@ -329,8 +332,8 @@ def run(instance: Instance, r: Relaxation, config: RunConfig) -> RunResult:
     """Projection-free subgradient ascent on the dual function.
 
     Duals start at zero, so iteration 1 is the plain segment relaxation
-    with every coupling term dropped. Geometric steps ratio^(1-k) move
-    along the normalized direction; harmonic steps 1/k are applied raw.
+    with every coupling term dropped. Geometric steps GEOMETRIC_RATIO^(1-k)
+    move along the normalized direction; harmonic steps 1/k are applied raw.
     Every inner minimizer is evaluated as an incumbent, and each newly
     seen support, whatever its size, additionally gets its restricted QP
     re-solved by fixed_z_qp, a sparse LDL' factorisation of Q on the
@@ -344,10 +347,12 @@ def run(instance: Instance, r: Relaxation, config: RunConfig) -> RunResult:
         raise InputError(f"unknown step schedule {config.schedule!r}")
     if not config.eps > 0:
         raise InputError("eps must be positive")
-    if config.max_iter < 1:
+    try:
+        max_iter = operator.index(config.max_iter)
+    except TypeError:
+        raise InputError(f"max_iter must be an integer, not {config.max_iter!r}") from None
+    if max_iter < 1:
         raise InputError("max_iter must be at least 1")
-    if config.schedule == "geometric" and not config.ratio > 0:
-        raise InputError("ratio must be positive")
 
     # one (alpha, beta_i, beta_j) row per relaxed term, plus the best
     # certified bounds seen so far
@@ -359,7 +364,7 @@ def run(instance: Instance, r: Relaxation, config: RunConfig) -> RunResult:
     polished: set[bytes] = set()
     t0 = time.perf_counter()
 
-    for k in range(1, config.max_iter + 1):
+    for k in range(1, max_iter + 1):
         h, xbar, zbar = h_eval(r, duals)
         h = float(h)
         if h > best_lower:
@@ -386,7 +391,7 @@ def run(instance: Instance, r: Relaxation, config: RunConfig) -> RunResult:
             best_z = zbar
 
         if config.schedule == "geometric":
-            step = config.ratio ** (1 - k)
+            step = GEOMETRIC_RATIO ** (1 - k)
         else:
             step = 1.0 / k
         # bounds can cross by rounding noise once they coincide; the
@@ -409,7 +414,7 @@ def run(instance: Instance, r: Relaxation, config: RunConfig) -> RunResult:
         if gap <= config.eps:
             reason = "gap"
             break
-        if k == config.max_iter:
+        if k == max_iter:
             break
 
         rho = subgradient(r, duals, xbar, zbar)

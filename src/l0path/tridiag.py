@@ -6,8 +6,10 @@ DAG whose arc (i, j) carries the optimal value of the continuous
 subproblem on variables i+1 .. j-1 (those strictly between the endpoints;
 the path's visited interior nodes are exactly the zeros of z). All arc
 weights out of one node are produced by a single forward-elimination
-recurrence, giving the O(m^2) time / O(m) memory labeling pass; x is then
-recovered by one tridiagonal solve with the couplings cut at the zeros.
+recurrence, giving the O(m^2) time / O(m) memory labeling pass, which
+backtracks the path into z; x is then recovered by one tridiagonal solve
+with the couplings cut at the zeros. The decomposition's segment kernel
+runs the same two compiled steps.
 """
 
 from __future__ import annotations
@@ -80,21 +82,16 @@ class SPSolution:
     visited: tuple[int, ...]
 
 
-def _stationary_x(p: TridiagProblem, z: np.ndarray) -> np.ndarray:
+def _stationary_x(p: TridiagProblem, z) -> np.ndarray:
     """The stationary point of every support block of z, zero off it.
 
-    One Thomas pass over the whole chain: cutting the couplings at the
-    zeros of z and pinning those rows to 1 * x = 0 leaves every block to
-    the same floating-point operations as a solve of its own.
+    One Thomas pass over the whole chain, which the kernel cuts at the
+    zeros of z (int, bool or float), so every block takes the same
+    floating-point operations as a solve of its own.
     """
-    cut = z == 0
-    diag = np.where(cut, 1.0, p.diag)
-    off = np.where(cut[:-1] | cut[1:], 0.0, p.off)
-    rhs = np.where(cut, 0.0, -p.c)
-    x, fail = thomas_kernel(diag, off, rhs)
+    x, fail = thomas_kernel(p.diag, p.off, p.c, np.ascontiguousarray(z, dtype=np.float64))
     if fail >= 0:
         raise NotPositiveDefinite(f"pivot failed at position {int(fail)}")
-    x[cut] = 0.0
     return x
 
 
@@ -104,19 +101,12 @@ def solve(p: TridiagProblem) -> SPSolution:
     Labels are updated in topological order; ties break toward the
     smaller predecessor, so the result is deterministic.
     """
-    labels, preds, fail = labels_kernel(p.a, p.c, p.diag, p.off)
+    labels, _, z, fail = labels_kernel(p.a, p.c, p.diag, p.off)
     if fail >= 0:
         raise NotPositiveDefinite(f"pivot failed while weighting column {int(fail)}")
-    # backtrack the predecessor chain from the sink m+1 to the source 0
-    chain = [p.m + 1]
-    while chain[-1] != 0:
-        chain.append(int(preds[chain[-1]]))
-    chain.reverse()
-    visited = tuple(v - 1 for v in chain[1:-1])
-    z = np.ones(p.m, dtype=np.int64)
-    z[list(visited)] = 0
     x = _stationary_x(p, z)
-    return SPSolution(objective=float(labels[p.m + 1]), z=z, x=x, visited=visited)
+    visited = tuple(np.flatnonzero(z == 0).tolist())
+    return SPSolution(objective=float(labels[p.m + 1]), z=z.astype(np.int64), x=x, visited=visited)
 
 
 def solve_fixed_z(p: TridiagProblem, zbar) -> tuple[np.ndarray, float]:

@@ -86,7 +86,7 @@ def test_a2_reference_instance_reproduction(monkeypatch):
     assert abs(h0 - (-24.88)) <= 0.02
     assert np.all(np.abs(xbar0 - np.array([0.0, 0.0, -1.53, 6.50])) <= 0.01)
 
-    cfg = RunConfig(schedule="geometric", ratio=1.01, eps=1e-4, max_iter=100)
+    cfg = RunConfig(schedule="geometric", eps=1e-4, max_iter=100)
     points = record_duals(monkeypatch)
     res = run(inst, rel, cfg)
     assert res.reason == "gap"
@@ -136,7 +136,7 @@ def test_a4_decomposition_bound_sandwich():
     rng = rng_for(70)
     instances = [random_dd_instance(rng, 2 + k % 11) for k in range(38)]
     instances += [gen_lattice2d(3, 4, 0.35, 0.1, seed=s) for s in range(12)]
-    cfg = RunConfig(schedule="geometric", ratio=1.01, eps=1e-9, max_iter=300)
+    cfg = RunConfig(schedule="geometric", eps=1e-9, max_iter=300)
     hits = 0
     for inst in instances:
         opt = enumerate_supports(inst).value

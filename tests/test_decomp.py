@@ -417,7 +417,7 @@ def test_upper_bound_values(example_instance):
 def test_run_reproduces_reference_trajectory(example_instance, monkeypatch):
     r = example_relaxation(example_instance)
     points = record_duals(monkeypatch)
-    res = run(example_instance, r, RunConfig(schedule="geometric", ratio=1.01, eps=1e-4))
+    res = run(example_instance, r, RunConfig(schedule="geometric", eps=1e-4))
     assert res.reason == "gap"
     assert res.iterations <= 12
     assert res.gap <= 1e-4
@@ -509,6 +509,10 @@ def test_run_config_validation(example_instance):
         run(example_instance, r, RunConfig(eps=0.0))
     with pytest.raises(InputError):
         run(example_instance, r, RunConfig(max_iter=0))
+    with pytest.raises(InputError):
+        run(example_instance, r, RunConfig(max_iter=2.5))
+    # numpy integers are integers
+    assert run(example_instance, r, RunConfig(eps=1e-15, max_iter=np.int64(3))).iterations == 3
 
 
 def test_iteration_log_format(tmp_path, example_instance):

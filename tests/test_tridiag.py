@@ -284,7 +284,8 @@ def test_labels_kernel_matches_python():
     for m in (1, 2, 9, 40):
         p = random_problem(rng, m)
         assert assert_sweeps_equal(p.a, p.c, p.diag, p.off) == -1
-        fast_x, fast_fail = thomas_kernel(p.diag, p.off, -p.c)
+        # with no zeros in z, the cut solve reads rhs = -c on the full chain
+        fast_x, fast_fail = thomas_kernel(p.diag, p.off, p.c, np.ones(m))
         slow_x, slow_fail = _thomas_py(p.diag, p.off, -p.c)
         assert fast_fail == slow_fail == -1
         # the compiled solve rounds every step as the reference does
@@ -295,6 +296,35 @@ def test_labels_kernel_matches_python():
         a, c, diag, off = chain_arrays(rng, int(rng.integers(2, 40)), indefinite=True)
         failing += assert_sweeps_equal(a, c, diag, off) >= 0
     assert failing >= 100
+
+
+def test_cut_thomas_matches_block_solves():
+    # the kernel cuts the couplings at the zeros of z: x on every maximal
+    # run of ones is that run's own solve, bit for bit, and zero off it
+    rng = rng_for(39)
+    for m in (1, 2, 5, 17, 40):
+        for t in range(30):
+            p = random_problem(rng, m)
+            z = (rng.uniform(size=m) < t / 29).astype(np.float64)
+            x, fail = thomas_kernel(p.diag, p.off, p.c, z)
+            assert fail == -1
+            want = np.zeros(m)
+            on = np.concatenate(([0], z, [0]))
+            starts = np.flatnonzero(np.diff(on) == 1)
+            ends = np.flatnonzero(np.diff(on) == -1)
+            for s, e in zip(starts, ends):
+                want[s:e], block_fail = _thomas_py(p.diag[s:e], p.off[s : e - 1], -p.c[s:e])
+                assert block_fail == -1
+            assert x.tobytes() == want.tobytes()
+
+
+def test_pivot_tolerance_reaches_the_kernels():
+    # PIVOT_TOL is defined once, in Python, and compiled in as a flag
+    none = np.empty(0)
+    # the sweep weighs the one-variable arc (0, 2), pivot d, in column 2
+    for d, thomas_fail, labels_fail in ((PIVOT_TOL, 0, 2), (2 * PIVOT_TOL, -1, -1)):
+        assert thomas_kernel(np.array([d]), none, np.zeros(1), np.ones(1))[1] == thomas_fail
+        assert labels_kernel(np.zeros(1), np.zeros(1), np.array([d]), none)[3] == labels_fail
 
 
 def chain_arrays(rng, m, indefinite=False):
@@ -337,18 +367,31 @@ def labels_row_major(a, c, diag, off):
     return np.array(labels), np.array(preds), -1
 
 
+def backtrack(preds):
+    """The support whose zeros are the interior nodes of the predecessor
+    chain from the sink m+1 back to the source 0."""
+    m = preds.size - 2
+    chain = [m + 1]
+    while chain[-1] != 0:
+        chain.append(int(preds[chain[-1]]))
+    z = np.ones(m)
+    z[[v - 1 for v in chain[1:-1]]] = 0.0
+    return z
+
+
 # rows per block of the compiled wavefront sweep
 BLOCK_ROWS = int(re.search(r"#define R (\d+)", _C_SOURCE).group(1))
 
 
 def assert_sweeps_equal(a, c, diag, off):
-    labels, preds, fail = labels_kernel(a, c, diag, off)
+    labels, preds, z, fail = labels_kernel(a, c, diag, off)
     ref_labels, ref_preds, ref_fail = labels_row_major(a, c, diag, off)
     assert fail == ref_fail
-    # on failure the labels are undefined for both
+    # on failure the labels and z are undefined for both
     if fail < 0:
         assert labels.tobytes() == ref_labels.tobytes()
         assert np.array_equal(preds, ref_preds)
+        assert z.tobytes() == backtrack(ref_preds).tobytes()
     return fail
 
 
@@ -471,5 +514,8 @@ def test_kernels_refuse_arrays_they_cannot_address():
         segments_kernel(bounds.astype(np.int32), a, c, diag, off)
     with pytest.raises(TypeError):
         labels_kernel(a, strided, diag, off)
+    z = np.ones(c.size)
     with pytest.raises(TypeError):
-        thomas_kernel(diag, off, c.astype(np.float32))
+        thomas_kernel(diag, off, c.astype(np.float32), z)
+    with pytest.raises(ValueError):
+        thomas_kernel(diag, off, c, z[1:])
