@@ -17,16 +17,20 @@ floating-point contraction and fast-math off, so every step rounds
 exactly as the scalar references in the tests do.
 The label sweep runs as a wavefront over blocks of rows: the cells of one
 column, from different rows, are independent, so their divisions overlap
-instead of waiting on each other. Labels, predecessors and the failing
-column are those of the row-major sweep, bit for bit. The sweep ends by
-backtracking its optimal support z, and the Thomas solve cuts the chain
-at the zeros of z. `tridiag.solve` calls these two steps once; the segment
-kernel calls them on every segment of a dual evaluation in one call, so
-its x, z and optima are those of one `tridiag.solve` per segment, bit for
-bit. The LDL' kernel is the up-looking factorisation of Davis's LDL
-package (elimination tree and column counts, then one row of L at a time,
-then the L, D and L' solves); it refits x on a fixed support
-(`oracle.fixed_z_qp`).
+instead of waiting on each other. The rows of a block are paired in the
+two lanes of a packed vector, so each division serves two rows (one SSE2
+`divpd` on x86-64; other targets lower it lane by lane). Labels,
+predecessors and the failing column are those of the row-major sweep, bit
+for bit: each lane makes its row's IEEE operations in the row's order,
+contraction is off, and the pivot tests and label compares stay scalar,
+in increasing row order. The sweep ends by backtracking its optimal
+support z, and the Thomas solve cuts the chain at the zeros of z.
+`tridiag.solve` calls these two steps once; the segment kernel calls them
+on every segment of a dual evaluation in one call, so its x, z and optima
+are those of one `tridiag.solve` per segment, bit for bit. The LDL'
+kernel is the up-looking factorisation of Davis's LDL package (elimination
+tree and column counts, then one row of L at a time, then the L, D and L'
+solves); it refits x on a fixed support (`oracle.fixed_z_qp`).
 
 The enumeration kernel walks the supports depth first. A support's
 children add one variable above its largest, so each child's dense L D L'
@@ -72,17 +76,24 @@ MAX_ENUM_VARS = 20
 # its backtrack; l0_thomas, cut at the zeros of z; l0_segments, both per
 # segment; l0_ldl; l0_enumerate; l0_matching, the blossom matching with its
 # static mw_* helpers. PIVOT_TOL comes from _CFLAGS. Every label
-# cell makes the row recurrence's operations in its order, and
-# `wbar += ...` keeps the association wbar + (a - t) of the row-major
-# sweep, so both round identically.
+# cell makes the row recurrence's operations in its order, in its row's
+# lane, and `wbar += ...` keeps the association wbar + (a - t) of the
+# row-major sweep, so both round identically.
 _C_SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-/* rows per wavefront block of l0_labels */
+/* rows per wavefront block of l0_labels, paired in the lanes of a v2d */
 #define R 8
+#if R % 2
+#error "l0_labels holds its rows in pairs, so R must be even"
+#endif
+
+/* two doubles, one per row; baseline SSE2 on x86-64, where one divpd
+   divides both, and lowered lane by lane elsewhere */
+typedef double v2d __attribute__((vector_size(16)));
 
 /* Row i of the label DP takes the skip arc (i, i+1), then one cell per
    column j = i+2 .. m+1: the arc (i, j), whose weight wbar is a running
@@ -92,18 +103,27 @@ _C_SOURCE = r"""
    rows sweeps the columns as a wavefront: at column j the block's rows
    i <= j-2 apply their cells in increasing order, then row j-1 takes its
    skip arc and starts from labels[j-1], which no later row changes. The
-   cells of a column are independent of each other and the CPU overlaps
-   their divisions. Each column sees the same operations, compared in the
-   same order, as row after row would apply them, so labels and preds
-   come out identical. A failing row stops the rows after it in its block;
-   the block's smallest failing row names the failing column, as the
-   first failing row would. Returns that column, or -1 after setting z to
-   0.0 on the interior nodes of the path to the sink m+1, 1.0 elsewhere. */
+   cells of a column are independent of each other, so rows 2p and 2p+1
+   of a block share the lanes of cbar[p], qbar[p] and wbar[p], and each of
+   a cell's three divisions is one packed division for the pair. A lane
+   makes its row's IEEE operations in the row's order, without
+   contraction, so it rounds as a scalar would. The pivot tests and the
+   label compares stay scalar, in increasing row order. So each column
+   sees the same operations, compared in the same order, as row after
+   row would apply them, and labels and preds come out identical. A pair
+   is first computed after its even row starts, which sets both lanes, so
+   a lane whose row has not started, or has failed, computes on defined
+   values; it is never read. A failing row stops the rows after it in its
+   block; the block's smallest failing row names the failing column, as
+   the first failing row would. Returns that column, or -1 after setting
+   z to 0.0 on the interior nodes of the path to the sink m+1, 1.0
+   elsewhere. */
 int64_t l0_labels(int64_t m, const double *a, const double *c,
                   const double *diag, const double *off,
                   double *labels, int64_t *preds, double *z)
 {
-    double cbar[R], qbar[R], wbar[R], li[R];
+    v2d cbar[R / 2], qbar[R / 2], wbar[R / 2];
+    double li[R];
     for (int64_t j = 0; j <= m + 1; j++) {
         labels[j] = INFINITY;
         preds[j] = -1;
@@ -118,17 +138,20 @@ int64_t l0_labels(int64_t m, const double *a, const double *c,
             int64_t nk = (j - 1 < b1 ? j - 1 : b1) - b0;
             if (nk > 0) {
                 double o = j >= 3 ? off[j - 3] : 0.0;
-                double aj = a[j - 2], cj = c[j - 2], dj = diag[j - 2];
+                v2d vo = {o, o}, va = {a[j - 2], a[j - 2]};
+                v2d vc = {c[j - 2], c[j - 2]}, vd = {diag[j - 2], diag[j - 2]};
+                for (int64_t p = 0; 2 * p < nk; p++) {
+                    cbar[p] = vc - vo * cbar[p] / qbar[p];
+                    qbar[p] = vd - vo * vo / qbar[p];
+                    wbar[p] += va - 0.5 * cbar[p] * cbar[p] / qbar[p];
+                }
                 for (int64_t k = 0; k < nk; k++) {
-                    cbar[k] = cj - o * cbar[k] / qbar[k];
-                    qbar[k] = dj - o * o / qbar[k];
-                    if (qbar[k] <= PIVOT_TOL) {
+                    if (qbar[k / 2][k % 2] <= PIVOT_TOL) {
                         fail = j;
                         b1 = b0 + k;
                         break;
                     }
-                    wbar[k] += aj - 0.5 * cbar[k] * cbar[k] / qbar[k];
-                    double cand = li[k] + wbar[k];
+                    double cand = li[k] + wbar[k / 2][k % 2];
                     if (cand < lab) {
                         lab = cand;
                         pred = b0 + k;
@@ -141,9 +164,18 @@ int64_t l0_labels(int64_t m, const double *a, const double *c,
                     lab = labels[j - 1];
                     pred = j - 1;
                 }
-                cbar[k] = 0.0;
-                qbar[k] = INFINITY;
-                wbar[k] = 0.0;
+                /* whole-pair stores: a lane store would stall the next
+                   packed load of its pair, which no single store could
+                   then forward. Row k+1 of an even k has not started. */
+                if (k % 2 == 0) {
+                    cbar[k / 2] = (v2d){0.0, 0.0};
+                    qbar[k / 2] = (v2d){INFINITY, INFINITY};
+                    wbar[k / 2] = (v2d){0.0, 0.0};
+                } else {
+                    cbar[k / 2] = (v2d){cbar[k / 2][0], 0.0};
+                    qbar[k / 2] = (v2d){qbar[k / 2][0], INFINITY};
+                    wbar[k / 2] = (v2d){wbar[k / 2][0], 0.0};
+                }
                 li[k] = labels[j - 1];
             }
             labels[j] = lab;
@@ -161,7 +193,11 @@ int64_t l0_labels(int64_t m, const double *a, const double *c,
 
 /* Solve T x = -c with the couplings cut at the zeros of z, where a row
    reads 1 * x = 0, so each support block rounds as a solve of its own; x
-   holds the eliminated right-hand side until back substitution */
+   holds the eliminated right-hand side until back substitution. A cut
+   row's right-hand side is 0.0 and its couplings +0.0, so both passes
+   leave it at +0.0 (0.0 - +-0.0 == +0.0) and change no neighbour. That
+   holds for finite data; non-finite data is outside the contract, since
+   TridiagProblem rejects it and h_eval raises on a non-finite optimum. */
 #define CUT(t) (z[t] == 0.0)
 #define CDIAG(t) (CUT(t) ? 1.0 : diag[t])
 #define COFF(t) (CUT(t) || CUT((t) + 1) ? 0.0 : off[t])
@@ -182,9 +218,6 @@ int64_t l0_thomas(int64_t m, const double *diag, const double *off,
     x[m - 1] = x[m - 1] / piv[m - 1];
     for (int64_t t = m - 2; t >= 0; t--)
         x[t] = (x[t] - COFF(t) * x[t + 1]) / piv[t];
-    for (int64_t t = 0; t < m; t++)
-        if (CUT(t))
-            x[t] = 0.0;
     return -1;
 }
 

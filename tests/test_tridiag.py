@@ -316,6 +316,14 @@ def test_cut_thomas_matches_block_solves():
                 want[s:e], block_fail = _thomas_py(p.diag[s:e], p.off[s : e - 1], -p.c[s:e])
                 assert block_fail == -1
             assert x.tobytes() == want.tobytes()
+    # an M-matrix chain with c > 0 has x < 0 on its support; a cut row next
+    # to negative x still reads +0.0, not -0.0
+    m = 9
+    z = np.array([1, 1, 0, 1, 1, 1, 0, 0, 1], dtype=np.float64)
+    x, fail = thomas_kernel(np.full(m, 2.0), np.full(m - 1, -0.5), np.ones(m), z)
+    assert fail == -1
+    assert np.all(x[z == 1] < 0)
+    assert not np.any(np.signbit(x[z == 0]))
 
 
 def test_pivot_tolerance_reaches_the_kernels():
@@ -401,11 +409,12 @@ def test_wavefront_sweep_matches_row_major():
     # shorter than a block, and lengths not divisible by it
     for m in range(1, 3 * r + 2):
         assert assert_sweeps_equal(*chain_arrays(rng, m)) == -1
-    # the first failing row r0 early and late in the first block, and in
-    # the second block only: a NaN coupling before it makes every earlier
-    # row's pivot NaN, which never fails, and the 2x2 block (r0, r0 + 1) is
+    # the first failing row r0 early and late in the first block, in the
+    # second block only, and in the second lane of an inner pair of rows
+    # (3 and r + 3): a NaN coupling before it makes every earlier row's
+    # pivot NaN, which never fails, and the 2x2 block (r0, r0 + 1) is
     # singular, so row r0 fails at column r0 + 3
-    for r0 in (2, r - 2, r - 1, r + 2):
+    for r0 in (2, 3, r - 2, r - 1, r + 2, r + 3):
         a, c, diag, off = chain_arrays(rng, 2 * r + 5)
         off[r0 - 2] = np.nan
         off[r0] = np.sqrt(diag[r0] * diag[r0 + 1])
