@@ -13,7 +13,9 @@ lightest edge, and concatenate the paths into a variable ordering.
 The graph, the chosen subgraph and the ordering are arrays throughout:
 the subgraph is a boolean mask over the graph's sorted edge arrays, and
 its cycles and paths come from `scipy.sparse.csgraph` component labels
-and breadth-first depths, with no walk over individual edges.
+and breadth-first depths, with no walk over individual edges. Each
+function imports the scipy names it calls, so `import l0path` and the
+exact path solver never load scipy; the first cover does.
 
 Breaking a cycle of length L >= 3 loses at most 1/3 (bipartite: L >= 4,
 at most 1/4) of its weight, and the degree-<=2 optimum dominates the best
@@ -26,13 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import (
-    connected_components,
-    maximum_flow,
-    min_weight_full_bipartite_matching,
-    shortest_path,
-)
 
 from ._kernels import matching_kernel
 from .errors import HasCycle, NotBipartite
@@ -67,6 +62,9 @@ def _cover(g: SupportGraph, chosen: np.ndarray) -> CoverSolution:
 
 def _components(n: int, i: np.ndarray, j: np.ndarray):
     """(count, label per vertex) of the components of the graph with edges (i, j)."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+
     adj = csr_array((np.ones(i.size), (i, j)), shape=(n, n))
     return connected_components(adj, directed=False)
 
@@ -74,6 +72,9 @@ def _components(n: int, i: np.ndarray, j: np.ndarray):
 def _depth(n: int, i: np.ndarray, j: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """Breadth-first depth of every vertex from a virtual vertex joined to
     the roots (the roots sit at depth 1, unreached vertices at inf)."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import shortest_path
+
     tails = np.concatenate([i, np.full(roots.size, n)])
     heads = np.concatenate([j, roots])
     joined = csr_array((np.ones(tails.size), (tails, heads)), shape=(n + 1, n + 1))
@@ -151,6 +152,9 @@ def b2_subgraph_bipartite(g: SupportGraph) -> CoverSolution:
     tail, head = np.where(from_left, i, j), np.where(from_left, j, i)
     if w[0] > 0 and np.all(w == w[0]):
         return _b2_max_flow(g, color, tail, head)
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+
     x, y, wx = _gadget(n, tail, head, w)
     left_copies = (2 * np.flatnonzero(color == 0)[:, None] + [0, 1]).ravel()
     right_copies = (2 * np.flatnonzero(color == 1)[:, None] + [0, 1]).ravel()
@@ -178,6 +182,9 @@ def _b2_max_flow(g: SupportGraph, color: np.ndarray, tail: np.ndarray, head: np.
     """Equal-weight case of `b2_subgraph_bipartite`: keep the edges that
     carry flow. Direct tail -> head arcs suffice because the support graph
     has one edge per vertex pair."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import maximum_flow
+
     n = g.n
     source, sink = n, n + 1
     left, right = np.flatnonzero(color == 0), np.flatnonzero(color == 1)

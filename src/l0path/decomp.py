@@ -24,7 +24,15 @@ import numpy as np
 
 from ._kernels import segments_kernel
 from .cover import path_cover
-from .errors import InfeasiblePair, InputError, NumericalError, SegmentNotPD, TemplateMismatch
+from .errors import (
+    InfeasiblePair,
+    InputError,
+    NotPositiveDefinite,
+    NumericalError,
+    SegmentNotPD,
+    SingularSupport,
+    TemplateMismatch,
+)
 # subgradient runs f_star_subgradient's branches as array code and never
 # calls it; the name stays bound here for the benchmark's call counters
 from .fenchel import f_star, f_star_subgradient  # noqa: F401
@@ -33,7 +41,6 @@ from .oracle import fixed_z_qp
 # h_eval solves its segments with segments_kernel and never calls
 # solve_tridiag; the name stays bound here for the benchmark's tracer
 from .tridiag import TridiagProblem, solve as solve_tridiag  # noqa: F401
-from .errors import NotPositiveDefinite, SingularSupport
 
 logger = logging.getLogger(__name__)
 

@@ -9,7 +9,8 @@ extending the parent's L D L' factor by one row per child, so a support
 costs O(|S|^2) and n = 20 takes about 0.1 s. `fixed_z_qp` solves one
 support's system at any size with the compiled sparse LDL' kernel, under
 the fill-reducing order SuperLU computes once per instance
-(`fill_reducing_order`); the decomposition refits every support it
+(`fill_reducing_order`, which imports scipy inside itself, so scipy
+loads at the first refit); the decomposition refits every support it
 proposes with it.
 """
 
@@ -19,8 +20,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_array
-from scipy.sparse.linalg import splu
 
 from ._kernels import MAX_ENUM_VARS, PIVOT_TOL, enumerate_kernel, ldl_kernel
 from .errors import InputError, SingularSupport, TooLarge
@@ -49,6 +48,9 @@ def fill_reducing_order(instance: Instance) -> np.ndarray:
     that pattern, diagonal degree + 1 and off-diagonals -1, which is
     positive definite whatever Q's values. Entry j is the position of
     variable j, as SuperLU's perm_c gives it."""
+    from scipy.sparse import csc_array
+    from scipy.sparse.linalg import splu
+
     n = instance.n
     off = instance.qi != instance.qj
     i, j = instance.qi[off], instance.qj[off]

@@ -7,6 +7,7 @@ from pathlib import Path
 import networkx as nx
 import numpy as np
 import pytest
+import scipy.sparse.csgraph as csgraph
 
 import l0path
 import l0path._kernels as _kernels
@@ -341,7 +342,7 @@ def test_equal_weight_lattice_takes_the_max_flow(monkeypatch):
     def no_assignment(*args, **kwargs):
         raise AssertionError("the assignment ran on an equal-weight graph")
 
-    monkeypatch.setattr(cover, "min_weight_full_bipartite_matching", no_assignment)
+    monkeypatch.setattr(csgraph, "min_weight_full_bipartite_matching", no_assignment)
     g = support_graph(gen_lattice2d(100, 100, 0.3, 0.1, 0))
     assert b2_subgraph_bipartite(g).weight == 2.0 * 10**4
     ordering = path_cover(g)
@@ -350,7 +351,7 @@ def test_equal_weight_lattice_takes_the_max_flow(monkeypatch):
 
 def test_weighted_bipartite_takes_the_assignment(monkeypatch):
     calls = []
-    assignment = cover.min_weight_full_bipartite_matching
+    assignment = csgraph.min_weight_full_bipartite_matching
 
     def counted(*args, **kwargs):
         calls.append(1)
@@ -359,8 +360,8 @@ def test_weighted_bipartite_takes_the_assignment(monkeypatch):
     def no_flow(*args, **kwargs):
         raise AssertionError("the max flow ran on a weighted graph")
 
-    monkeypatch.setattr(cover, "min_weight_full_bipartite_matching", counted)
-    monkeypatch.setattr(cover, "maximum_flow", no_flow)
+    monkeypatch.setattr(csgraph, "min_weight_full_bipartite_matching", counted)
+    monkeypatch.setattr(csgraph, "maximum_flow", no_flow)
     cs = b2_subgraph_bipartite(FOUR_CYCLE)
     assert cs.weight == 10.0 and calls == [1]
 
@@ -530,6 +531,31 @@ def test_import_leaves_networkx_unloaded(tmp_path):
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_path_solver_leaves_scipy_unloaded(tmp_path):
+    # the exact path solver and the generators use numpy and the compiled
+    # kernels only; scipy is imported by the functions of the cover and
+    # the refit that call it
+    inst = str(tmp_path / "inst.json")
+    src = os.path.dirname(os.path.dirname(l0path.__file__))
+    probe = (
+        "import sys; import l0path; from l0path import cli, tridiag\n"
+        "tridiag.solve(l0path.to_tridiagonal(l0path.gen_tridiagonal(50, 1)))\n"
+        f"cli.main(['gen', 'tridiag', '--n', '50', '--seed', '1', '-o', {inst!r}])\n"
+        f"cli.main(['solve-path', {inst!r}])\n"
+        "print('scipy.sparse' in sys.modules)\n"
+        "l0path.path_cover(l0path.support_graph(l0path.gen_lattice2d(3, 3, 0.3, 0.1, 0)))\n"
+        "print('scipy.sparse' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.split()[-2:] == ["False", "True"]
 
 
 def test_no_package_module_imports_networkx():
