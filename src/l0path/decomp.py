@@ -27,7 +27,6 @@ from .cover import path_cover
 from .errors import (
     InfeasiblePair,
     InputError,
-    NotPositiveDefinite,
     NumericalError,
     SegmentNotPD,
     SingularSupport,
@@ -40,7 +39,7 @@ from .instance import DDForm, Instance, Term, _frozen, _terms, support_graph, va
 from .oracle import fixed_z_qp
 # h_eval solves its segments with segments_kernel and never calls
 # solve_tridiag; the name stays bound here for the benchmark's tracer
-from .tridiag import TridiagProblem, solve as solve_tridiag  # noqa: F401
+from .tridiag import solve as solve_tridiag  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -141,11 +140,13 @@ def build_relaxation(
     template diagonals; the template off-diagonal is the signed original
     coupling. Segments are the maximal position runs joined by retained
     terms. The template is checked against the original quadratic form
-    on random points, and each segment's block for positive
-    definiteness, before being trusted.
+    on random points before being trusted. One segments_kernel call, as
+    h_eval makes it, raises SegmentNotPD for the first segment that fails
+    a pivot; the sweep's pivots read only the template, so no h_eval on
+    it fails them later. The arrays are read-only copies of the inputs.
     """
     n = instance.n
-    pi = np.asarray(ordering, dtype=np.int64)
+    pi = np.array(ordering, dtype=np.int64)
     if pi.shape != (n,) or len(np.unique(pi)) != n or pi.min() < 0 or pi.max() >= n:
         raise InputError("ordering is not a permutation of 0..n-1")
     inv = np.empty(n, dtype=np.int64)
@@ -179,8 +180,8 @@ def build_relaxation(
     rel = np.flatnonzero(~kept)
     rel = rel[np.lexsort((q[rel], p[rel]))]
 
-    a_ord = instance.a[pi].copy()
-    c_ord = instance.c[pi].copy()
+    a_ord = instance.a[pi]
+    c_ord = instance.c[pi]
     ret_p, ret_w, ret_sign = p[ret], dd.term_w[ret], dd.term_sign[ret]
     diag = dd.D[pi]
     # ufunc.at adds in index order: both endpoints of each retained term,
@@ -209,17 +210,15 @@ def build_relaxation(
                 f"({lhs} vs {rhs})"
             )
 
-    for s, e in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        try:
-            TridiagProblem(m=e - s, a=a_ord[s:e], c=c_ord[s:e], diag=diag[s:e], off=off[s : e - 1])
-        except NotPositiveDefinite as exc:
-            raise SegmentNotPD(s, e) from exc
+    fail = segments_kernel(bounds, a_ord, c_ord, diag, off)[3]
+    if fail >= 0:
+        raise SegmentNotPD(int(bounds[fail]), int(bounds[fail + 1]))
 
     return Relaxation(
         n=n,
-        pi=pi,
-        a_ord=a_ord,
-        c_ord=c_ord,
+        pi=_frozen(pi),
+        a_ord=_frozen(a_ord),
+        c_ord=_frozen(c_ord),
         bounds=_frozen(bounds),
         diag=_frozen(diag),
         off=_frozen(off),

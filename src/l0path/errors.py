@@ -54,7 +54,7 @@ class TooLarge(InputError):
 
 
 class NotPositiveDefinite(NumericalError):
-    """A pivot of the tridiagonal forward elimination dropped below tolerance."""
+    """A tridiagonal chain or one of its support blocks fails a pivot test at solve time."""
 
 
 class SegmentNotPD(NumericalError):

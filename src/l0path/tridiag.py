@@ -9,7 +9,8 @@ weights out of one node are produced by a single forward-elimination
 recurrence, giving the O(m^2) time / O(m) memory labeling pass, which
 backtracks the path into z; x is then recovered by one tridiagonal solve
 with the couplings cut at the zeros. The decomposition's segment kernel
-runs the same two compiled steps.
+runs the same two compiled steps. The sweep's first row eliminates the
+whole chain, so the sweep alone decides positive definiteness.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import PIVOT_TOL, labels_kernel, thomas_kernel
+from ._kernels import labels_kernel, thomas_kernel
 from .errors import InputError, NotPositiveDefinite
 from .instance import Instance
 
@@ -29,7 +30,8 @@ class TridiagProblem:
     Q tridiagonal (diagonal `diag`, superdiagonal `off`).
 
     Zero entries in `off` are legal; they decouple the problem into
-    independent blocks and the recurrences handle them exactly.
+    independent blocks and the recurrences handle them exactly. Any
+    finite chain is accepted; the solves decide positive definiteness.
     """
 
     m: int
@@ -43,7 +45,7 @@ class TridiagProblem:
             raise ValueError("m must be >= 1")
         for name in ("a", "c", "diag", "off"):
             arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            # NaN would pass the pivot test below (NaN <= tol is false)
+            # NaN would pass the kernels' pivot tests (NaN <= tol is false)
             if not np.isfinite(arr).all():
                 raise InputError(f"{name} has a non-finite entry")
             arr.setflags(write=False)
@@ -52,16 +54,6 @@ class TridiagProblem:
             raise ValueError("a, c, diag must have length m")
         if self.off.shape != (max(self.m - 1, 0),):
             raise ValueError("off must have length m - 1")
-        # forward-elimination pivots of the full matrix; these are the
-        # leading-minor ratios, so all > 0 is exactly positive definiteness
-        diag = self.diag.tolist()
-        piv = diag[0]
-        if piv <= PIVOT_TOL:
-            raise NotPositiveDefinite(f"pivot {piv:.3g} at position 0")
-        for t, o in enumerate(self.off.tolist(), start=1):
-            piv = diag[t] - o * o / piv
-            if piv <= PIVOT_TOL:
-                raise NotPositiveDefinite(f"pivot {piv:.3g} at position {t}")
 
     def objective(self, x: np.ndarray, z: np.ndarray) -> float:
         """Direct evaluation of a.z + c.x + (1/2) x'Qx."""
@@ -73,13 +65,12 @@ class TridiagProblem:
 
 @dataclass(frozen=True, eq=False)
 class SPSolution:
-    """Optimal point: `visited` lists the zero positions (the interior
-    nodes of the shortest path, 0-based)."""
+    """Optimal point: the zeros of `z` are the interior nodes of the
+    shortest path, 0-based."""
 
     objective: float
     z: np.ndarray
     x: np.ndarray
-    visited: tuple[int, ...]
 
 
 def _stationary_x(p: TridiagProblem, z) -> np.ndarray:
@@ -91,7 +82,7 @@ def _stationary_x(p: TridiagProblem, z) -> np.ndarray:
     """
     x, fail = thomas_kernel(p.diag, p.off, p.c, np.ascontiguousarray(z, dtype=np.float64))
     if fail >= 0:
-        raise NotPositiveDefinite(f"pivot failed at position {int(fail)}")
+        raise NotPositiveDefinite(f"not positive definite at position {int(fail)}")
     return x
 
 
@@ -99,14 +90,14 @@ def solve(p: TridiagProblem) -> SPSolution:
     """Global optimum via the shortest-path labeling pass.
 
     Labels are updated in topological order; ties break toward the
-    smaller predecessor, so the result is deterministic.
+    smaller predecessor, so the result is deterministic. The sweep's
+    failing column j names the first failing pivot, at position j - 2.
     """
     labels, _, z, fail = labels_kernel(p.a, p.c, p.diag, p.off)
     if fail >= 0:
-        raise NotPositiveDefinite(f"pivot failed while weighting column {int(fail)}")
+        raise NotPositiveDefinite(f"not positive definite at position {int(fail) - 2}")
     x = _stationary_x(p, z)
-    visited = tuple(np.flatnonzero(z == 0).tolist())
-    return SPSolution(objective=float(labels[p.m + 1]), z=z.astype(np.int64), x=x, visited=visited)
+    return SPSolution(objective=float(labels[p.m + 1]), z=z.astype(np.int64), x=x)
 
 
 def solve_fixed_z(p: TridiagProblem, zbar) -> tuple[np.ndarray, float]:

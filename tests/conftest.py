@@ -3,6 +3,7 @@ import pytest
 
 import l0path.decomp as decomp
 from l0path import Instance, SupportGraph
+from l0path._kernels import PIVOT_TOL
 
 
 def make_instance(a, c, entries, offset=0.0, meta=None):
@@ -83,6 +84,21 @@ def random_dd_instance(rng, n, density=0.4):
     return make_instance(
         rng.uniform(0.0, 2.0, n), rng.uniform(-10.0, 5.0, n), entries
     )
+
+
+def first_failing_pivot(diag, off):
+    """Scalar forward elimination of a tridiagonal chain: the first
+    position whose pivot is <= PIVOT_TOL, or -1 when the chain is
+    positive definite."""
+    diag, off = diag.tolist(), off.tolist()
+    piv = diag[0]
+    if piv <= PIVOT_TOL:
+        return 0
+    for t, o in enumerate(off, start=1):
+        piv = diag[t] - o * o / piv
+        if piv <= PIVOT_TOL:
+            return t
+    return -1
 
 
 def rng_for(tag: int) -> np.random.Generator:

