@@ -61,36 +61,32 @@ def _cover(g: SupportGraph, chosen: np.ndarray) -> CoverSolution:
 
 
 def _components(n: int, i: np.ndarray, j: np.ndarray):
-    """(count, label per vertex) of the components of the graph with edges (i, j)."""
+    """(count, label per vertex, sparse adjacency) of the graph with edges (i, j)."""
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import connected_components
 
     adj = csr_array((np.ones(i.size), (i, j)), shape=(n, n))
-    return connected_components(adj, directed=False)
+    return *connected_components(adj, directed=False), adj
 
 
-def _depth(n: int, i: np.ndarray, j: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Breadth-first depth of every vertex from a virtual vertex joined to
-    the roots (the roots sit at depth 1, unreached vertices at inf)."""
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import shortest_path
+def _depth(adj, roots: np.ndarray) -> np.ndarray:
+    """Breadth-first depth of every vertex from the nearest root (roots at
+    0, unreached vertices at inf)."""
+    from scipy.sparse.csgraph import dijkstra
 
-    tails = np.concatenate([i, np.full(roots.size, n)])
-    heads = np.concatenate([j, roots])
-    joined = csr_array((np.ones(tails.size), (tails, heads)), shape=(n + 1, n + 1))
-    return shortest_path(joined, directed=False, unweighted=True, indices=n)[:n]
+    return dijkstra(adj, directed=False, indices=roots, unweighted=True, min_only=True)
 
 
 def _bipartition(g: SupportGraph):
     """2-coloring with color 0 on the smallest vertex of each component;
     None when some component has an odd cycle.
 
-    Every vertex is colored by the parity of its depth from a virtual
-    vertex joined to those smallest vertices.
+    Every vertex is colored by the parity of its depth from the smallest
+    vertex of its component.
     """
-    _, label = _components(g.n, g.i, g.j)
+    _, label, adj = _components(g.n, g.i, g.j)
     _, roots = np.unique(label, return_index=True)
-    color = (_depth(g.n, g.i, g.j, roots).astype(np.int64) - 1) % 2
+    color = _depth(adj, roots).astype(np.int64) % 2
     if np.any(color[g.i] == color[g.j]):
         return None
     return color
@@ -214,7 +210,7 @@ def break_cycles(cs: CoverSolution, g: SupportGraph) -> CoverSolution:
     edges as nodes.
     """
     e = np.flatnonzero(cs.chosen)
-    ncomp, label = _components(g.n, g.i[e], g.j[e])
+    ncomp, label, _ = _components(g.n, g.i[e], g.j[e])
     comp = label[g.i[e]]
     cycle = np.bincount(comp, minlength=ncomp) == np.bincount(label)
     # the first edge of each component in (w, i, j) order
@@ -234,7 +230,7 @@ def make_ordering(cs: CoverSolution, g: SupportGraph) -> Ordering:
     nodes go last in ascending order.
     """
     ci, cj, cw = g.i[cs.chosen], g.j[cs.chosen], g.w[cs.chosen]
-    ncomp, label = _components(g.n, ci, cj)
+    ncomp, label, adj = _components(g.n, ci, cj)
     comp = label[ci]
     if np.any(np.bincount(comp, minlength=ncomp) == np.bincount(label)):
         raise HasCycle("cover still contains a cycle; break cycles first")
@@ -242,7 +238,7 @@ def make_ordering(cs: CoverSolution, g: SupportGraph) -> Ordering:
     ends = np.flatnonzero(degree == 1)
     path, start_at = np.unique(label[ends], return_index=True)
     start = ends[start_at]
-    depth = _depth(g.n, ci, cj, start)
+    depth = _depth(adj, start)
     # ufunc.at adds in index order: with the edges in path order, each
     # path's weight sums from its start, as a loop along the path would
     weight = np.zeros(ncomp)

@@ -35,7 +35,7 @@ from .errors import (
 # subgradient runs f_star_subgradient's branches as array code and never
 # calls it; the name stays bound here for the benchmark's call counters
 from .fenchel import f_star, f_star_subgradient  # noqa: F401
-from .instance import DDForm, Instance, Term, _frozen, _terms, support_graph, validate
+from .instance import DDForm, Instance, Term, _freeze, _terms, support_graph, validate
 from .oracle import fixed_z_qp
 # h_eval solves its segments with segments_kernel and never calls
 # solve_tridiag; the name stays bound here for the benchmark's tracer
@@ -59,7 +59,7 @@ class Relaxation:
     positions: diag (length n) and off (length n - 1), where off[p] is
     the signed coupling of the retained term (p, p + 1) and zero at every
     cut between segments. The relaxed terms are the arrays rel_i, rel_j,
-    rel_w and rel_sign, sorted by (i, j). All arrays are read-only.
+    rel_w and rel_sign, sorted by (i, j). All arrays are read-only copies.
 
     `segments`, `retained` and `relaxed` are tuple views of these arrays,
     built at first use. No solve step reads them: they exist for the
@@ -78,6 +78,10 @@ class Relaxation:
     rel_j: np.ndarray
     rel_w: np.ndarray
     rel_sign: np.ndarray
+
+    def __post_init__(self):
+        _freeze(self, pi=np.int64, a_ord=np.float64, c_ord=np.float64, bounds=np.int64, diag=np.float64,
+                off=np.float64, rel_i=np.int64, rel_j=np.int64, rel_w=np.float64, rel_sign=np.int64)
 
     @cached_property
     def segments(self) -> tuple[tuple[int, int], ...]:
@@ -146,7 +150,7 @@ def build_relaxation(
     it fails them later. The arrays are read-only copies of the inputs.
     """
     n = instance.n
-    pi = np.array(ordering, dtype=np.int64)
+    pi = np.asarray(ordering, dtype=np.int64)
     if pi.shape != (n,) or len(np.unique(pi)) != n or pi.min() < 0 or pi.max() >= n:
         raise InputError("ordering is not a permutation of 0..n-1")
     inv = np.empty(n, dtype=np.int64)
@@ -216,16 +220,16 @@ def build_relaxation(
 
     return Relaxation(
         n=n,
-        pi=_frozen(pi),
-        a_ord=_frozen(a_ord),
-        c_ord=_frozen(c_ord),
-        bounds=_frozen(bounds),
-        diag=_frozen(diag),
-        off=_frozen(off),
-        rel_i=_frozen(rel_i),
-        rel_j=_frozen(rel_j),
-        rel_w=_frozen(rel_w),
-        rel_sign=_frozen(rel_sign),
+        pi=pi,
+        a_ord=a_ord,
+        c_ord=c_ord,
+        bounds=bounds,
+        diag=diag,
+        off=off,
+        rel_i=rel_i,
+        rel_j=rel_j,
+        rel_w=rel_w,
+        rel_sign=rel_sign,
     )
 
 

@@ -8,9 +8,10 @@ The objective convention throughout is
 with Q kept as upper-triangle coordinate triplets (i <= j, one entry per
 cell). Python-level indices are 0-based; the on-disk JSON format is
 1-based. An Instance checks this storage contract and the finiteness of
-its data when it is constructed, and is immutable afterwards, so every
-Instance is valid for its whole life and safe to share across threads;
-the solvers do not check again.
+its data when it is constructed, on read-only copies of the arrays it is
+given that nothing a caller holds can change, so every Instance is valid
+for its whole life and safe to share across threads; the solvers do not
+check again.
 """
 
 from __future__ import annotations
@@ -33,9 +34,13 @@ from .errors import (
 DD_TOL = 1e-9
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+def _freeze(obj, **dtypes) -> None:
+    """Store each named field of the frozen dataclass obj as a read-only
+    copy of the given dtype, aliasing no array its caller holds."""
+    for name, dtype in dtypes.items():
+        arr = np.array(getattr(obj, name), dtype=dtype)
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,8 +61,9 @@ class Instance:
             x_S = A^-1 y_S / sigma^2, so each x_i is a combination of y
             values with nonnegative weights summing to at most 1.
 
-    Construction raises InputError on inconsistent shapes or a
-    non-finite a, c, qv or offset, and NotSymmetricStorage naming the
+    Construction copies the arrays read-only, so nothing a caller holds
+    can change checked data, and raises InputError on inconsistent shapes
+    or a non-finite a, c, qv or offset, and NotSymmetricStorage naming the
     first triplet in storage order that lies outside the upper triangle,
     repeats an earlier one, or is a zero off-diagonal.
     """
@@ -74,9 +80,7 @@ class Instance:
     def __post_init__(self):
         if self.n < 1:
             raise InputError("n must be >= 1")
-        for name in ("a", "c", "qi", "qj", "qv"):
-            dtype = np.int64 if name in ("qi", "qj") else np.float64
-            object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name), dtype=dtype)))
+        _freeze(self, a=np.float64, c=np.float64, qi=np.int64, qj=np.int64, qv=np.float64)
         if self.a.shape != (self.n,) or self.c.shape != (self.n,):
             raise InputError("a and c must have length n")
         if not (self.qi.shape == self.qj.shape == self.qv.shape):
@@ -97,7 +101,9 @@ class Instance:
         file, compute their own."""
         from . import oracle  # oracle imports this module
 
-        return _frozen(oracle.fill_reducing_order(self))
+        order = oracle.fill_reducing_order(self)
+        order.setflags(write=False)
+        return order
 
     def dense_q(self) -> np.ndarray:
         """Materialize Q as a dense symmetric matrix (small n only)."""
@@ -135,8 +141,8 @@ class DDForm:
 
     (1/2) x'Qx == (1/2) sum_i D_i x_i^2 + (1/2) sum_terms w (x_i + sign x_j)^2
     with D_i = Q_ii - sum_{j != i} |Q_ij| >= 0. The terms are held as
-    read-only arrays (term_i, term_j, term_w, term_sign), one entry per
-    term, sorted by (i, j).
+    arrays (term_i, term_j, term_w, term_sign), one entry per term,
+    sorted by (i, j). All arrays are read-only copies of the ones given.
     """
 
     D: np.ndarray
@@ -146,14 +152,7 @@ class DDForm:
     term_sign: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "D", _frozen(np.asarray(self.D, dtype=np.float64)))
-        for name, dtype in (
-            ("term_i", np.int64),
-            ("term_j", np.int64),
-            ("term_w", np.float64),
-            ("term_sign", np.int64),
-        ):
-            object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name), dtype=dtype)))
+        _freeze(self, D=np.float64, term_i=np.int64, term_j=np.int64, term_w=np.float64, term_sign=np.int64)
 
     def quad(self, x: np.ndarray) -> float:
         """Evaluate (1/2) x'Qx through the split form."""
@@ -166,7 +165,7 @@ class SupportGraph:
     """Undirected graph with an edge wherever Q_ij != 0, weighted |Q_ij|.
 
     Edge k joins i[k] < j[k] with weight w[k]; the arrays are read-only
-    and sorted by (i, j, w).
+    copies, sorted by (i, j, w).
     """
 
     n: int
@@ -175,8 +174,7 @@ class SupportGraph:
     w: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in (("i", np.int64), ("j", np.int64), ("w", np.float64)):
-            object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name), dtype=dtype)))
+        _freeze(self, i=np.int64, j=np.int64, w=np.float64)
 
 
 def _first_storage_fault(instance: Instance) -> NotSymmetricStorage | None:

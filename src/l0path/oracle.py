@@ -75,9 +75,12 @@ def fixed_z_qp(instance: Instance, z) -> tuple[np.ndarray, float]:
     fill-reducing order (`Instance.fill_order`, computed at the first
     refit) induces on S; so the cost follows the nonzeros of the factor
     rather than |S|^3. Raises SingularSupport when a pivot of that factor
-    is at or below PIVOT_TOL.
+    is at or below PIVOT_TOL, and InputError when z does not have
+    length n.
     """
     z = np.asarray(z)
+    if z.shape != (instance.n,):
+        raise InputError("z must have length n")
     sel = np.flatnonzero(z)
     x = np.zeros(instance.n)
     if sel.size == 0:

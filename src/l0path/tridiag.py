@@ -21,7 +21,7 @@ import numpy as np
 
 from ._kernels import labels_kernel, thomas_kernel
 from .errors import InputError, NotPositiveDefinite
-from .instance import Instance
+from .instance import Instance, _freeze
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,6 +32,8 @@ class TridiagProblem:
     Zero entries in `off` are legal; they decouple the problem into
     independent blocks and the recurrences handle them exactly. Any
     finite chain is accepted; the solves decide positive definiteness.
+    The arrays are read-only copies, checked after the copy, so nothing
+    a caller holds can change checked data.
     """
 
     m: int
@@ -42,18 +44,16 @@ class TridiagProblem:
 
     def __post_init__(self):
         if self.m < 1:
-            raise ValueError("m must be >= 1")
+            raise InputError("m must be >= 1")
+        _freeze(self, a=np.float64, c=np.float64, diag=np.float64, off=np.float64)
         for name in ("a", "c", "diag", "off"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             # NaN would pass the kernels' pivot tests (NaN <= tol is false)
-            if not np.isfinite(arr).all():
+            if not np.isfinite(getattr(self, name)).all():
                 raise InputError(f"{name} has a non-finite entry")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
         if not (self.a.shape == self.c.shape == self.diag.shape == (self.m,)):
-            raise ValueError("a, c, diag must have length m")
+            raise InputError("a, c, diag must have length m")
         if self.off.shape != (max(self.m - 1, 0),):
-            raise ValueError("off must have length m - 1")
+            raise InputError("off must have length m - 1")
 
     def objective(self, x: np.ndarray, z: np.ndarray) -> float:
         """Direct evaluation of a.z + c.x + (1/2) x'Qx."""
@@ -105,10 +105,11 @@ def solve_fixed_z(p: TridiagProblem, zbar) -> tuple[np.ndarray, float]:
 
     Each maximal run of ones is one tridiagonal block; at its stationary
     point the objective collapses to sum(a) + (1/2) c . x over the support.
+    Raises InputError when zbar does not have length m.
     """
     zbar = np.asarray(zbar)
     if zbar.shape != (p.m,):
-        raise ValueError("zbar must have length m")
+        raise InputError("zbar must have length m")
     x = _stationary_x(p, zbar)
     on = zbar != 0
     value = float(np.sum(p.a[on]) + 0.5 * p.c[on] @ x[on])

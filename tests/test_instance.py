@@ -8,12 +8,16 @@ import pytest
 
 import l0path
 from l0path import (
+    DDForm,
     InputError,
     Instance,
     InvalidPermutation,
     NotDiagonallyDominant,
     NotSymmetricStorage,
     ParseError,
+    Relaxation,
+    SupportGraph,
+    TridiagProblem,
     enumerate_supports,
     gen_lattice2d,
     gen_signal1d,
@@ -147,6 +151,52 @@ def test_only_the_instance_module_checks_storage():
             if name == "_first_storage_fault":
                 seen.append((path.name, type(node).__name__))
     assert sorted(seen) == [("instance.py", "FunctionDef"), ("instance.py", "Name")]
+
+
+# each data class with arrays of the stored dtypes, and the float field
+# that the test passes as a view of a buffer it keeps writing to
+OWNED_ARRAYS = {
+    "Instance": (Instance, dict(n=2, a=[0.5, 0.5], c=[-1.0, 2.0], qi=[0, 0, 1], qj=[0, 1, 1], qv=[3.0, -1.0, 3.0]), "qv"),
+    "DDForm": (DDForm, dict(D=[2.0, 2.0], term_i=[0], term_j=[1], term_w=[1.0], term_sign=[-1]), "D"),
+    "SupportGraph": (SupportGraph, dict(n=2, i=[0], j=[1], w=[1.0]), "w"),
+    "TridiagProblem": (TridiagProblem, dict(m=3, a=[1.0] * 3, c=[-4.0] * 3, diag=[2.0] * 3, off=[0.0, 0.0]), "c"),
+    "Relaxation": (
+        Relaxation,
+        dict(
+            n=3, pi=[2, 0, 1], a_ord=[1.0] * 3, c_ord=[-1.0, 0.5, 2.0], bounds=[0, 2, 3], diag=[3.0, 3.0, 2.0],
+            off=[-1.0, 0.0], rel_i=[1], rel_j=[2], rel_w=[0.5], rel_sign=[1],
+        ),
+        "c_ord",
+    ),
+}
+
+
+@pytest.mark.parametrize("cls, kwargs, view", OWNED_ARRAYS.values(), ids=OWNED_ARRAYS)
+def test_data_classes_store_read_only_copies(cls, kwargs, view):
+    owned = {k: np.array(v) if isinstance(v, list) else v for k, v in kwargs.items()}
+    buf = owned[view].copy()
+    owned[view] = buf[:]
+    obj = cls(**owned)
+    arrays = [f.name for f in dataclasses.fields(obj) if isinstance(getattr(obj, f.name), np.ndarray)]
+    assert sorted(arrays) == sorted(k for k, v in owned.items() if isinstance(v, np.ndarray))
+    before = {name: getattr(obj, name).copy() for name in arrays}
+    for name in arrays:
+        assert owned[name].flags.writeable, name
+        assert not getattr(obj, name).flags.writeable, name
+        assert not np.shares_memory(getattr(obj, name), owned[name]), name
+    buf[:] = np.nan
+    for name in arrays:
+        got = getattr(obj, name)
+        assert got.dtype == before[name].dtype and np.array_equal(got, before[name]), name
+
+
+def test_validate_reads_the_checked_data():
+    buf = np.array([3.0, -1.0, 3.0])
+    inst = Instance(n=2, a=np.ones(2), c=-np.ones(2), qi=np.array([0, 0, 1]), qj=np.array([0, 1, 1]), qv=buf[:])
+    want = validate(inst).D.copy()
+    assert want.tolist() == [2.0, 2.0]
+    buf[:] = np.nan
+    assert np.array_equal(validate(inst).D, want)
 
 
 def test_dd_form_reconstructs_quadratic():

@@ -61,6 +61,14 @@ def test_fixed_z_example_support(example_instance):
     assert abs(value - (-14.736666666666665)) <= 1e-9
 
 
+@pytest.mark.parametrize("z", [np.ones(5), np.ones(10), np.ones((1, 9))], ids=["short", "long", "2d"])
+def test_fixed_z_shape_faults_raise_input_error(z):
+    # read as a support, the short z would give -26.59 here, and the long
+    # one would index past the instance
+    with pytest.raises(InputError, match="z must have length n"):
+        fixed_z_qp(gen_lattice2d(3, 3, 0.3, 0.1, 0), z)
+
+
 def test_fixed_z_singular_support():
     # zero diagonal block is singular once selected
     inst = make_instance(
@@ -631,7 +639,7 @@ def test_fixed_z_singular_mid_factor(monkeypatch, twin):
     monkeypatch.setattr(oracle, "ldl_kernel", recording)
     second = max(0, 1, key=lambda i: inst.fill_order[i])
     with pytest.raises(SingularSupport, match=f"at variable {second} of the support"):
-        fixed_z_qp(inst, np.ones(4))
+        fixed_z_qp(inst, np.array([1, 1, 1, 1, 0]))
     assert failed[0] >= 1
     # without one of the pair the support factors
     fixed_z_qp(inst, np.array([1, 0, 1, 1, 1]))

@@ -137,6 +137,40 @@ def test_rejects_non_finite_entries():
             TridiagProblem(**bad)
 
 
+def test_solve_reads_the_checked_chain():
+    # NaN written through the buffer must not reach the sweep, which
+    # returns -6.0 for this chain with c[1] = NaN
+    buf = np.full(3, -4.0)
+    p = TridiagProblem(m=3, a=np.ones(3), c=buf[:], diag=np.full(3, 2.0), off=np.zeros(2))
+    assert solve(p).objective == -9.0
+    buf[1] = np.nan
+    assert solve(p).objective == -9.0
+
+
+CHAIN = dict(m=2, a=[1.0, 1.0], c=[-1.0, -1.0], diag=[2.0, 2.0], off=[0.5])
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(m=0, a=[], c=[], diag=[], off=[]), "m must be >= 1"),
+        (dict(a=[1.0]), "a, c, diag must have length m"),
+        (dict(diag=[2.0, 2.0, 2.0]), "a, c, diag must have length m"),
+        (dict(off=[]), "off must have length m - 1"),
+    ],
+    ids=["m_zero", "short_a", "long_diag", "short_off"],
+)
+def test_chain_shape_faults_raise_input_error(kwargs, message):
+    with pytest.raises(InputError, match=message):
+        TridiagProblem(**(CHAIN | kwargs))
+
+
+@pytest.mark.parametrize("zbar", [[1], [1, 1, 1], [[1, 1]]], ids=["short", "long", "2d"])
+def test_solve_fixed_z_shape_faults_raise_input_error(zbar):
+    with pytest.raises(InputError, match="zbar must have length m"):
+        solve_fixed_z(TridiagProblem(**CHAIN), np.array(zbar))
+
+
 def test_solve_fixed_z():
     p = TridiagProblem(
         m=2,
