@@ -165,9 +165,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sd = sub.add_parser("solve-decomp", help="certified bounds for sparse instances")
     sd.add_argument("instance")
-    sd.add_argument("--steps", choices=["geometric", "harmonic"], default="geometric")
-    sd.add_argument("--eps", type=float, default=1e-4, help="relative gap target")
-    sd.add_argument("--max-iter", type=int, default=100)
+    sd.add_argument("--steps", choices=["geometric", "harmonic"], default=RunConfig.schedule)
+    sd.add_argument("--eps", type=float, default=RunConfig.eps, help="relative gap target")
+    sd.add_argument("--max-iter", type=int, default=RunConfig.max_iter)
     sd.add_argument("--log", help="write per-iteration CSV here")
     sd.add_argument("-o", "--output", help="write solution JSON here")
     sd.set_defaults(func=_cmd_solve_decomp)

@@ -157,7 +157,7 @@ def build_relaxation(
     inv[pi] = np.arange(n, dtype=np.int64)
 
     ti, tj = dd.term_i, dd.term_j
-    # terms are sorted by (i, j), so their keys i * n + j are ascending
+    # terms keep the Instance's (i, j) order, so keys i * n + j ascend
     tkey = ti * n + tj
     pairs = np.array(retained, dtype=np.int64).reshape(-1, 2)
     ri, rj = pairs.min(axis=1), pairs.max(axis=1)

@@ -6,18 +6,20 @@ The objective convention throughout is
     a . z + c . x + (1/2) x' Q x,    x_i (1 - z_i) = 0,  z binary,
 
 with Q kept as upper-triangle coordinate triplets (i <= j, one entry per
-cell). Python-level indices are 0-based; the on-disk JSON format is
-1-based. An Instance checks this storage contract and the finiteness of
-its data when it is constructed, on read-only copies of the arrays it is
-given that nothing a caller holds can change, so every Instance is valid
-for its whole life and safe to share across threads; the solvers do not
-check again.
+cell, sorted by (i, j)). Python-level indices are 0-based; the on-disk
+JSON format is 1-based. An Instance checks this storage contract, the
+finiteness of its data and meta["M"] when it is constructed, on read-only
+copies of what it is given that nothing a caller holds can change, so
+every Instance is valid for its whole life and safe to share across
+threads; the solvers do not check or sort again.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -34,11 +36,13 @@ from .errors import (
 DD_TOL = 1e-9
 
 
-def _freeze(obj, **dtypes) -> None:
-    """Store each named field of the frozen dataclass obj as a read-only
-    copy of the given dtype, aliasing no array its caller holds."""
+def _freeze(obj, take=None, **dtypes) -> None:
+    """Store each named field of the frozen dataclass obj as a read-only copy
+    of the given dtype, gathered at `take` if given, aliasing no array its caller holds."""
     for name, dtype in dtypes.items():
         arr = np.array(getattr(obj, name), dtype=dtype)
+        if take is not None:
+            arr = arr[take]
         arr.setflags(write=False)
         object.__setattr__(obj, name, arr)
 
@@ -51,7 +55,7 @@ class Instance:
         n: variable count.
         a: indicator penalties, length n.
         c: linear costs, length n.
-        qi, qj, qv: upper-triangle triplets of Q (qi <= qj elementwise).
+        qi, qj, qv: upper-triangle triplets of Q (qi <= qj), sorted by (qi, qj).
         offset: constant added to the objective when reporting
             data-derived values (e.g. the squared-observation term of a
             denoising model).
@@ -61,11 +65,11 @@ class Instance:
             x_S = A^-1 y_S / sigma^2, so each x_i is a combination of y
             values with nonnegative weights summing to at most 1.
 
-    Construction copies the arrays read-only, so nothing a caller holds
-    can change checked data, and raises InputError on inconsistent shapes
-    or a non-finite a, c, qv or offset, and NotSymmetricStorage naming the
-    first triplet in storage order that lies outside the upper triangle,
-    repeats an earlier one, or is a zero off-diagonal.
+    Construction copies the arrays read-only and meta to a new dict, so
+    nothing a caller holds can change checked data. It raises InputError on
+    bad shapes, a non-finite a, c, qv or offset, or an M that is not a finite
+    real (nor a bool), and NotSymmetricStorage naming the first triplet in the
+    given order that is off the upper triangle, a repeat or a zero off-diagonal.
     """
 
     n: int
@@ -85,12 +89,17 @@ class Instance:
             raise InputError("a and c must have length n")
         if not (self.qi.shape == self.qj.shape == self.qv.shape):
             raise InputError("Q triplet arrays must have equal length")
-        fault = _first_storage_fault(self)
+        fault, order = _first_storage_fault(self)
         if fault is not None:
             raise fault
         for name in ("a", "c", "qv", "offset"):
             if not np.isfinite(getattr(self, name)).all():
                 raise InputError(f"{name} has a non-finite entry")
+        object.__setattr__(self, "meta", dict(self.meta))
+        m_box = self.meta.get("M", 0.0)  # decomp.run reads M as the big-M box radius
+        if isinstance(m_box, bool) or not isinstance(m_box, numbers.Real) or not abs(m_box) <= sys.float_info.max:
+            raise InputError("meta M must be a finite real number")
+        _freeze(self, order, qi=np.int64, qj=np.int64, qv=np.float64)  # faults were named in the given order
 
     @cached_property
     def fill_order(self) -> np.ndarray:
@@ -141,8 +150,8 @@ class DDForm:
 
     (1/2) x'Qx == (1/2) sum_i D_i x_i^2 + (1/2) sum_terms w (x_i + sign x_j)^2
     with D_i = Q_ii - sum_{j != i} |Q_ij| >= 0. The terms are held as
-    arrays (term_i, term_j, term_w, term_sign), one entry per term,
-    sorted by (i, j). All arrays are read-only copies of the ones given.
+    arrays (term_i, term_j, term_w, term_sign), one entry per term, in
+    the Instance's (i, j) order; all are read-only copies of those given.
     """
 
     D: np.ndarray
@@ -165,7 +174,7 @@ class SupportGraph:
     """Undirected graph with an edge wherever Q_ij != 0, weighted |Q_ij|.
 
     Edge k joins i[k] < j[k] with weight w[k]; the arrays are read-only
-    copies, sorted by (i, j, w).
+    copies, sorted by (i, j).
     """
 
     n: int
@@ -177,10 +186,10 @@ class SupportGraph:
         _freeze(self, i=np.int64, j=np.int64, w=np.float64)
 
 
-def _first_storage_fault(instance: Instance) -> NotSymmetricStorage | None:
-    """The error a triplet-by-triplet scan in storage order meets first:
-    per triplet, outside the upper triangle, then a repeat of an earlier
-    triplet, then a zero off-diagonal value."""
+def _first_storage_fault(instance: Instance) -> tuple[NotSymmetricStorage | None, np.ndarray]:
+    """The first fault in the given order (per triplet: outside the upper
+    triangle, then a repeat of an earlier triplet, then a zero off-diagonal
+    value) or None, and the positions that sort the triplets by (i, j)."""
     n = instance.n
     qi, qj, qv = instance.qi, instance.qj, instance.qv
     outside = ~((qi >= 0) & (qi <= qj) & (qj < n))
@@ -193,14 +202,14 @@ def _first_storage_fault(instance: Instance) -> NotSymmetricStorage | None:
     zero = (qi != qj) & (qv == 0.0)
     fault = outside | repeat | zero
     if not fault.any():
-        return None
+        return None, order
     k = int(np.argmax(fault))
     i, j = int(qi[k]), int(qj[k])
     if outside[k]:
-        return NotSymmetricStorage(f"triplet ({i}, {j}) outside the upper triangle")
+        return NotSymmetricStorage(f"triplet ({i}, {j}) outside the upper triangle"), order
     if repeat[k]:
-        return NotSymmetricStorage(f"duplicate triplet ({i}, {j})")
-    return NotSymmetricStorage(f"zero-valued off-diagonal ({i}, {j})")
+        return NotSymmetricStorage(f"duplicate triplet ({i}, {j})"), order
+    return NotSymmetricStorage(f"zero-valued off-diagonal ({i}, {j})"), order
 
 
 def validate(instance: Instance) -> DDForm:
@@ -226,26 +235,22 @@ def validate(instance: Instance) -> DDForm:
         i = int(np.argmax(below))
         raise NotDiagonallyDominant(i, float(residual[i]))
     residual = np.maximum(residual, 0.0)
-    order = np.lexsort((tj, ti))
-    ti, tj, tw = ti[order], tj[order], tw[order]
-    sign = np.where(tv[order] > 0, 1, -1)
+    sign = np.where(tv > 0, 1, -1)
     return DDForm(D=residual, term_i=ti, term_j=tj, term_w=tw, term_sign=sign)
 
 
 def support_graph(instance: Instance) -> SupportGraph:
-    """Edges (i, j, |Q_ij|) for the nonzero off-diagonals, sorted."""
+    """Edges (i, j, |Q_ij|) of the nonzero off-diagonals, in the Instance's (i, j) order."""
     qi, qj, qv = instance.qi, instance.qj, instance.qv
     nz = qi != qj
-    i, j, w = qi[nz], qj[nz], np.abs(qv[nz])
-    order = np.lexsort((w, j, i))
-    return SupportGraph(n=instance.n, i=i[order], j=j[order], w=w[order])
+    return SupportGraph(n=instance.n, i=qi[nz], j=qj[nz], w=np.abs(qv[nz]))
 
 
 def permute(instance: Instance, pi) -> Instance:
     """Reindex variables so that new position t holds old variable pi[t].
 
     The objective value of any solution is preserved under the same
-    reindexing. Positional metadata ("y") is carried along.
+    reindexing; "y" moves along, and the new Instance sorts Q by (i, j).
     """
     pi = np.asarray(pi, dtype=np.int64)
     n = instance.n
@@ -254,8 +259,6 @@ def permute(instance: Instance, pi) -> Instance:
     inv = np.empty(n, dtype=np.int64)
     inv[pi] = np.arange(n)
     ni, nj = inv[instance.qi], inv[instance.qj]
-    qi, qj = np.minimum(ni, nj), np.maximum(ni, nj)
-    order = np.lexsort((instance.qv, qj, qi))
     meta = dict(instance.meta)
     if "y" in meta:
         meta["y"] = np.asarray(meta["y"], dtype=np.float64)[pi].tolist()
@@ -263,9 +266,9 @@ def permute(instance: Instance, pi) -> Instance:
         n=n,
         a=instance.a[pi],
         c=instance.c[pi],
-        qi=qi[order],
-        qj=qj[order],
-        qv=instance.qv[order],
+        qi=np.minimum(ni, nj),
+        qj=np.maximum(ni, nj),
+        qv=instance.qv,
         offset=instance.offset,
         meta=meta,
     )
@@ -281,19 +284,15 @@ def _rng(seed: int) -> np.random.Generator:
 
 def _build(n, a, c, diag, i, j, v, offset=0.0, meta=None) -> Instance:
     """Instance with diagonal `diag` and off-diagonal triplets (i, j, v),
-    exact zeros dropped, sorted by (i, j, v)."""
+    exact zeros dropped; the Instance sorts them by (i, j)."""
     keep = v != 0.0
-    qi = np.concatenate((np.arange(n), i[keep]))
-    qj = np.concatenate((np.arange(n), j[keep]))
-    qv = np.concatenate((diag, v[keep]))
-    order = np.lexsort((qv, qj, qi))
     return Instance(
         n=n,
         a=a,
         c=c,
-        qi=qi[order],
-        qj=qj[order],
-        qv=qv[order],
+        qi=np.concatenate((np.arange(n), i[keep])),
+        qj=np.concatenate((np.arange(n), j[keep])),
+        qv=np.concatenate((diag, v[keep])),
         offset=offset,
         meta=meta or {},
     )

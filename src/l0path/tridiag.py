@@ -121,7 +121,7 @@ def to_tridiagonal(instance: Instance) -> TridiagProblem:
     TridiagProblem.
 
     Rejects any entry beyond the first off-diagonal, naming the first one
-    in storage order.
+    in the Instance's (i, j) order.
     """
     qi, qj, qv = instance.qi, instance.qj, instance.qv
     beyond = np.flatnonzero(qj - qi > 1)

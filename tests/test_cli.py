@@ -4,8 +4,8 @@ import warnings
 
 import pytest
 
-from l0path import NotBipartite, b2_subgraph_bipartite, read_instance, support_graph, write_instance
-from l0path.cli import main
+from l0path import NotBipartite, RunConfig, b2_subgraph_bipartite, read_instance, support_graph, write_instance
+from l0path.cli import _build_parser, main
 
 from conftest import random_dd_instance, rng_for
 from test_cover import edge_tuples, path_cover_loop
@@ -68,6 +68,12 @@ def test_solve_decomp_repeat_identical_modulo_timing(tmp_path):
             logs.append([row[:-1] for row in csv.reader(fh)])  # drop elapsed_ms
     assert sols[0] == sols[1]
     assert logs[0] == logs[1]
+
+
+def test_solve_decomp_defaults_are_run_configs():
+    args = _build_parser().parse_args(["solve-decomp", "inst.json"])
+    want = RunConfig()
+    assert (args.steps, args.eps, args.max_iter) == (want.schedule, want.eps, want.max_iter)
 
 
 def test_path_instance_same_answer_both_solvers(tmp_path):

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -16,14 +17,17 @@ from l0path import (
     NotSymmetricStorage,
     ParseError,
     Relaxation,
+    RunConfig,
     SupportGraph,
     TridiagProblem,
+    default_relaxation,
     enumerate_supports,
     gen_lattice2d,
     gen_signal1d,
     gen_tridiagonal,
     permute,
     read_instance,
+    run,
     support_graph,
     validate,
     write_instance,
@@ -188,6 +192,106 @@ def test_data_classes_store_read_only_copies(cls, kwargs, view):
     for name in arrays:
         got = getattr(obj, name)
         assert got.dtype == before[name].dtype and np.array_equal(got, before[name]), name
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_instance_stores_triplets_in_ij_order(seed):
+    rng = rng_for(40 + seed)
+    for inst in (
+        gen_tridiagonal(30, seed),
+        gen_lattice2d(5, 5, 0.3, 0.1, seed),
+        random_dd_instance(rng, 12),  # lists its diagonals first
+    ):
+        key = inst.qi * inst.n + inst.qj
+        assert np.all(np.diff(key) > 0)
+        p = rng.permutation(inst.qv.size)
+        other = dataclasses.replace(inst, qi=inst.qi[p], qj=inst.qj[p], qv=inst.qv[p])
+        for name in ("qi", "qj", "qv"):
+            assert getattr(other, name).tobytes() == getattr(inst, name).tobytes(), name
+        for one, two in ((validate(inst), validate(other)), (support_graph(inst), support_graph(other))):
+            for f in dataclasses.fields(one):
+                got, want = getattr(two, f.name), getattr(one, f.name)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), f.name
+
+
+# SHA-256 of the stored bytes of each array, recorded before the Instance
+# sorted its own triplets: the generators and permute keep every byte
+GENERATED_DIGESTS = {
+    "tridiagonal": {
+        "a": "bbdb077a4bce825c4d687eee3b5fe7e7e11b922657c092c90e32de47cab33a0b",
+        "c": "c9ee7f92c29b5ad7fd0c3b427fb387c5a2730015b2e042fbf38bae0667c3bcdd",
+        "qi": "30edf944cf255d684ea314ba4623bd24dd3bbe412d2de735bb660e1239794fce",
+        "qj": "ab6dde111d487865f993773c7e1560073c058d7ad25aede50cf32588f7fc96e2",
+        "qv": "ecfe396d0b013707a63044e642544c4797852eff6de78719579ed2accf59cbf8",
+    },
+    "signal1d": {
+        "a": "0929d47c09483d27146567e784e1506c0319d7dc2c5d18148768408257e84d5d",
+        "c": "31370975d382ca63c61b6e391467ea261d52f3c7ae39908dbe827fede51f645e",
+        "qi": "30edf944cf255d684ea314ba4623bd24dd3bbe412d2de735bb660e1239794fce",
+        "qj": "ab6dde111d487865f993773c7e1560073c058d7ad25aede50cf32588f7fc96e2",
+        "qv": "9e9c0a0f4074e06f2a78fcef3b4f57f165cb7f17a0c3333adf3869733aa5d1f7",
+    },
+    "lattice2d": {
+        "a": "e2734721b514296931e9a376f89060c6d77c8e23caa4845fd8851fcd39ec8207",
+        "c": "133379eb10e5e6949a68b9d0b2e14a68aed484722ebdd08e9983988c4b204e03",
+        "qi": "41eb06b1afb45ac066afe59f59ac4ecd965c3b86e39cb9e11729b5581fbca7de",
+        "qj": "6b51beb867597a54ae44b0a094975af56989ff8bb92ee0bff2578dc7673482ff",
+        "qv": "08e863a9a4947a51cf61fed0da9bc116ffb4aa45ac50cc1bd2ed63419129c656",
+    },
+    "permuted_lattice2d": {
+        "a": "e2734721b514296931e9a376f89060c6d77c8e23caa4845fd8851fcd39ec8207",
+        "c": "e348fe45e84bdc9536c206aac5830f0bfc86dff05f61210db531c9dcbab1c59d",
+        "qi": "ec8ac44f4342f076874a47ab4c1ec236109ef7edc5655761693abba41970b8f6",
+        "qj": "bd3c065a886ec7ccb5b788466f6e6e282e389ecb76f3179424161758da1e9d04",
+        "qv": "7f4ba018a6e9c6380ec3d026644e65784b6ad3c718c6bb14e60319476ac3327e",
+    },
+}
+
+
+@pytest.mark.parametrize("name", GENERATED_DIGESTS)
+def test_generated_instances_keep_their_bytes(name):
+    make = {
+        "tridiagonal": lambda: gen_tridiagonal(50, 0),
+        "signal1d": lambda: gen_signal1d(50, 0.3, 0.1, 0),
+        "lattice2d": lambda: gen_lattice2d(6, 6, 0.3, 0.1, 0),
+        "permuted_lattice2d": lambda: permute(gen_lattice2d(6, 6, 0.3, 0.1, 0), (7 * np.arange(36)) % 36),
+    }
+    inst = make[name]()
+    got = {f: hashlib.sha256(getattr(inst, f).tobytes()).hexdigest() for f in GENERATED_DIGESTS[name]}
+    assert got == GENERATED_DIGESTS[name]
+
+
+def test_replace_with_a_non_numeric_box_radius_fails_at_construction():
+    # run read M only after a finished ascent, and float("wide") threw the
+    # run away with a ValueError
+    with pytest.raises(InputError, match="meta M must be a finite real number"):
+        dataclasses.replace(gen_lattice2d(3, 3, 0.3, 0.1, 0), meta={"M": "wide"})
+
+
+@pytest.mark.parametrize(
+    "m_box",
+    [True, np.True_, np.inf, np.nan, -np.inf, "1", None, 10**400, 1j],
+    ids=["bool", "numpy_bool", "inf", "nan", "-inf", "str", "none", "int_past_float", "complex"],
+)
+def test_constructor_rejects_a_box_radius_that_is_not_a_finite_real(example_instance, m_box):
+    with pytest.raises(InputError, match="meta M must be a finite real number"):
+        dataclasses.replace(example_instance, meta={"M": m_box})
+
+
+@pytest.mark.parametrize("m_box", [3, 2.5, np.float64(2.0), np.int64(4), 0])
+def test_constructor_accepts_a_finite_real_box_radius(example_instance, m_box):
+    assert dataclasses.replace(example_instance, meta={"M": m_box}).meta["M"] == m_box
+
+
+def test_callers_meta_cannot_reach_run():
+    base = gen_lattice2d(3, 3, 0.3, 0.1, 0)
+    meta = dict(base.meta)
+    inst = dataclasses.replace(base, meta=meta)
+    assert inst.meta is not meta
+    meta["M"] = "wide"
+    res = run(inst, default_relaxation(inst), RunConfig(eps=1e-2))
+    assert res.lower <= res.upper + 1e-9
+    assert inst.meta["M"] == base.meta["M"]
 
 
 def test_validate_reads_the_checked_data():
