@@ -39,7 +39,6 @@ from .instance import (
 from .tridiag import SPSolution, TridiagProblem, solve, solve_fixed_z, to_tridiagonal
 from .fenchel import f_star, f_star_subgradient
 from .cover import (
-    CoverSolution,
     Ordering,
     b2_subgraph_bipartite,
     b2_subgraph_general,
@@ -78,7 +77,7 @@ __all__ = [
     "TridiagProblem", "SPSolution", "solve", "solve_fixed_z",
     "to_tridiagonal",
     "f_star", "f_star_subgradient",
-    "CoverSolution", "Ordering",
+    "Ordering",
     "b2_subgraph_bipartite", "b2_subgraph_general", "break_cycles",
     "make_ordering", "path_cover",
     "Relaxation", "RunConfig", "IterationRecord", "RunResult",

@@ -11,11 +11,12 @@ gadget is bipartite too, and the compiled blossom matching
 lightest edge, and concatenate the paths into a variable ordering.
 
 The graph, the chosen subgraph and the ordering are arrays throughout:
-the subgraph is a boolean mask over the graph's sorted edge arrays, and
-its cycles and paths come from `scipy.sparse.csgraph` component labels
-and breadth-first depths, with no walk over individual edges. Each
-function imports the scipy names it calls, so `import l0path` and the
-exact path solver never load scipy; the first cover does.
+the stages hand the subgraph on as a bare boolean mask over the graph's
+sorted edge arrays, and its cycles and paths come from
+`scipy.sparse.csgraph` component labels and breadth-first depths, with
+no walk over individual edges. Each function imports the scipy names it
+calls, so `import l0path` and the exact path solver never load scipy;
+the first cover does.
 
 Breaking a cycle of length L >= 3 loses at most 1/3 (bipartite: L >= 4,
 at most 1/4) of its weight, and the degree-<=2 optimum dominates the best
@@ -34,15 +35,6 @@ from .errors import HasCycle, NotBipartite
 from .instance import SupportGraph
 
 @dataclass(frozen=True, eq=False)
-class CoverSolution:
-    """Chosen edges as a boolean mask over the support graph's edge
-    arrays, and their total weight. Every node has degree <= 2."""
-
-    chosen: np.ndarray
-    weight: float
-
-
-@dataclass(frozen=True, eq=False)
 class Ordering:
     """Variable permutation with the retained/relaxed edge split.
 
@@ -54,10 +46,6 @@ class Ordering:
     pi: np.ndarray
     retained: np.ndarray
     relaxed: np.ndarray
-
-
-def _cover(g: SupportGraph, chosen: np.ndarray) -> CoverSolution:
-    return CoverSolution(chosen=chosen, weight=float(g.w[chosen].sum()))
 
 
 def _components(n: int, i: np.ndarray, j: np.ndarray):
@@ -113,18 +101,19 @@ def _gadget(n: int, tail: np.ndarray, head: np.ndarray, w: np.ndarray):
     return x, y, np.tile(w, 5)
 
 
-def _decode_matching(g: SupportGraph, x: np.ndarray, y: np.ndarray) -> CoverSolution:
+def _decode_matching(g: SupportGraph, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Keep the edges whose gadget nodes a_e and b_e both match vertex copies."""
     n, m = g.n, g.w.size
     on_copy = np.zeros(2 * n + 2 * m, dtype=bool)
     touches_copy = (x < 2 * n) | (y < 2 * n)
     on_copy[x[touches_copy]] = True
     on_copy[y[touches_copy]] = True
-    return _cover(g, on_copy[2 * n : 2 * n + m] & on_copy[2 * n + m :])
+    return on_copy[2 * n : 2 * n + m] & on_copy[2 * n + m :]
 
 
-def b2_subgraph_bipartite(g: SupportGraph) -> CoverSolution:
-    """Exact maximum-weight degree-<=2 subgraph of a bipartite graph.
+def b2_subgraph_bipartite(g: SupportGraph) -> np.ndarray:
+    """Exact maximum-weight degree-<=2 subgraph of a bipartite graph, as a
+    boolean mask over g's edges.
 
     When every weight equals some w, the best subgraph is w times a
     maximum-cardinality one, which is an integer maximum flow: source ->
@@ -142,7 +131,7 @@ def b2_subgraph_bipartite(g: SupportGraph) -> CoverSolution:
     if color is None:
         raise NotBipartite("support graph has an odd cycle")
     if w.size == 0:
-        return _cover(g, np.zeros(0, dtype=bool))
+        return np.zeros(0, dtype=bool)
     n, m = g.n, w.size
     from_left = color[i] == 0
     tail, head = np.where(from_left, i, j), np.where(from_left, j, i)
@@ -175,9 +164,9 @@ def b2_subgraph_bipartite(g: SupportGraph) -> CoverSolution:
 
 
 def _b2_max_flow(g: SupportGraph, color: np.ndarray, tail: np.ndarray, head: np.ndarray):
-    """Equal-weight case of `b2_subgraph_bipartite`: keep the edges that
-    carry flow. Direct tail -> head arcs suffice because the support graph
-    has one edge per vertex pair."""
+    """Equal-weight case of `b2_subgraph_bipartite`: the mask of the edges
+    that carry flow. Direct tail -> head arcs suffice because the support
+    graph has one edge per vertex pair."""
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import maximum_flow
 
@@ -189,47 +178,48 @@ def _b2_max_flow(g: SupportGraph, color: np.ndarray, tail: np.ndarray, head: np.
     cap = np.concatenate([np.full(left.size, 2), np.ones(tail.size), np.full(right.size, 2)])
     net = csr_array((cap.astype(np.int32), (tails, heads)), shape=(n + 2, n + 2))
     flow = maximum_flow(net, source, sink, method="dinic").flow
-    return _cover(g, np.asarray(flow[tail, head]).ravel() > 0)
+    return np.asarray(flow[tail, head]).ravel() > 0
 
 
-def b2_subgraph_general(g: SupportGraph) -> CoverSolution:
-    """Exact maximum-weight degree-<=2 subgraph of any graph: a general
-    maximum-weight matching on the edge gadget (see `_gadget`), by the
-    compiled blossom method in O(V + E) scratch (see
-    `_kernels.matching_kernel`)."""
+def b2_subgraph_general(g: SupportGraph) -> np.ndarray:
+    """Exact maximum-weight degree-<=2 subgraph of any graph, as a boolean
+    mask over g's edges: a general maximum-weight matching on the edge
+    gadget (see `_gadget`), by the compiled blossom method in O(V + E)
+    scratch (see `_kernels.matching_kernel`)."""
     x, y, wx = _gadget(g.n, g.i, g.j, g.w)
     mate = matching_kernel(2 * g.n + 2 * g.w.size, x, y, wx)
     matched = np.flatnonzero(mate >= 0)
     return _decode_matching(g, matched, mate[matched])
 
 
-def break_cycles(cs: CoverSolution, g: SupportGraph) -> CoverSolution:
-    """Drop the lightest edge of every cycle (ties: smallest (i, j)).
+def break_cycles(chosen: np.ndarray, g: SupportGraph) -> np.ndarray:
+    """Drop the lightest edge of every cycle (ties: smallest (i, j)) from
+    the edge mask `chosen`; returns a new mask.
 
     A component of the degree-<=2 subgraph is a cycle when it has as many
     edges as nodes.
     """
-    e = np.flatnonzero(cs.chosen)
+    e = np.flatnonzero(chosen)
     ncomp, label, _ = _components(g.n, g.i[e], g.j[e])
     comp = label[g.i[e]]
     cycle = np.bincount(comp, minlength=ncomp) == np.bincount(label)
     # the first edge of each component in (w, i, j) order
     order = np.lexsort((g.j[e], g.i[e], g.w[e], comp))
     lightest = order[np.diff(comp[order], prepend=-1) != 0]
-    chosen = cs.chosen.copy()
+    chosen = chosen.copy()
     chosen[e[lightest[cycle[comp[lightest]]]]] = False
-    return _cover(g, chosen)
+    return chosen
 
 
-def make_ordering(cs: CoverSolution, g: SupportGraph) -> Ordering:
-    """Concatenate the cover's paths (heaviest first, ties: smaller first
-    node) into a permutation.
+def make_ordering(chosen: np.ndarray, g: SupportGraph) -> Ordering:
+    """Concatenate the paths of the edge mask `chosen` (heaviest first,
+    ties: smaller first node) into a permutation.
 
     Each path runs from its smaller endpoint and its weight is summed in
     path order. Every cover edge joins consecutive positions; untouched
     nodes go last in ascending order.
     """
-    ci, cj, cw = g.i[cs.chosen], g.j[cs.chosen], g.w[cs.chosen]
+    ci, cj, cw = g.i[chosen], g.j[chosen], g.w[chosen]
     ncomp, label, adj = _components(g.n, ci, cj)
     comp = label[ci]
     if np.any(np.bincount(comp, minlength=ncomp) == np.bincount(label)):
@@ -251,14 +241,14 @@ def make_ordering(cs: CoverSolution, g: SupportGraph) -> Ordering:
     return Ordering(
         pi=np.concatenate([walk, np.flatnonzero(degree == 0)]),
         retained=np.stack((ci, cj), axis=1),
-        relaxed=np.stack((g.i[~cs.chosen], g.j[~cs.chosen]), axis=1),
+        relaxed=np.stack((g.i[~chosen], g.j[~chosen]), axis=1),
     )
 
 
 def path_cover(g: SupportGraph) -> Ordering:
     """Full pipeline: exact degree-<=2 subgraph, cycle breaking, ordering."""
     try:
-        cs = b2_subgraph_bipartite(g)
+        chosen = b2_subgraph_bipartite(g)
     except NotBipartite:
-        cs = b2_subgraph_general(g)
-    return make_ordering(break_cycles(cs, g), g)
+        chosen = b2_subgraph_general(g)
+    return make_ordering(break_cycles(chosen, g), g)

@@ -148,6 +148,8 @@ def build_relaxation(
     h_eval makes it, raises SegmentNotPD for the first segment that fails
     a pivot; the sweep's pivots read only the template, so no h_eval on
     it fails them later. The arrays are read-only copies of the inputs.
+    dd's terms must be in strictly increasing (i, j) order, as `validate`
+    returns them, or InputError is raised.
     """
     n = instance.n
     pi = np.asarray(ordering, dtype=np.int64)
@@ -157,8 +159,11 @@ def build_relaxation(
     inv[pi] = np.arange(n, dtype=np.int64)
 
     ti, tj = dd.term_i, dd.term_j
-    # terms keep the Instance's (i, j) order, so keys i * n + j ascend
+    # validate keeps the Instance's (i, j) order; the search below needs
+    # keys i * n + j that ascend, so any other order is refused
     tkey = ti * n + tj
+    if np.any(tkey[1:] <= tkey[:-1]):
+        raise InputError("dd's terms are not in strictly increasing (i, j) order")
     pairs = np.array(retained, dtype=np.int64).reshape(-1, 2)
     ri, rj = pairs.min(axis=1), pairs.max(axis=1)
     rkey = ri * n + rj
@@ -351,7 +356,8 @@ def run(instance: Instance, r: Relaxation, config: RunConfig) -> RunResult:
     The refit can only tighten the upper bound and never feeds the dual
     update. Stops when the certified gap reaches
     config.eps, the direction vanishes (dual-stationary), or max_iter is
-    hit.
+    hit. Raises InputError up front when r was not built from this
+    instance: its size, a and c in r's ordering must match.
     """
     if config.schedule not in ("geometric", "harmonic"):
         raise InputError(f"unknown step schedule {config.schedule!r}")
@@ -363,6 +369,11 @@ def run(instance: Instance, r: Relaxation, config: RunConfig) -> RunResult:
         raise InputError(f"max_iter must be an integer, not {config.max_iter!r}") from None
     if max_iter < 1:
         raise InputError("max_iter must be at least 1")
+    # build_relaxation stores these gathers, so they match bit for bit
+    if r.n != instance.n or not (
+        np.array_equal(r.a_ord, instance.a[r.pi]) and np.array_equal(r.c_ord, instance.c[r.pi])
+    ):
+        raise InputError("the relaxation was not built from this instance")
 
     # one (alpha, beta_i, beta_j) row per relaxed term, plus the best
     # certified bounds seen so far

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from l0path import (
     b2_subgraph_general,
     break_cycles,
     gen_lattice2d,
+    gen_tridiagonal,
     make_ordering,
     path_cover,
     support_graph,
@@ -130,7 +132,7 @@ def path_cover_loop(g):
         cs = b2_subgraph_bipartite(g)
     except NotBipartite:
         cs = b2_subgraph_general(g)
-    chosen = edge_tuples(g, cs.chosen)
+    chosen = edge_tuples(g, cs)
     comps = break_cycles_loop(chosen, decode_simple_loop(chosen))
     return make_ordering_loop(comps, edge_tuples(g), g.n)
 
@@ -227,33 +229,33 @@ def exhaustive_b2(g):
 
 
 def check_degrees(cs, g):
-    deg = np.bincount(np.concatenate([g.i[cs.chosen], g.j[cs.chosen]]), minlength=g.n)
+    deg = np.bincount(np.concatenate([g.i[cs], g.j[cs]]), minlength=g.n)
     assert deg.max(initial=0) <= 2
 
 
 def test_b2_star():
     cs = b2_subgraph_bipartite(STAR)
-    assert cs.weight == 2.5
-    assert edge_tuples(STAR, cs.chosen) == [(0, 1, 1.5), (1, 2, 1.0)]
+    assert STAR.w[cs].sum() == 2.5
+    assert edge_tuples(STAR, cs) == [(0, 1, 1.5), (1, 2, 1.0)]
     # one path 0-1-2: it orders without breaking any cycle
     assert make_ordering(cs, STAR).pi.tolist() == [0, 1, 2, 3]
-    assert b2_subgraph_general(STAR).weight == 2.5
+    assert STAR.w[b2_subgraph_general(STAR)].sum() == 2.5
 
 
 def test_b2_four_cycle_all_edges():
     cs = b2_subgraph_bipartite(FOUR_CYCLE)
-    assert cs.weight == 10.0 and cs.chosen.all()
+    assert FOUR_CYCLE.w[cs].sum() == 10.0 and cs.all()
     with pytest.raises(HasCycle):
         make_ordering(cs, FOUR_CYCLE)
     after = break_cycles(cs, FOUR_CYCLE)
-    assert after.weight == 9.0
+    assert FOUR_CYCLE.w[after].sum() == 9.0
     assert make_ordering(after, FOUR_CYCLE).pi.tolist() == [0, 1, 2, 3]
 
 
 def test_b2_path_graph_returns_itself():
     path = make_graph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)])
     cs = b2_subgraph_bipartite(path)
-    assert cs.chosen.all()
+    assert cs.all()
     assert make_ordering(cs, path).pi.tolist() == [0, 1, 2, 3]
 
 
@@ -264,8 +266,8 @@ def test_b2_bipartite_rejects_odd_cycle():
 
 def test_b2_general_triangle():
     cs = b2_subgraph_general(TRIANGLE)
-    assert cs.weight == 6.0
-    assert break_cycles(cs, TRIANGLE).weight == 5.0
+    assert TRIANGLE.w[cs].sum() == 6.0
+    assert TRIANGLE.w[break_cycles(cs, TRIANGLE)].sum() == 5.0
 
 
 def test_b2_matches_exhaustive():
@@ -276,14 +278,14 @@ def test_b2_matches_exhaustive():
             continue
         cs = b2_subgraph_bipartite(g)
         check_degrees(cs, g)
-        assert abs(cs.weight - exhaustive_b2(g)) <= 1e-9
+        assert abs(g.w[cs].sum() - exhaustive_b2(g)) <= 1e-9
     for _ in range(30):
         g = random_graph(rng, int(rng.integers(2, 6)))
         if g.w.size > 12:
             continue
         cs = b2_subgraph_general(g)
         check_degrees(cs, g)
-        assert abs(cs.weight - exhaustive_b2(g)) <= 1e-9
+        assert abs(g.w[cs].sum() - exhaustive_b2(g)) <= 1e-9
 
 
 @pytest.mark.parametrize("side", [20, 40])
@@ -293,7 +295,7 @@ def test_b2_bipartite_lattice_reaches_degree_bound(side):
     g = support_graph(gen_lattice2d(side, side, 0.3, 0.1, 0))
     cs = b2_subgraph_bipartite(g)
     check_degrees(cs, g)
-    assert cs.weight == 2.0 * side * side
+    assert g.w[cs].sum() == 2.0 * side * side
 
 
 def test_b2_bipartite_matches_general_beyond_exhaustive_cap():
@@ -303,7 +305,7 @@ def test_b2_bipartite_matches_general_beyond_exhaustive_cap():
         g = random_bipartite(rng, int(nl), int(nr), density=0.25)
         cs = b2_subgraph_bipartite(g)
         check_degrees(cs, g)
-        assert abs(cs.weight - b2_subgraph_general(g).weight) <= 1e-9
+        assert abs(g.w[cs].sum() - g.w[b2_subgraph_general(g)].sum()) <= 1e-9
 
 
 def uniform_bipartite(rng, nl, nr, density=0.5):
@@ -322,7 +324,7 @@ def test_b2_equal_weights_max_flow_matches_exhaustive():
             continue
         cs = b2_subgraph_bipartite(g)
         check_degrees(cs, g)
-        assert cs.weight == pytest.approx(exhaustive_b2(g), rel=1e-12)
+        assert g.w[cs].sum() == pytest.approx(exhaustive_b2(g), rel=1e-12)
         checked += 1
     assert checked >= 30
 
@@ -335,7 +337,7 @@ def test_b2_equal_weights_max_flow_matches_general():
         assert 20 <= g.n <= 40
         cs = b2_subgraph_bipartite(g)
         check_degrees(cs, g)
-        assert cs.weight == pytest.approx(b2_subgraph_general(g).weight, rel=1e-12)
+        assert g.w[cs].sum() == pytest.approx(g.w[b2_subgraph_general(g)].sum(), rel=1e-12)
 
 
 def test_equal_weight_lattice_takes_the_max_flow(monkeypatch):
@@ -344,7 +346,7 @@ def test_equal_weight_lattice_takes_the_max_flow(monkeypatch):
 
     monkeypatch.setattr(csgraph, "min_weight_full_bipartite_matching", no_assignment)
     g = support_graph(gen_lattice2d(100, 100, 0.3, 0.1, 0))
-    assert b2_subgraph_bipartite(g).weight == 2.0 * 10**4
+    assert g.w[b2_subgraph_bipartite(g)].sum() == 2.0 * 10**4
     ordering = path_cover(g)
     assert sorted(ordering.pi.tolist()) == list(range(10**4))
 
@@ -363,7 +365,50 @@ def test_weighted_bipartite_takes_the_assignment(monkeypatch):
     monkeypatch.setattr(csgraph, "min_weight_full_bipartite_matching", counted)
     monkeypatch.setattr(csgraph, "maximum_flow", no_flow)
     cs = b2_subgraph_bipartite(FOUR_CYCLE)
-    assert cs.weight == 10.0 and calls == [1]
+    assert FOUR_CYCLE.w[cs].sum() == 10.0 and calls == [1]
+
+
+# SHA-256 of path_cover's pi, retained and relaxed, one graph per branch of
+# the degree-<=2 subgraph, recorded before the stages passed a bare mask
+COVER_DIGESTS = {
+    "max_flow": {
+        "pi": "d4544acbf87cba0a03eccd75694777a920a99dd8f4d6af6ec004c3611e6d7cb7",
+        "retained": "34239b9890941397fedbdbd349255531fda412ec760c150a0e4a41b8bd4a7f2f",
+        "relaxed": "d13b45c2d19f4f64fa13664263e614bc8efa6c1484c87f7d978ef8b114b5a77d",
+    },
+    "assignment": {
+        "pi": "de663cfb3b82787ec7c32624aba8cd8de6555fc906b507971a2c2f3207b5fe52",
+        "retained": "0507159fe9df5021af426c037fecb44b2eaedc777fa7ef1b6c707cbc6041ab86",
+        "relaxed": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "blossom": {
+        "pi": "d36a85c464c185f9f449ea5b8c035fbb18677231c68651c7691394960b4e4ade",
+        "retained": "862c51a4052376f2b53741a1ae79bbd6176addd7b05bfe2b65a9c10f46ddbc02",
+        "relaxed": "0157b6aabd0c62335c4cdc8321fa5fb73146da125916a20c635a8c680c0caf09",
+    },
+}
+
+
+@pytest.mark.parametrize("branch", COVER_DIGESTS)
+def test_path_cover_keeps_its_bytes(monkeypatch, branch):
+    g = {
+        "max_flow": lambda: support_graph(gen_lattice2d(12, 12, 0.3, 0.1, 0)),
+        "assignment": lambda: support_graph(gen_tridiagonal(200, 0)),
+        "blossom": lambda: support_graph(random_dd_instance(rng_for(5), 12)),
+    }[branch]()
+    calls = []
+
+    def counted(mod, attr, name):
+        f = getattr(mod, attr)
+        monkeypatch.setattr(mod, attr, lambda *a, **k: calls.append(name) or f(*a, **k))
+
+    counted(csgraph, "maximum_flow", "max_flow")
+    counted(csgraph, "min_weight_full_bipartite_matching", "assignment")
+    counted(cover, "matching_kernel", "blossom")
+    ordering = path_cover(g)
+    assert calls == [branch]
+    got = {f: hashlib.sha256(getattr(ordering, f).tobytes()).hexdigest() for f in COVER_DIGESTS[branch]}
+    assert got == COVER_DIGESTS[branch]
 
 
 def test_path_cover_deterministic():
@@ -383,17 +428,17 @@ def test_path_cover_deterministic():
 def test_break_cycles_minimum_edge_and_ties():
     cs = b2_subgraph_bipartite(FOUR_CYCLE)
     after = break_cycles(cs, FOUR_CYCLE)
-    assert (0, 3, 1.0) not in edge_tuples(FOUR_CYCLE, after.chosen)
+    assert (0, 3, 1.0) not in edge_tuples(FOUR_CYCLE, after)
     # all-equal weights: the lexicographically smallest edge goes
     even = make_graph(4, [(0, 1, 2.0), (0, 3, 2.0), (1, 2, 2.0), (2, 3, 2.0)])
     after = break_cycles(b2_subgraph_bipartite(even), even)
-    assert (0, 1, 2.0) not in edge_tuples(even, after.chosen)
-    assert after.weight == 6.0
+    assert (0, 1, 2.0) not in edge_tuples(even, after)
+    assert even.w[after].sum() == 6.0
 
 
 def test_break_cycles_keeps_paths():
     cs = b2_subgraph_bipartite(STAR)
-    assert np.array_equal(break_cycles(cs, STAR).chosen, cs.chosen)
+    assert np.array_equal(break_cycles(cs, STAR), cs)
 
 
 def test_brute_force_pstar_examples():

@@ -154,6 +154,20 @@ def test_build_relaxation_input_checks(example_instance):
         build_relaxation(example_instance, dd, np.arange(4), [(0, 2)])
 
 
+def test_build_relaxation_refuses_terms_out_of_order():
+    # the retained pairs are found by a search that needs ascending keys;
+    # reversed terms once relaxed every retained coupling (bounds 0..5)
+    inst = gen_tridiagonal(5, 0)
+    dd = validate(inst)
+    pairs = np.stack((dd.term_i, dd.term_j), axis=1)
+    assert build_relaxation(inst, dd, np.arange(5), pairs).bounds.tolist() == [0, 5]
+    reversed_dd = dataclasses.replace(
+        dd, term_i=dd.term_i[::-1], term_j=dd.term_j[::-1], term_w=dd.term_w[::-1], term_sign=dd.term_sign[::-1]
+    )
+    with pytest.raises(InputError, match="strictly increasing"):
+        build_relaxation(inst, reversed_dd, np.arange(5), pairs)
+
+
 def test_relaxation_arrays_are_read_only_copies():
     inst = gen_lattice2d(4, 5, 0.3, 0.1, 0)
     ordering = path_cover(support_graph(inst))
@@ -529,6 +543,22 @@ def test_run_config_validation(example_instance):
         run(example_instance, r, RunConfig(max_iter=2.5))
     # numpy integers are integers
     assert run(example_instance, r, RunConfig(eps=1e-15, max_iter=np.int64(3))).iterations == 3
+
+
+@pytest.mark.parametrize(
+    "built_from, solved",
+    [
+        # same size, other data: the bounds crossed (lower -73.19 above
+        # upper -203.94) and the run still stopped on "gap"
+        (gen_lattice2d(6, 6, 0.3, 0.1, 0), gen_lattice2d(6, 6, 0.3, 0.1, 1)),
+        # other size: numpy's matmul ValueError after the first dual value
+        (gen_lattice2d(3, 4, 0.3, 0.1, 0), gen_lattice2d(3, 3, 0.3, 0.1, 0)),
+    ],
+    ids=["same-size", "other-size"],
+)
+def test_run_refuses_a_relaxation_of_another_instance(built_from, solved):
+    with pytest.raises(InputError, match="not built from this instance"):
+        run(solved, default_relaxation(built_from), RunConfig("harmonic", eps=0.01, max_iter=300))
 
 
 def test_iteration_log_format(tmp_path, example_instance):
