@@ -9,7 +9,6 @@ from .errors import (
     HasCycle,
     InfeasiblePair,
     InputError,
-    InvalidPermutation,
     L0PathError,
     NotBipartite,
     NotDiagonallyDominant,
@@ -30,7 +29,6 @@ from .instance import (
     gen_lattice2d,
     gen_signal1d,
     gen_tridiagonal,
-    permute,
     read_instance,
     support_graph,
     validate,
@@ -66,12 +64,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "L0PathError", "InputError", "NumericalError", "ParseError",
-    "NotSymmetricStorage", "NotDiagonallyDominant", "InvalidPermutation",
+    "NotSymmetricStorage", "NotDiagonallyDominant",
     "NotBipartite", "HasCycle", "TooLarge",
     "NotPositiveDefinite", "SegmentNotPD", "SingularSupport", "InfeasiblePair",
     "TemplateMismatch",
     "Instance", "Term", "DDForm", "SupportGraph",
-    "validate", "support_graph", "permute",
+    "validate", "support_graph",
     "gen_tridiagonal", "gen_signal1d", "gen_lattice2d",
     "read_instance", "write_instance",
     "TridiagProblem", "SPSolution", "solve", "solve_fixed_z",

@@ -35,7 +35,7 @@ from .errors import (
 # subgradient runs f_star_subgradient's branches as array code and never
 # calls it; the name stays bound here for the benchmark's call counters
 from .fenchel import f_star, f_star_subgradient  # noqa: F401
-from .instance import DDForm, Instance, Term, _freeze, _terms, support_graph, validate
+from .instance import Instance, Term, _freeze, _terms, support_graph, validate
 from .oracle import fixed_z_qp
 # h_eval solves its segments with segments_kernel and never calls
 # solve_tridiag; the name stays bound here for the benchmark's tracer
@@ -45,21 +45,27 @@ logger = logging.getLogger(__name__)
 
 GAP_DIV_GUARD = 1e-8
 
+# relative amount by which the best lower bound may exceed the best upper
+# bound before run raises; rounding alone stays below 1e-15
+CROSS_TOL = 1e-9
+
 # base of the geometric step sequence GEOMETRIC_RATIO^(1-k)
 GEOMETRIC_RATIO = 1.01
 
 
 @dataclass(frozen=True, eq=False)
 class Relaxation:
-    """Ordered, segmented view of an instance with the relaxed terms.
+    """Ordered, segmented view of one instance with the relaxed terms.
 
-    Everything positional lives in permuted coordinates; pi[t] is the
-    original index at position t. Segment k is [bounds[k], bounds[k+1]).
-    The retained terms are folded into one tridiagonal template over all
-    positions: diag (length n) and off (length n - 1), where off[p] is
-    the signed coupling of the retained term (p, p + 1) and zero at every
-    cut between segments. The relaxed terms are the arrays rel_i, rel_j,
-    rel_w and rel_sign, sorted by (i, j). All arrays are read-only copies.
+    `instance` is the Instance the relaxation was split from; `run`
+    certifies bounds only for that object. Everything positional lives in
+    permuted coordinates; pi[t] is the original index at position t.
+    Segment k is [bounds[k], bounds[k+1]). The retained terms are folded
+    into one tridiagonal template over all positions: diag (length n) and
+    off (length n - 1), where off[p] is the signed coupling of the
+    retained term (p, p + 1) and zero at every cut between segments. The
+    relaxed terms are the arrays rel_i, rel_j, rel_w and rel_sign, sorted
+    by (i, j). All arrays are read-only copies.
 
     `segments`, `retained` and `relaxed` are tuple views of these arrays,
     built at first use. No solve step reads them: they exist for the
@@ -67,7 +73,7 @@ class Relaxation:
     reads the arrays.
     """
 
-    n: int
+    instance: Instance
     pi: np.ndarray
     a_ord: np.ndarray
     c_ord: np.ndarray
@@ -131,40 +137,50 @@ class RunResult:
     reason: str
 
 
+def _indices(values, what: str) -> np.ndarray:
+    """values as int64, or InputError when one is not an integer in int64's
+    range: a cast alone would truncate 2.7 to 2."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu" and not (
+        arr.dtype.kind == "f" and np.all(np.isfinite(arr) & (arr == np.trunc(arr)) & (np.abs(arr) < 2.0**62))
+    ):
+        raise InputError(f"{what} has an entry that is not an integer")
+    return arr.astype(np.int64)
+
+
 def build_relaxation(
     instance: Instance,
-    dd: DDForm,
     ordering: np.ndarray,
     retained: np.ndarray | list[tuple[int, int]],
 ) -> Relaxation:
-    """Permute, split retained from relaxed, and build the template.
+    """Split the instance, permute it, separate retained from relaxed terms, and build the template.
 
+    The split is validate(instance), so NotDiagonallyDominant comes from
+    here, and the Relaxation keeps instance as the one it answers for.
     Retained pairs (original indices) must sit on consecutive positions
-    under the ordering. Each retained weight is added to both incident
-    template diagonals; the template off-diagonal is the signed original
-    coupling. Segments are the maximal position runs joined by retained
-    terms. The template is checked against the original quadratic form
-    on random points before being trusted. One segments_kernel call, as
-    h_eval makes it, raises SegmentNotPD for the first segment that fails
-    a pivot; the sweep's pivots read only the template, so no h_eval on
-    it fails them later. The arrays are read-only copies of the inputs.
-    dd's terms must be in strictly increasing (i, j) order, as `validate`
-    returns them, or InputError is raised.
+    under the ordering; the ordering and the pairs must hold integers.
+    Each retained weight is added to both incident template diagonals; the
+    template off-diagonal is the signed original coupling. Segments are
+    the maximal position runs joined by retained terms. The template is
+    checked against the split's quadratic form on random points before
+    being trusted. One segments_kernel call, as h_eval makes it, raises
+    SegmentNotPD for the first segment that fails a pivot; the sweep's
+    pivots read only the template, so no h_eval on it fails them later.
+    The arrays are read-only copies of the inputs.
     """
+    dd = validate(instance)
     n = instance.n
-    pi = np.asarray(ordering, dtype=np.int64)
+    pi = _indices(ordering, "ordering")
     if pi.shape != (n,) or len(np.unique(pi)) != n or pi.min() < 0 or pi.max() >= n:
         raise InputError("ordering is not a permutation of 0..n-1")
     inv = np.empty(n, dtype=np.int64)
     inv[pi] = np.arange(n, dtype=np.int64)
 
+    # validate keeps the Instance's strictly increasing (i, j) order, so
+    # the keys i * n + j ascend for the search below
     ti, tj = dd.term_i, dd.term_j
-    # validate keeps the Instance's (i, j) order; the search below needs
-    # keys i * n + j that ascend, so any other order is refused
     tkey = ti * n + tj
-    if np.any(tkey[1:] <= tkey[:-1]):
-        raise InputError("dd's terms are not in strictly increasing (i, j) order")
-    pairs = np.array(retained, dtype=np.int64).reshape(-1, 2)
+    pairs = _indices(retained, "a retained pair").reshape(-1, 2)
     ri, rj = pairs.min(axis=1), pairs.max(axis=1)
     rkey = ri * n + rj
     at = np.searchsorted(tkey, rkey)
@@ -224,7 +240,7 @@ def build_relaxation(
         raise SegmentNotPD(int(bounds[fail]), int(bounds[fail + 1]))
 
     return Relaxation(
-        n=n,
+        instance=instance,
         pi=pi,
         a_ord=a_ord,
         c_ord=c_ord,
@@ -239,10 +255,9 @@ def build_relaxation(
 
 
 def default_relaxation(instance: Instance) -> Relaxation:
-    """Validate, run the path-cover pipeline, and build the relaxation."""
-    dd = validate(instance)
+    """Run the path-cover pipeline and build the instance's relaxation on it."""
     ordering = path_cover(support_graph(instance))
-    return build_relaxation(instance, dd, ordering.pi, ordering.retained)
+    return build_relaxation(instance, ordering.pi, ordering.retained)
 
 
 def assemble_psi(r: Relaxation, duals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -294,8 +309,8 @@ def h_eval(r: Relaxation, duals: np.ndarray) -> tuple[float, np.ndarray, np.ndar
         h += o
     if not math.isfinite(h):
         raise NumericalError(f"the dual value {h} is not finite")
-    xbar = np.zeros(r.n)
-    zbar = np.zeros(r.n)
+    xbar = np.zeros(r.instance.n)
+    zbar = np.zeros(r.instance.n)
     xbar[r.pi] = x_pos
     zbar[r.pi] = z_pos
     return float(h), xbar, zbar
@@ -357,7 +372,9 @@ def run(instance: Instance, r: Relaxation, config: RunConfig) -> RunResult:
     update. Stops when the certified gap reaches
     config.eps, the direction vanishes (dual-stationary), or max_iter is
     hit. Raises InputError up front when r was not built from this
-    instance: its size, a and c in r's ordering must match.
+    instance object (r.instance), and NumericalError when the best lower
+    bound exceeds the best upper one by more than CROSS_TOL relative to
+    max(1, |upper|); a smaller crossing is rounding and reads as gap 0.
     """
     if config.schedule not in ("geometric", "harmonic"):
         raise InputError(f"unknown step schedule {config.schedule!r}")
@@ -369,10 +386,7 @@ def run(instance: Instance, r: Relaxation, config: RunConfig) -> RunResult:
         raise InputError(f"max_iter must be an integer, not {config.max_iter!r}") from None
     if max_iter < 1:
         raise InputError("max_iter must be at least 1")
-    # build_relaxation stores these gathers, so they match bit for bit
-    if r.n != instance.n or not (
-        np.array_equal(r.a_ord, instance.a[r.pi]) and np.array_equal(r.c_ord, instance.c[r.pi])
-    ):
+    if r.instance is not instance:
         raise InputError("the relaxation was not built from this instance")
 
     # one (alpha, beta_i, beta_j) row per relaxed term, plus the best
@@ -411,12 +425,17 @@ def run(instance: Instance, r: Relaxation, config: RunConfig) -> RunResult:
             best_x = xcand
             best_z = zbar
 
+        # bounds can cross by rounding noise once they coincide, and only
+        # by that: a wider crossing means a bound is not valid
+        if best_lower - best_upper > CROSS_TOL * max(1.0, abs(best_upper)):
+            raise NumericalError(
+                f"the lower bound {best_lower!r} exceeds the upper bound {best_upper!r}"
+            )
         if config.schedule == "geometric":
             step = GEOMETRIC_RATIO ** (1 - k)
         else:
             step = 1.0 / k
-        # bounds can cross by rounding noise once they coincide; the
-        # certified gap is never negative
+        # below CROSS_TOL the certified gap is clamped, never negative
         gap = max(
             0.0,
             (best_upper - best_lower) / max(abs(best_upper), GAP_DIV_GUARD),
@@ -450,7 +469,7 @@ def run(instance: Instance, r: Relaxation, config: RunConfig) -> RunResult:
 
     m_box = instance.meta.get("M")
     if m_box is not None and best_x is not None:
-        worst = float(np.max(np.abs(best_x))) if r.n else 0.0
+        worst = float(np.max(np.abs(best_x)))
         if worst > float(m_box) + 1e-9:
             logger.warning(
                 "incumbent exceeds the big-M box: max |x| = %.6g > M = %.6g",

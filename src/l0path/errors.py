@@ -37,10 +37,6 @@ class NotDiagonallyDominant(InputError):
         )
 
 
-class InvalidPermutation(InputError):
-    """Permutation is not a bijection on the variable indices."""
-
-
 class NotBipartite(InputError):
     """Graph operation requires a bipartite support graph."""
 

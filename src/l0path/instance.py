@@ -1,5 +1,5 @@
 """Problem data model: validation, diagonally-dominant splitting,
-permutation, instance generators, and JSON file I/O.
+instance generators, and JSON file I/O.
 
 The objective convention throughout is
 
@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import (
     InputError,
-    InvalidPermutation,
     NotDiagonallyDominant,
     NotSymmetricStorage,
     ParseError,
@@ -106,8 +105,8 @@ class Instance:
         """Position of each variable in one fill-reducing elimination order
         of Q's pattern (oracle.fill_reducing_order). Computed at its first
         use, the first refit, and kept with this object only: copies made
-        by permute or dataclasses.replace, and instances read back from a
-        file, compute their own."""
+        by dataclasses.replace, and instances read back from a file,
+        compute their own."""
         from . import oracle  # oracle imports this module
 
         order = oracle.fill_reducing_order(self)
@@ -244,34 +243,6 @@ def support_graph(instance: Instance) -> SupportGraph:
     qi, qj, qv = instance.qi, instance.qj, instance.qv
     nz = qi != qj
     return SupportGraph(n=instance.n, i=qi[nz], j=qj[nz], w=np.abs(qv[nz]))
-
-
-def permute(instance: Instance, pi) -> Instance:
-    """Reindex variables so that new position t holds old variable pi[t].
-
-    The objective value of any solution is preserved under the same
-    reindexing; "y" moves along, and the new Instance sorts Q by (i, j).
-    """
-    pi = np.asarray(pi, dtype=np.int64)
-    n = instance.n
-    if pi.shape != (n,) or not np.array_equal(np.sort(pi), np.arange(n)):
-        raise InvalidPermutation(f"not a bijection on 0..{n - 1}")
-    inv = np.empty(n, dtype=np.int64)
-    inv[pi] = np.arange(n)
-    ni, nj = inv[instance.qi], inv[instance.qj]
-    meta = dict(instance.meta)
-    if "y" in meta:
-        meta["y"] = np.asarray(meta["y"], dtype=np.float64)[pi].tolist()
-    return Instance(
-        n=n,
-        a=instance.a[pi],
-        c=instance.c[pi],
-        qi=np.minimum(ni, nj),
-        qj=np.maximum(ni, nj),
-        qv=instance.qv,
-        offset=instance.offset,
-        meta=meta,
-    )
 
 
 def _rng(seed: int) -> np.random.Generator:

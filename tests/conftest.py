@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import l0path.decomp as decomp
-from l0path import Instance, SupportGraph
+from l0path import InputError, Instance, SupportGraph
 from l0path._kernels import PIVOT_TOL
 
 
@@ -18,6 +18,35 @@ def make_instance(a, c, entries, offset=0.0, meta=None):
         qv=np.array([e[2] for e in entries], dtype=np.float64),
         offset=offset,
         meta=meta or {},
+    )
+
+
+def permute(instance, pi):
+    """Reindex variables so that new position t holds old variable pi[t].
+
+    The objective value of any solution is preserved under the same
+    reindexing; "y" moves along, and the new Instance sorts Q by (i, j).
+    Raises InputError when pi is not a bijection on 0..n-1.
+    """
+    pi = np.asarray(pi, dtype=np.int64)
+    n = instance.n
+    if pi.shape != (n,) or not np.array_equal(np.sort(pi), np.arange(n)):
+        raise InputError(f"not a bijection on 0..{n - 1}")
+    inv = np.empty(n, dtype=np.int64)
+    inv[pi] = np.arange(n)
+    ni, nj = inv[instance.qi], inv[instance.qj]
+    meta = dict(instance.meta)
+    if "y" in meta:
+        meta["y"] = np.asarray(meta["y"], dtype=np.float64)[pi].tolist()
+    return Instance(
+        n=n,
+        a=instance.a[pi],
+        c=instance.c[pi],
+        qi=np.minimum(ni, nj),
+        qj=np.maximum(ni, nj),
+        qv=instance.qv,
+        offset=instance.offset,
+        meta=meta,
     )
 
 

@@ -25,19 +25,17 @@ from l0path import (
     gen_tridiagonal,
     h_eval,
     path_cover,
-    permute,
     run,
     solve,
     subgradient,
     support_graph,
     to_tridiagonal,
     upper_bound,
-    validate,
 )
 from l0path.fenchel import f_star, f_star_subgradient
 from l0path.tridiag import TridiagProblem
 
-from conftest import make_instance, random_dd_instance, record_duals, rng_for
+from conftest import make_instance, permute, random_dd_instance, record_duals, rng_for
 
 QUOTED_ALPHAS = [0.0, -1.0, -1.99, -2.97, -3.94, -4.90, -5.85, -6.79, -7.72]
 
@@ -87,8 +85,8 @@ def h_eval_loop(r, duals):
         alpha, b1, b2 = (float(v) for v in duals[t])
         conj += term.w * f_star(alpha, b1, b2)
     h = -0.5 * conj
-    x_pos = np.zeros(r.n)
-    z_pos = np.zeros(r.n)
+    x_pos = np.zeros(r.instance.n)
+    z_pos = np.zeros(r.instance.n)
     for s, e in r.segments:
         sol = solve(
             TridiagProblem(
@@ -102,8 +100,8 @@ def h_eval_loop(r, duals):
         h += sol.objective
         x_pos[s:e] = sol.x
         z_pos[s:e] = sol.z
-    xbar = np.zeros(r.n)
-    zbar = np.zeros(r.n)
+    xbar = np.zeros(r.instance.n)
+    zbar = np.zeros(r.instance.n)
     xbar[r.pi] = x_pos
     zbar[r.pi] = z_pos
     return float(h), xbar, zbar
@@ -144,35 +142,43 @@ def test_build_relaxation_diagonal_instance():
 
 
 def test_build_relaxation_input_checks(example_instance):
-    dd = validate(example_instance)
     with pytest.raises(InputError):
-        build_relaxation(example_instance, dd, np.array([0, 0, 1, 2]), [])
+        build_relaxation(example_instance, np.array([0, 0, 1, 2]), [])
     with pytest.raises(InputError):
         # (1, 3) is not consecutive under the identity ordering
-        build_relaxation(example_instance, dd, np.arange(4), [(1, 3)])
+        build_relaxation(example_instance, np.arange(4), [(1, 3)])
     with pytest.raises(InputError):
-        build_relaxation(example_instance, dd, np.arange(4), [(0, 2)])
+        build_relaxation(example_instance, np.arange(4), [(0, 2)])
 
 
-def test_build_relaxation_refuses_terms_out_of_order():
-    # the retained pairs are found by a search that needs ascending keys;
-    # reversed terms once relaxed every retained coupling (bounds 0..5)
-    inst = gen_tridiagonal(5, 0)
-    dd = validate(inst)
-    pairs = np.stack((dd.term_i, dd.term_j), axis=1)
-    assert build_relaxation(inst, dd, np.arange(5), pairs).bounds.tolist() == [0, 5]
-    reversed_dd = dataclasses.replace(
-        dd, term_i=dd.term_i[::-1], term_j=dd.term_j[::-1], term_w=dd.term_w[::-1], term_sign=dd.term_sign[::-1]
-    )
-    with pytest.raises(InputError, match="strictly increasing"):
-        build_relaxation(inst, reversed_dd, np.arange(5), pairs)
+@pytest.mark.parametrize(
+    "ordering, retained, what",
+    [
+        # a cast truncated both to the identity with pairs (0, 1), (1, 2)
+        ([0.9, 1.2, 2.7, 3.1], [(0.9, 1.9), (1.5, 2.2)], "ordering"),
+        ([0.0, 1.0, 2.0, 3.0], [(0.9, 1.9), (1.5, 2.2)], "retained pair"),
+        ([0.0, 1.0, 2.0, 3.0], [(0.0, 1.0), (1.0, np.nan)], "retained pair"),
+        ([0.0, 1.0, 2.0, 3e300], [], "ordering"),
+        (["0", "1", "2", "3"], [], "ordering"),
+    ],
+    ids=["fractional", "fractional-pair", "nan-pair", "beyond-int64", "strings"],
+)
+def test_build_relaxation_refuses_non_integer_indices(example_instance, ordering, retained, what):
+    with pytest.raises(InputError, match=f"{what} has an entry that is not an integer"):
+        build_relaxation(example_instance, ordering, retained)
+
+
+def test_build_relaxation_takes_integral_floats(example_instance):
+    # whole floats name the same indices as their integers
+    r = build_relaxation(example_instance, np.arange(4.0), np.array([(0.0, 1.0), (1.0, 2.0)]))
+    assert r.pi.tolist() == [0, 1, 2, 3] and r.bounds.tolist() == [0, 3, 4]
 
 
 def test_relaxation_arrays_are_read_only_copies():
     inst = gen_lattice2d(4, 5, 0.3, 0.1, 0)
     ordering = path_cover(support_graph(inst))
     pi = ordering.pi.copy()
-    r = build_relaxation(inst, validate(inst), pi, ordering.retained)
+    r = build_relaxation(inst, pi, ordering.retained)
     arrays = [f.name for f in dataclasses.fields(r) if isinstance(getattr(r, f.name), np.ndarray)]
     assert len(arrays) == 10
     for name in arrays:
@@ -184,11 +190,10 @@ def test_relaxation_arrays_are_read_only_copies():
 
 
 def test_build_relaxation_template_mismatch_is_numerical(example_instance, monkeypatch):
-    dd = validate(example_instance)
     true_quad = DDForm.quad
     monkeypatch.setattr(DDForm, "quad", lambda self, x: true_quad(self, x) + 1.0)
     with pytest.raises(TemplateMismatch) as info:
-        build_relaxation(example_instance, dd, np.arange(4), [(0, 1), (1, 2)])
+        build_relaxation(example_instance, np.arange(4), [(0, 1), (1, 2)])
     assert isinstance(info.value, NumericalError)
 
 
@@ -545,6 +550,9 @@ def test_run_config_validation(example_instance):
     assert run(example_instance, r, RunConfig(eps=1e-15, max_iter=np.int64(3))).iterations == 3
 
 
+_LATTICE = gen_lattice2d(6, 6, 0.3, 0.1, 1)
+
+
 @pytest.mark.parametrize(
     "built_from, solved",
     [
@@ -553,12 +561,38 @@ def test_run_config_validation(example_instance):
         (gen_lattice2d(6, 6, 0.3, 0.1, 0), gen_lattice2d(6, 6, 0.3, 0.1, 1)),
         # other size: numpy's matmul ValueError after the first dual value
         (gen_lattice2d(3, 4, 0.3, 0.1, 0), gen_lattice2d(3, 3, 0.3, 0.1, 0)),
+        # same a and c, half the Q: lower -228.62 above upper -417.10, and
+        # the run stopped on "gap" after one iteration
+        (_LATTICE, dataclasses.replace(_LATTICE, qv=0.5 * _LATTICE.qv)),
+        # equal data, another object: a relaxation answers for the one
+        # instance object it was split from
+        (_LATTICE, dataclasses.replace(_LATTICE)),
     ],
-    ids=["same-size", "other-size"],
+    ids=["same-size", "other-size", "other-q", "equal-copy"],
 )
-def test_run_refuses_a_relaxation_of_another_instance(built_from, solved):
+def test_run_refuses_a_relaxation_of_another_instance(built_from, solved, monkeypatch):
+    points = record_duals(monkeypatch)
     with pytest.raises(InputError, match="not built from this instance"):
         run(solved, default_relaxation(built_from), RunConfig("harmonic", eps=0.01, max_iter=300))
+    assert points == []
+
+
+def test_default_relaxation_keeps_its_instance(example_instance):
+    assert default_relaxation(example_instance).instance is example_instance
+
+
+def test_crossed_bounds_raise(example_instance, monkeypatch):
+    # a dual value lifted 10 above the optimum -14.74: the clamp read the
+    # crossing as gap 0 and the run stopped on "gap"
+    true_h_eval = decomp.h_eval
+
+    def lifted(r, duals):
+        h, xbar, zbar = true_h_eval(r, duals)
+        return h + 10.0, xbar, zbar
+
+    monkeypatch.setattr(decomp, "h_eval", lifted)
+    with pytest.raises(NumericalError, match="exceeds the upper bound"):
+        run(example_instance, example_relaxation(example_instance), RunConfig())
 
 
 def test_iteration_log_format(tmp_path, example_instance):

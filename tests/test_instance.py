@@ -12,7 +12,6 @@ from l0path import (
     DDForm,
     InputError,
     Instance,
-    InvalidPermutation,
     NotDiagonallyDominant,
     NotSymmetricStorage,
     ParseError,
@@ -25,7 +24,6 @@ from l0path import (
     gen_lattice2d,
     gen_signal1d,
     gen_tridiagonal,
-    permute,
     read_instance,
     run,
     support_graph,
@@ -34,7 +32,7 @@ from l0path import (
 )
 from l0path.instance import _build, _rng, _smooth_sparse_truth
 
-from conftest import EXAMPLE_A, EXAMPLE_C, EXAMPLE_Q, make_graph, make_instance, random_dd_instance, rng_for
+from conftest import EXAMPLE_A, EXAMPLE_C, EXAMPLE_Q, make_graph, make_instance, permute, random_dd_instance, rng_for
 
 
 def test_validate_example_split(example_instance):
@@ -167,7 +165,7 @@ OWNED_ARRAYS = {
     "Relaxation": (
         Relaxation,
         dict(
-            n=3, pi=[2, 0, 1], a_ord=[1.0] * 3, c_ord=[-1.0, 0.5, 2.0], bounds=[0, 2, 3], diag=[3.0, 3.0, 2.0],
+            instance=gen_tridiagonal(3, 0), pi=[2, 0, 1], a_ord=[1.0] * 3, c_ord=[-1.0, 0.5, 2.0], bounds=[0, 2, 3], diag=[3.0, 3.0, 2.0],
             off=[-1.0, 0.0], rel_i=[1], rel_j=[2], rel_w=[0.5], rel_sign=[1],
         ),
         "c_ord",
@@ -348,9 +346,9 @@ def test_permute_moves_meta():
 
 
 def test_permute_rejects_non_permutation(example_instance):
-    with pytest.raises(InvalidPermutation):
+    with pytest.raises(InputError):
         permute(example_instance, np.array([0, 0, 1, 2]))
-    with pytest.raises(InvalidPermutation):
+    with pytest.raises(InputError):
         permute(example_instance, np.array([0, 1, 2]))
 
 

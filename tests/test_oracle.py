@@ -19,7 +19,6 @@ from l0path import (
     fixed_z_qp,
     gen_lattice2d,
     gen_tridiagonal,
-    permute,
     read_instance,
     run,
     support_graph,
@@ -31,7 +30,7 @@ from l0path import (
 from l0path import decomp, oracle
 from l0path._kernels import PIVOT_TOL, enumerate_kernel, ldl_kernel
 
-from conftest import STORAGE_FAULTS, make_instance, random_dd_instance, rng_for
+from conftest import STORAGE_FAULTS, make_instance, permute, random_dd_instance, rng_for
 
 
 def test_example_optimum(example_instance):

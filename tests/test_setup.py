@@ -266,7 +266,7 @@ def test_build_relaxation_matches_loop(case, data):
     elif fault == "not_perm" and inst.n > 1:
         pi = pi.copy()
         pi[0] = pi[1]
-    got, got_err = outcome(build_relaxation, inst, dd, pi, retained)
+    got, got_err = outcome(build_relaxation, inst, pi, retained)
     want, want_err = outcome(build_relaxation_loop, inst, dd, pi, [tuple(p) for p in retained.tolist()])
     assert got_err == want_err
     if want is not None:
@@ -302,7 +302,7 @@ def test_build_relaxation_singular_segments_match_loop():
         dd = validate(inst)
         ordering = path_cover(support_graph(inst))
         pairs = [tuple(p) for p in ordering.retained.tolist()]
-        got, got_err = outcome(build_relaxation, inst, dd, ordering.pi, ordering.retained)
+        got, got_err = outcome(build_relaxation, inst, ordering.pi, ordering.retained)
         want, want_err = outcome(build_relaxation_loop, inst, dd, ordering.pi, pairs)
         assert got_err == want_err
         if want_err is None:
