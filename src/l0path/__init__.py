@@ -50,7 +50,6 @@ from .decomp import (
     RunConfig,
     RunResult,
     assemble_psi,
-    build_relaxation,
     default_relaxation,
     h_eval,
     run,
@@ -79,7 +78,7 @@ __all__ = [
     "b2_subgraph_bipartite", "b2_subgraph_general", "break_cycles",
     "make_ordering", "path_cover",
     "Relaxation", "RunConfig", "IterationRecord", "RunResult",
-    "build_relaxation", "default_relaxation", "assemble_psi", "h_eval",
+    "default_relaxation", "assemble_psi", "h_eval",
     "subgradient", "upper_bound", "run", "write_iteration_log",
     "OracleResult", "fixed_z_qp", "enumerate_supports",
     "__version__",

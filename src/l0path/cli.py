@@ -94,25 +94,24 @@ def _cmd_solve_decomp(args) -> int:
 
 def _cmd_decompose(args) -> int:
     inst = read_instance(args.instance)
-    dd = validate(inst)
+    validate(inst)  # only diagonally dominant instances decompose
     g = support_graph(inst)
     ordering = path_cover(g)
-    # retained is sorted like the graph's edges, so the kept weights sum
-    # in retained order
-    kept = np.isin(g.i * g.n + g.j, ordering.retained[:, 0] * g.n + ordering.retained[:, 1])
+    kept = ordering.retained
+    pairs = np.stack((g.i, g.j), axis=1) + 1
     weight_retained = sum(g.w[kept].tolist())
     weight_total = sum(g.w.tolist())
     doc = {
         "pi": (ordering.pi + 1).tolist(),
-        "retained": (ordering.retained + 1).tolist(),
-        "relaxed": (ordering.relaxed + 1).tolist(),
+        "retained": pairs[kept].tolist(),
+        "relaxed": pairs[~kept].tolist(),
         "weight_retained": float(weight_retained),
         "weight_total": float(weight_total),
     }
     print(
-        f"retained {len(ordering.retained)} of {dd.term_w.size} couplings "
+        f"retained {kept.sum()} of {kept.size} couplings "
         f"(weight {weight_retained:.6g} of {weight_total:.6g}); "
-        f"{len(ordering.relaxed)} relaxed"
+        f"{kept.size - kept.sum()} relaxed"
     )
     _emit_json(doc, args.output)
     return 0

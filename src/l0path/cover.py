@@ -12,7 +12,8 @@ lightest edge, and concatenate the paths into a variable ordering.
 
 The graph, the chosen subgraph and the ordering are arrays throughout:
 the stages hand the subgraph on as a bare boolean mask over the graph's
-sorted edge arrays, and its cycles and paths come from
+sorted edge arrays, the Ordering carries that mask on to the relaxation
+as its retained edges, and the subgraph's cycles and paths come from
 `scipy.sparse.csgraph` component labels and breadth-first depths, with
 no walk over individual edges. Each function imports the scipy names it
 calls, so `import l0path` and the exact path solver never load scipy;
@@ -36,16 +37,16 @@ from .instance import SupportGraph
 
 @dataclass(frozen=True, eq=False)
 class Ordering:
-    """Variable permutation with the retained/relaxed edge split.
+    """Variable permutation with the retained edges of its graph.
 
-    pi[t] is the original variable at position t; retained and relaxed
-    are (k, 2) arrays of edges (i, j), i < j, sorted. Retained edges are
-    consecutive under pi.
+    pi[t] is the original variable at position t. retained is a boolean
+    mask over the graph's edges, in their (i, j) order, that marks the
+    path-cover edges; each joins consecutive positions under pi, and
+    ~retained marks the relaxed edges.
     """
 
     pi: np.ndarray
     retained: np.ndarray
-    relaxed: np.ndarray
 
 
 def _components(n: int, i: np.ndarray, j: np.ndarray):
@@ -217,7 +218,8 @@ def make_ordering(chosen: np.ndarray, g: SupportGraph) -> Ordering:
 
     Each path runs from its smaller endpoint and its weight is summed in
     path order. Every cover edge joins consecutive positions; untouched
-    nodes go last in ascending order.
+    nodes go last in ascending order. The Ordering keeps a copy of
+    `chosen` as its retained mask.
     """
     ci, cj, cw = g.i[chosen], g.j[chosen], g.w[chosen]
     ncomp, label, adj = _components(g.n, ci, cj)
@@ -238,11 +240,8 @@ def make_ordering(chosen: np.ndarray, g: SupportGraph) -> Ordering:
     rank[path[np.lexsort((start, -weight[path]))]] = np.arange(path.size)
     touched = np.flatnonzero(degree > 0)
     walk = touched[np.lexsort((depth[touched], rank[label[touched]]))]
-    return Ordering(
-        pi=np.concatenate([walk, np.flatnonzero(degree == 0)]),
-        retained=np.stack((ci, cj), axis=1),
-        relaxed=np.stack((g.i[~chosen], g.j[~chosen]), axis=1),
-    )
+    pi = np.concatenate([walk, np.flatnonzero(degree == 0)])
+    return Ordering(pi=pi, retained=np.array(chosen, dtype=bool))
 
 
 def path_cover(g: SupportGraph) -> Ordering:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import logging
 import math
-import operator
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from ._kernels import segments_kernel
-from .cover import path_cover
+from .cover import Ordering, path_cover
 from .errors import (
     InfeasiblePair,
     InputError,
@@ -35,7 +34,7 @@ from .errors import (
 # subgradient runs f_star_subgradient's branches as array code and never
 # calls it; the name stays bound here for the benchmark's call counters
 from .fenchel import f_star, f_star_subgradient  # noqa: F401
-from .instance import Instance, Term, _freeze, _terms, support_graph, validate
+from .instance import Instance, Term, _check_point, _freeze, _integer, _terms, support_graph, validate
 from .oracle import fixed_z_qp
 # h_eval solves its segments with segments_kernel and never calls
 # solve_tridiag; the name stays bound here for the benchmark's tracer
@@ -59,13 +58,15 @@ class Relaxation:
 
     `instance` is the Instance the relaxation was split from; `run`
     certifies bounds only for that object. Everything positional lives in
-    permuted coordinates; pi[t] is the original index at position t.
-    Segment k is [bounds[k], bounds[k+1]). The retained terms are folded
-    into one tridiagonal template over all positions: diag (length n) and
-    off (length n - 1), where off[p] is the signed coupling of the
-    retained term (p, p + 1) and zero at every cut between segments. The
-    relaxed terms are the arrays rel_i, rel_j, rel_w and rel_sign, sorted
-    by (i, j). All arrays are read-only copies.
+    permuted coordinates; pi[t] is the original index at position t, as
+    the path cover's Ordering puts it, and the retained terms are that
+    cover's edges. Segment k is [bounds[k], bounds[k+1]). The retained
+    terms are folded into one tridiagonal template over all positions:
+    diag (length n) and off (length n - 1), where off[p] is the signed
+    coupling of the retained term (p, p + 1) and zero at every cut
+    between segments. The relaxed terms, every other coupling, are the
+    arrays rel_i, rel_j, rel_w and rel_sign, sorted by (i, j). All arrays
+    are read-only copies.
 
     `segments`, `retained` and `relaxed` are tuple views of these arrays,
     built at first use. No solve step reads them: they exist for the
@@ -137,28 +138,14 @@ class RunResult:
     reason: str
 
 
-def _indices(values, what: str) -> np.ndarray:
-    """values as int64, or InputError when one is not an integer in int64's
-    range: a cast alone would truncate 2.7 to 2."""
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "iu" and not (
-        arr.dtype.kind == "f" and np.all(np.isfinite(arr) & (arr == np.trunc(arr)) & (np.abs(arr) < 2.0**62))
-    ):
-        raise InputError(f"{what} has an entry that is not an integer")
-    return arr.astype(np.int64)
-
-
-def build_relaxation(
-    instance: Instance,
-    ordering: np.ndarray,
-    retained: np.ndarray | list[tuple[int, int]],
-) -> Relaxation:
+def build_relaxation(instance: Instance, ordering: Ordering) -> Relaxation:
     """Split the instance, permute it, separate retained from relaxed terms, and build the template.
 
-    The split is validate(instance), so NotDiagonallyDominant comes from
-    here, and the Relaxation keeps instance as the one it answers for.
-    Retained pairs (original indices) must sit on consecutive positions
-    under the ordering; the ordering and the pairs must hold integers.
+    `ordering` is path_cover's Ordering for support_graph(instance), as
+    default_relaxation passes it: pi puts every retained edge on
+    consecutive positions. The split is validate(instance), so
+    NotDiagonallyDominant comes from here, and the Relaxation keeps
+    instance as the one it answers for.
     Each retained weight is added to both incident template diagonals; the
     template off-diagonal is the signed original coupling. Segments are
     the maximal position runs joined by retained terms. The template is
@@ -170,36 +157,15 @@ def build_relaxation(
     """
     dd = validate(instance)
     n = instance.n
-    pi = _indices(ordering, "ordering")
-    if pi.shape != (n,) or len(np.unique(pi)) != n or pi.min() < 0 or pi.max() >= n:
-        raise InputError("ordering is not a permutation of 0..n-1")
+    pi = ordering.pi
     inv = np.empty(n, dtype=np.int64)
     inv[pi] = np.arange(n, dtype=np.int64)
 
-    # validate keeps the Instance's strictly increasing (i, j) order, so
-    # the keys i * n + j ascend for the search below
+    # support_graph's edges and validate's terms are the same couplings in
+    # the Instance's (i, j) order, so the cover's edge mask marks the terms
     ti, tj = dd.term_i, dd.term_j
-    tkey = ti * n + tj
-    pairs = _indices(retained, "a retained pair").reshape(-1, 2)
-    ri, rj = pairs.min(axis=1), pairs.max(axis=1)
-    rkey = ri * n + rj
-    at = np.searchsorted(tkey, rkey)
-    known = (ri >= 0) & (rj < n) & (at < tkey.size)
-    known[known] = tkey[at[known]] == rkey[known]
-    if not known.all():
-        # name the pair a scan over the set of retained pairs meets first
-        term_set = set(zip(ti.tolist(), tj.tolist()))
-        for pair in {(min(i, j), max(i, j)) for i, j in pairs.tolist()}:
-            if pair not in term_set:
-                raise InputError(f"retained pair {pair} is not a coupling of the instance")
-    kept = np.zeros(ti.size, dtype=bool)
-    kept[at[known]] = True
-
+    kept = ordering.retained
     p, q = np.minimum(inv[ti], inv[tj]), np.maximum(inv[ti], inv[tj])
-    apart = kept & (q != p + 1)
-    if apart.any():
-        k = int(np.argmax(apart))
-        raise InputError(f"retained pair ({ti[k]}, {tj[k]}) not consecutive under the ordering")
     ret = np.flatnonzero(kept)
     ret = ret[np.argsort(p[ret])]
     rel = np.flatnonzero(~kept)
@@ -255,9 +221,15 @@ def build_relaxation(
 
 
 def default_relaxation(instance: Instance) -> Relaxation:
-    """Run the path-cover pipeline and build the instance's relaxation on it."""
-    ordering = path_cover(support_graph(instance))
-    return build_relaxation(instance, ordering.pi, ordering.retained)
+    """Run the path-cover pipeline on the instance's support graph and
+    build the instance's relaxation on that cover."""
+    return build_relaxation(instance, path_cover(support_graph(instance)))
+
+
+def _check_duals(r: Relaxation, duals) -> None:
+    """InputError unless duals holds one (alpha, beta_i, beta_j) row per relaxed term."""
+    if np.shape(duals) != (r.rel_w.size, 3):
+        raise InputError(f"duals must have shape ({r.rel_w.size}, 3), not {np.shape(duals)}")
 
 
 def assemble_psi(r: Relaxation, duals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -267,8 +239,10 @@ def assemble_psi(r: Relaxation, duals: np.ndarray) -> tuple[np.ndarray, np.ndarr
     (signed at the second), the betas shift a downward. The shifts go in
     through ufunc.at on the interleaved (i, j) endpoints, which applies
     them one at a time in term order, so every entry rounds exactly as a
-    loop of `+=` over the terms would.
+    loop of `+=` over the terms would. Raises InputError unless duals has
+    shape (len(r.rel_w), 3).
     """
+    _check_duals(r, duals)
     alpha, beta1, beta2 = np.asarray(duals, dtype=np.float64).T
     half_w = 0.5 * r.rel_w
     ends = np.stack((r.rel_i, r.rel_j), axis=1).ravel()
@@ -284,7 +258,8 @@ def h_eval(r: Relaxation, duals: np.ndarray) -> tuple[float, np.ndarray, np.ndar
 
     h = -(1/2) sum of w*f_star(triple) + sum of segment optima under the
     shifted coefficients; always a lower bound on the optimal value.
-    Raises SegmentNotPD when a segment's template fails a pivot, and
+    Raises InputError through assemble_psi on duals of the wrong shape,
+    SegmentNotPD when a segment's template fails a pivot, and
     NumericalError when a segment optimum or h is not finite, as on data
     whose magnitudes overflow the label sweep.
     The shifted coefficients come from the array form of assemble_psi.
@@ -325,8 +300,11 @@ def subgradient(
     the (1/2)w scaling is folded here rather than into the step size.
     The conjugate subgradient is fenchel.f_star_subgradient in masked
     form: the same branches in the same order, the same tie rule, and
-    the same floating-point operations per term.
+    the same floating-point operations per term. Raises InputError on
+    duals, xbar or zbar of the wrong shape.
     """
+    _check_duals(r, duals)
+    _check_point(r.instance.n, xbar, zbar)
     alpha, beta1, beta2 = np.asarray(duals, dtype=np.float64).T
     top = 0.25 * (alpha * alpha)
     flat = (beta1 > top) & (beta2 > top)
@@ -350,7 +328,9 @@ def subgradient(
 
 def upper_bound(instance: Instance, xbar: np.ndarray, zbar: np.ndarray) -> float:
     """Objective value at an inner minimizer; valid since (xbar, zbar)
-    is feasible for the original problem."""
+    is feasible for the original problem. Raises InputError unless both
+    have shape (n,)."""
+    _check_point(instance.n, xbar, zbar)
     xbar = np.asarray(xbar, dtype=np.float64)
     zbar = np.asarray(zbar, dtype=np.float64)
     if np.any((zbar == 0) & (xbar != 0)):
@@ -380,10 +360,7 @@ def run(instance: Instance, r: Relaxation, config: RunConfig) -> RunResult:
         raise InputError(f"unknown step schedule {config.schedule!r}")
     if not config.eps > 0:
         raise InputError("eps must be positive")
-    try:
-        max_iter = operator.index(config.max_iter)
-    except TypeError:
-        raise InputError(f"max_iter must be an integer, not {config.max_iter!r}") from None
+    max_iter = _integer(config.max_iter, "max_iter")
     if max_iter < 1:
         raise InputError("max_iter must be at least 1")
     if r.instance is not instance:

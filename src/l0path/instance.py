@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import operator
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -33,6 +34,21 @@ from .errors import (
 )
 
 DD_TOL = 1e-9
+
+
+def _integer(value, what: str) -> int:
+    """value as a Python int, or InputError when it is not an integer:
+    operator.index refuses 1.5, 3.0 and "3" alike."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{what} must be an integer, not {value!r}") from None
+
+
+def _check_point(n: int, x, z) -> None:
+    """InputError unless x and z both have shape (n,)."""
+    if np.shape(x) != (n,) or np.shape(z) != (n,):
+        raise InputError(f"x and z must have shape ({n},), not {np.shape(x)} and {np.shape(z)}")
 
 
 def _freeze(obj, take=None, **dtypes) -> None:
@@ -66,8 +82,9 @@ class Instance:
 
     Construction copies the arrays read-only and meta to a new dict, so
     nothing a caller holds can change checked data. It raises InputError on
-    bad shapes, a non-finite a, c, qv or offset, or an M that is not a finite
-    real (nor a bool), and NotSymmetricStorage naming the first triplet in the
+    an n that is not an integer (operator.index decides), bad shapes, a
+    non-finite a, c, qv or offset, or an M that is not a finite real (nor
+    a bool), and NotSymmetricStorage naming the first triplet in the
     given order that is off the upper triangle, a repeat or a zero off-diagonal.
     """
 
@@ -81,6 +98,7 @@ class Instance:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "n"))
         if self.n < 1:
             raise InputError("n must be >= 1")
         _freeze(self, a=np.float64, c=np.float64, qi=np.int64, qj=np.int64, qv=np.float64)
@@ -121,7 +139,9 @@ class Instance:
         return q
 
     def objective(self, x: np.ndarray, z: np.ndarray) -> float:
-        """Evaluate a . z + c . x + (1/2) x' Q x (offset excluded)."""
+        """Evaluate a . z + c . x + (1/2) x' Q x (offset excluded); x and z
+        must have shape (n,)."""
+        _check_point(self.n, x, z)
         diag = self.qi == self.qj
         quad = 0.5 * np.sum(self.qv[diag] * x[self.qi[diag]] ** 2)
         quad += np.sum(self.qv[~diag] * x[self.qi[~diag]] * x[self.qj[~diag]])
@@ -248,6 +268,7 @@ def support_graph(instance: Instance) -> SupportGraph:
 def _rng(seed: int) -> np.random.Generator:
     # counter-based generator so the draw sequence is reproducible across
     # platforms and documented for reimplementation
+    seed = _integer(seed, "seed")
     if not 0 <= seed < 2**128:
         raise InputError(f"seed {seed} is out of range 0 .. 2**128 - 1")
     return np.random.Generator(np.random.Philox(key=seed))
@@ -275,6 +296,7 @@ def gen_tridiagonal(n: int, seed: int) -> Instance:
     Draw order: c ~ U[-10, 3]^n, a ~ U[0, 1]^n, off ~ U[-2, 2]^(n-1),
     slack ~ U[0, 4]^n; Q_ii = |off_{i-1}| + |off_i| + slack_i.
     """
+    n = _integer(n, "n")
     if n < 1:
         raise InputError("n must be >= 1")
     rng = _rng(seed)
@@ -310,6 +332,7 @@ def gen_signal1d(n: int, sigma: float, mu: float, seed: int) -> Instance:
     where y is a noisy observation of a sparse piecewise-smooth signal.
     The constant sum_t y_t^2 is recorded as the instance offset.
     """
+    n = _integer(n, "n")
     if n < 2:
         raise InputError("n must be >= 2")
     if not sigma >= 0:
@@ -337,6 +360,7 @@ def gen_lattice2d(rows: int, cols: int, sigma: float, mu: float, seed: int) -> I
     patches covering roughly 10% of the grid. Node (r, s) maps to index
     r * cols + s.
     """
+    rows, cols = _integer(rows, "rows"), _integer(cols, "cols")
     if rows < 2 or cols < 2:
         raise InputError("rows and cols must be >= 2")
     if not sigma > 0:

@@ -44,9 +44,14 @@ def edge_tuples(g, mask=slice(None)):
 
 
 def retained_weight(g, ordering):
-    """Sum of the retained edges' weights, in retained order."""
-    wmap = {(i, j): w for i, j, w in edge_tuples(g)}
-    return sum(wmap[i, j] for i, j in ordering.retained.tolist())
+    """Sum of the retained edges' weights, in edge order."""
+    return sum(g.w[ordering.retained].tolist())
+
+
+def split_pairs(g, ordering):
+    """(retained, relaxed): the ordering's kept and dropped edges of g as
+    (k, 2) arrays of (i, j) rows, in edge order."""
+    return tuple(np.stack((g.i[m], g.j[m]), axis=1) for m in (ordering.retained, ~ordering.retained))
 
 
 # Reference oracle: the tuple walks that break_cycles and make_ordering
@@ -407,7 +412,8 @@ def test_path_cover_keeps_its_bytes(monkeypatch, branch):
     counted(cover, "matching_kernel", "blossom")
     ordering = path_cover(g)
     assert calls == [branch]
-    got = {f: hashlib.sha256(getattr(ordering, f).tobytes()).hexdigest() for f in COVER_DIGESTS[branch]}
+    arrays = dict(zip(("pi", "retained", "relaxed"), (ordering.pi, *split_pairs(g, ordering))))
+    got = {f: hashlib.sha256(arrays[f].tobytes()).hexdigest() for f in COVER_DIGESTS[branch]}
     assert got == COVER_DIGESTS[branch]
 
 
@@ -422,7 +428,6 @@ def test_path_cover_deterministic():
         first, second = path_cover(g), path_cover(g)
         assert np.array_equal(first.pi, second.pi)
         assert np.array_equal(first.retained, second.retained)
-        assert np.array_equal(first.relaxed, second.relaxed)
 
 
 def test_break_cycles_minimum_edge_and_ties():
@@ -460,8 +465,9 @@ def test_brute_force_pstar_cap():
 def test_make_ordering_star():
     ordering = make_ordering(break_cycles(b2_subgraph_bipartite(STAR), STAR), STAR)
     assert ordering.pi.tolist() == [0, 1, 2, 3]
-    assert ordering.retained.tolist() == [[0, 1], [1, 2]]
-    assert ordering.relaxed.tolist() == [[1, 3]]
+    retained, relaxed = split_pairs(STAR, ordering)
+    assert retained.tolist() == [[0, 1], [1, 2]]
+    assert relaxed.tolist() == [[1, 3]]
 
 
 def test_make_ordering_rejects_cycles():
@@ -475,9 +481,9 @@ def test_ordering_structure():
         g = random_graph(rng, int(rng.integers(2, 9)))
         ordering = path_cover(g)
         assert sorted(ordering.pi.tolist()) == list(range(g.n))
-        assert len(ordering.retained) + len(ordering.relaxed) == g.w.size
+        assert ordering.retained.dtype == bool and ordering.retained.shape == g.w.shape
         pos = {v: t for t, v in enumerate(ordering.pi.tolist())}
-        for i, j in ordering.retained.tolist():
+        for i, j in split_pairs(g, ordering)[0].tolist():
             assert abs(pos[i] - pos[j]) == 1
 
 
@@ -500,9 +506,10 @@ def test_pipeline_ratio_spot_checks():
 def assert_matches_loop(g):
     got = path_cover(g)
     pi, retained, relaxed = path_cover_loop(g)
+    got_retained, got_relaxed = split_pairs(g, got)
     assert same_bytes(got.pi, np.array(pi, dtype=np.int64))
-    assert same_bytes(got.retained, np.array(retained, dtype=np.int64).reshape(-1, 2))
-    assert same_bytes(got.relaxed, np.array(relaxed, dtype=np.int64).reshape(-1, 2))
+    assert same_bytes(got_retained, np.array(retained, dtype=np.int64).reshape(-1, 2))
+    assert same_bytes(got_relaxed, np.array(relaxed, dtype=np.int64).reshape(-1, 2))
 
 
 @pytest.mark.parametrize(

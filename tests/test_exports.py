@@ -8,8 +8,10 @@ import l0path
 MODULES = ("instance", "tridiag", "fenchel", "cover", "decomp", "oracle", "errors", "cli")
 
 # public names that stay module-level on purpose: the fill order serves
-# Instance's cached refit order, and main is the console entry point
-NOT_EXPORTED = {"oracle.fill_reducing_order", "cli.main"}
+# Instance's cached refit order, main is the console entry point, and
+# build_relaxation is default_relaxation's second stage, called through the
+# module global so that the benchmark's tracer can time it
+NOT_EXPORTED = {"oracle.fill_reducing_order", "cli.main", "decomp.build_relaxation"}
 
 
 def test_all_names_resolve_once():

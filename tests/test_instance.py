@@ -136,6 +136,35 @@ def test_shape_faults_raise_input_error(kwargs):
         Instance(**args)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        # a truncating cast made these seed 1's instance, bytes and all
+        lambda: gen_tridiagonal(5, 1.5),
+        lambda: gen_tridiagonal(5, 1.9),
+        lambda: gen_tridiagonal(5, 3.0),
+        lambda: gen_tridiagonal(5, "3"),
+        lambda: gen_tridiagonal(2.5, 0),
+        lambda: gen_signal1d(6.0, 0.3, 0.1, 0),
+        lambda: gen_lattice2d(2.5, 3, 0.3, 0.1, 0),
+        lambda: gen_lattice2d(3, "3", 0.3, 0.1, 0),
+        lambda: Instance(n="3", a=[1.0] * 3, c=[1.0] * 3, qi=[0, 1, 2], qj=[0, 1, 2], qv=[1.0] * 3),
+        lambda: Instance(n=3.0, a=[1.0] * 3, c=[1.0] * 3, qi=[0, 1, 2], qj=[0, 1, 2], qv=[1.0] * 3),
+    ],
+    ids=["seed-1.5", "seed-1.9", "seed-3.0", "seed-str", "tridiag-n", "signal-n", "rows", "cols", "n-str", "n-3.0"],
+)
+def test_seeds_and_sizes_must_be_integers(make):
+    with pytest.raises(InputError, match="must be an integer"):
+        make()
+
+
+def test_numpy_integer_seeds_and_sizes_are_integers():
+    inst = gen_tridiagonal(np.int64(5), np.uint8(1))
+    assert type(inst.n) is int
+    assert inst.c.tobytes() == gen_tridiagonal(5, 1).c.tobytes()
+    assert gen_lattice2d(np.int32(3), np.int16(4), 0.3, 0.1, np.int64(2)).n == 12
+
+
 def test_only_the_instance_module_checks_storage():
     # the storage contract is checked once, by the constructor; another
     # caller of the check would start a second copy of the contract

@@ -14,12 +14,12 @@ from l0path import (
     SegmentNotPD,
     TemplateMismatch,
     Term,
-    build_relaxation,
     gen_lattice2d,
     path_cover,
     support_graph,
     validate,
 )
+from l0path.decomp import build_relaxation
 from l0path.instance import DD_TOL
 
 from conftest import first_failing_pivot, make_graph, make_instance, random_dd_instance, rng_for
@@ -81,20 +81,19 @@ def quad_loop(D, terms, x):
     return val
 
 
-def build_relaxation_loop(instance, dd, ordering, retained):
-    """(pi, segments, block_diag, block_off, retained, relaxed) of the relaxation."""
+def retained_pairs(g, ordering):
+    """The cover's retained edges (i, j) of the graph g, as Python ints."""
+    return list(zip(g.i[ordering.retained].tolist(), g.j[ordering.retained].tolist()))
+
+
+def build_relaxation_loop(instance, dd, pi, retained):
+    """(pi, segments, block_diag, block_off, retained, relaxed) of the
+    relaxation that keeps the (i, j) pairs `retained` on the ordering pi."""
     n = instance.n
-    pi = np.asarray(ordering, dtype=np.int64)
-    if pi.shape != (n,) or len(np.unique(pi)) != n or pi.min() < 0 or pi.max() >= n:
-        raise InputError("ordering is not a permutation of 0..n-1")
     inv = np.empty(n, dtype=np.int64)
     inv[pi] = np.arange(n, dtype=np.int64)
-    keep = {(min(i, j), max(i, j)) for i, j in retained}
+    keep = set(retained)
     terms = split_terms(dd)
-    known = {(t.i, t.j) for t in terms}
-    for pair in keep:
-        if pair not in known:
-            raise InputError(f"retained pair {pair} is not a coupling of the instance")
     ret_pos, rel_pos = [], []
     for t in terms:
         p, q = int(inv[t.i]), int(inv[t.j])
@@ -238,36 +237,25 @@ def test_validate_and_support_graph_match_loops(case):
         assert got.quad(x) == pytest.approx(quad_loop(D, terms, x), rel=1e-12, abs=1e-12)
         g, want = support_graph(inst), make_graph(inst.n, support_graph_loop(inst))
         assert same_bytes(g.i, want.i) and same_bytes(g.j, want.j) and same_bytes(g.w, want.w)
+        # build_relaxation reads the cover's edge mask as a mask over the
+        # split's terms, so the edges and the terms must be the same couplings
+        assert same_bytes(g.i, got.term_i) and same_bytes(g.j, got.term_j) and same_bytes(g.w, got.term_w)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(triplet_sets(), st.data())
-def test_build_relaxation_matches_loop(case, data):
+@given(triplet_sets())
+def test_build_relaxation_matches_loop(case):
     try:
         inst = make_instance(*case)
         dd = validate(inst)
     except InputError:
         return
-    ordering = path_cover(support_graph(inst))
-    # build_relaxation takes the (k, 2) array as path_cover returns it; the
-    # loop takes the same pairs as Python ints, so the error texts compare
-    pi, retained = ordering.pi, ordering.retained
-    # faulty retained sets: a pair that is no coupling, a coupling that is
-    # not consecutive, or a shuffled ordering that splits retained pairs
-    fault = data.draw(st.sampled_from(["none", "none", "no_coupling", "relaxed", "shuffle", "not_perm"]))
-    if fault == "no_coupling":
-        i, j = data.draw(st.integers(-1, inst.n)), data.draw(st.integers(-1, inst.n))
-        retained = np.insert(retained, data.draw(st.integers(0, len(retained))), (i, j), axis=0)
-    elif fault == "relaxed" and len(ordering.relaxed):
-        pair = data.draw(st.sampled_from(ordering.relaxed.tolist()))[::-1]
-        retained = np.append(retained, [pair], axis=0)
-    elif fault == "shuffle":
-        pi = np.array(data.draw(st.permutations(range(inst.n))), dtype=np.int64)
-    elif fault == "not_perm" and inst.n > 1:
-        pi = pi.copy()
-        pi[0] = pi[1]
-    got, got_err = outcome(build_relaxation, inst, pi, retained)
-    want, want_err = outcome(build_relaxation_loop, inst, dd, pi, [tuple(p) for p in retained.tolist()])
+    # build_relaxation reads the cover's edge mask as a mask over the
+    # split's terms; the loop looks each term up by its (i, j) pair
+    g = support_graph(inst)
+    ordering = path_cover(g)
+    got, got_err = outcome(build_relaxation, inst, ordering)
+    want, want_err = outcome(build_relaxation_loop, inst, dd, ordering.pi, retained_pairs(g, ordering))
     assert got_err == want_err
     if want is not None:
         pi_w, segments, block_diag, block_off, ret, rel = want
@@ -300,10 +288,10 @@ def test_build_relaxation_singular_segments_match_loop():
         tight = None if t % 4 == 0 else set(np.flatnonzero(rng.uniform(size=n) < 0.7).tolist())
         inst = make_instance(inst.a, inst.c, tighten(triplets(inst), n, tight))
         dd = validate(inst)
-        ordering = path_cover(support_graph(inst))
-        pairs = [tuple(p) for p in ordering.retained.tolist()]
-        got, got_err = outcome(build_relaxation, inst, ordering.pi, ordering.retained)
-        want, want_err = outcome(build_relaxation_loop, inst, dd, ordering.pi, pairs)
+        g = support_graph(inst)
+        ordering = path_cover(g)
+        got, got_err = outcome(build_relaxation, inst, ordering)
+        want, want_err = outcome(build_relaxation_loop, inst, dd, ordering.pi, retained_pairs(g, ordering))
         assert got_err == want_err
         if want_err is None:
             built += 1
