@@ -22,7 +22,6 @@ from .errors import (
     TooLarge,
 )
 from .instance import (
-    DDForm,
     Instance,
     SupportGraph,
     Term,
@@ -67,7 +66,7 @@ __all__ = [
     "NotBipartite", "HasCycle", "TooLarge",
     "NotPositiveDefinite", "SegmentNotPD", "SingularSupport", "InfeasiblePair",
     "TemplateMismatch",
-    "Instance", "Term", "DDForm", "SupportGraph",
+    "Instance", "Term", "SupportGraph",
     "validate", "support_graph",
     "gen_tridiagonal", "gen_signal1d", "gen_lattice2d",
     "read_instance", "write_instance",

@@ -58,27 +58,22 @@ def _components(n: int, i: np.ndarray, j: np.ndarray):
     return *connected_components(adj, directed=False), adj
 
 
-def _depth(adj, roots: np.ndarray) -> np.ndarray:
-    """Breadth-first depth of every vertex from the nearest root (roots at
-    0, unreached vertices at inf)."""
-    from scipy.sparse.csgraph import dijkstra
-
-    return dijkstra(adj, directed=False, indices=roots, unweighted=True, min_only=True)
-
-
 def _bipartition(g: SupportGraph):
     """2-coloring with color 0 on the smallest vertex of each component;
     None when some component has an odd cycle.
 
-    Every vertex is colored by the parity of its depth from the smallest
-    vertex of its component.
+    One labelling of the bipartite double cover, where each edge (i, j)
+    joins i to j + n and i + n to j: v and v + n share a label exactly
+    when v's component has an odd cycle, and otherwise label v's color
+    class and the other one. v gets color 1 when the smallest node with
+    v's label is larger than the smallest node with the label of v + n.
     """
-    _, label, adj = _components(g.n, g.i, g.j)
-    _, roots = np.unique(label, return_index=True)
-    color = _depth(adj, roots).astype(np.int64) % 2
-    if np.any(color[g.i] == color[g.j]):
+    n = g.n
+    _, label, _ = _components(2 * n, np.concatenate((g.i, g.i + n)), np.concatenate((g.j + n, g.j)))
+    if np.any(label[:n] == label[n:]):
         return None
-    return color
+    _, first = np.unique(label, return_index=True)
+    return (first[label[:n]] > first[label[n:]]).astype(np.int64)
 
 
 def _gadget(n: int, tail: np.ndarray, head: np.ndarray, w: np.ndarray):
@@ -221,6 +216,8 @@ def make_ordering(chosen: np.ndarray, g: SupportGraph) -> Ordering:
     nodes go last in ascending order. The Ordering keeps a copy of
     `chosen` as its retained mask.
     """
+    from scipy.sparse.csgraph import dijkstra
+
     ci, cj, cw = g.i[chosen], g.j[chosen], g.w[chosen]
     ncomp, label, adj = _components(g.n, ci, cj)
     comp = label[ci]
@@ -230,7 +227,7 @@ def make_ordering(chosen: np.ndarray, g: SupportGraph) -> Ordering:
     ends = np.flatnonzero(degree == 1)
     path, start_at = np.unique(label[ends], return_index=True)
     start = ends[start_at]
-    depth = _depth(adj, start)
+    depth = dijkstra(adj, directed=False, indices=start, unweighted=True, min_only=True)
     # ufunc.at adds in index order: with the edges in path order, each
     # path's weight sums from its start, as a loop along the path would
     weight = np.zeros(ncomp)

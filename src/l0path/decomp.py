@@ -34,7 +34,7 @@ from .errors import (
 # subgradient runs f_star_subgradient's branches as array code and never
 # calls it; the name stays bound here for the benchmark's call counters
 from .fenchel import f_star, f_star_subgradient  # noqa: F401
-from .instance import Instance, Term, _check_point, _freeze, _integer, _terms, support_graph, validate
+from .instance import Instance, Term, _check_point, _freeze, _integer, _shape, _terms, support_graph, validate
 from .oracle import fixed_z_qp
 # h_eval solves its segments with segments_kernel and never calls
 # solve_tridiag; the name stays bound here for the benchmark's tracer
@@ -60,13 +60,13 @@ class Relaxation:
     certifies bounds only for that object. Everything positional lives in
     permuted coordinates; pi[t] is the original index at position t, as
     the path cover's Ordering puts it, and the retained terms are that
-    cover's edges. Segment k is [bounds[k], bounds[k+1]). The retained
-    terms are folded into one tridiagonal template over all positions:
-    diag (length n) and off (length n - 1), where off[p] is the signed
-    coupling of the retained term (p, p + 1) and zero at every cut
-    between segments. The relaxed terms, every other coupling, are the
-    arrays rel_i, rel_j, rel_w and rel_sign, sorted by (i, j). All arrays
-    are read-only copies.
+    cover's edges of support_graph(instance). Segment k is [bounds[k],
+    bounds[k+1]). The retained terms are folded into one tridiagonal
+    template over all positions: diag (length n) and off (length n - 1),
+    where off[p] is the signed coupling of the retained term (p, p + 1)
+    and zero at every cut between segments. The relaxed terms, the
+    graph's other edges, are the arrays rel_i, rel_j, rel_w and rel_sign,
+    sorted by (i, j). All arrays are read-only copies.
 
     `segments`, `retained` and `relaxed` are tuple views of these arrays,
     built at first use. No solve step reads them: they exist for the
@@ -143,9 +143,10 @@ def build_relaxation(instance: Instance, ordering: Ordering) -> Relaxation:
 
     `ordering` is path_cover's Ordering for support_graph(instance), as
     default_relaxation passes it: pi puts every retained edge on
-    consecutive positions. The split is validate(instance), so
-    NotDiagonallyDominant comes from here, and the Relaxation keeps
-    instance as the one it answers for.
+    consecutive positions. The split is validate(instance)'s residual
+    diagonal, so NotDiagonallyDominant comes from here, and the edges of
+    support_graph(instance), the graph the cover's mask was computed on;
+    the Relaxation keeps instance as the one it answers for.
     Each retained weight is added to both incident template diagonals; the
     template off-diagonal is the signed original coupling. Segments are
     the maximal position runs joined by retained terms. The template is
@@ -155,17 +156,15 @@ def build_relaxation(instance: Instance, ordering: Ordering) -> Relaxation:
     pivots read only the template, so no h_eval on it fails them later.
     The arrays are read-only copies of the inputs.
     """
-    dd = validate(instance)
+    D = validate(instance)
+    g = support_graph(instance)
     n = instance.n
     pi = ordering.pi
     inv = np.empty(n, dtype=np.int64)
     inv[pi] = np.arange(n, dtype=np.int64)
 
-    # support_graph's edges and validate's terms are the same couplings in
-    # the Instance's (i, j) order, so the cover's edge mask marks the terms
-    ti, tj = dd.term_i, dd.term_j
     kept = ordering.retained
-    p, q = np.minimum(inv[ti], inv[tj]), np.maximum(inv[ti], inv[tj])
+    p, q = np.minimum(inv[g.i], inv[g.j]), np.maximum(inv[g.i], inv[g.j])
     ret = np.flatnonzero(kept)
     ret = ret[np.argsort(p[ret])]
     rel = np.flatnonzero(~kept)
@@ -173,8 +172,8 @@ def build_relaxation(instance: Instance, ordering: Ordering) -> Relaxation:
 
     a_ord = instance.a[pi]
     c_ord = instance.c[pi]
-    ret_p, ret_w, ret_sign = p[ret], dd.term_w[ret], dd.term_sign[ret]
-    diag = dd.D[pi]
+    ret_p, ret_w, ret_sign = p[ret], g.w[ret], g.sign[ret]
+    diag = D[pi]
     # ufunc.at adds in index order: both endpoints of each retained term,
     # in term order, as a loop of += over the terms would
     np.add.at(diag, np.stack((ret_p, ret_p + 1), axis=1).ravel(), np.repeat(ret_w, 2))
@@ -183,7 +182,7 @@ def build_relaxation(instance: Instance, ordering: Ordering) -> Relaxation:
     # retained weights are nonzero, so the cuts are the zeros of off
     bounds = np.concatenate(([0], np.flatnonzero(off == 0) + 1, [n]))
     rel_i, rel_j = p[rel], q[rel]
-    rel_w, rel_sign = dd.term_w[rel], dd.term_sign[rel]
+    rel_w, rel_sign = g.w[rel], g.sign[rel]
 
     # off is zero between segments, so the templates are one tridiagonal
     # form over all positions
@@ -191,7 +190,8 @@ def build_relaxation(instance: Instance, ordering: Ordering) -> Relaxation:
     for _ in range(3):
         x = rng.standard_normal(n)
         x_ord = x[pi]
-        lhs = dd.quad(x)
+        pair = x[g.i] + g.sign * x[g.j]
+        lhs = 0.5 * float(D @ (x * x)) + 0.5 * float(g.w @ (pair * pair))
         pair = x_ord[rel_i] + rel_sign * x_ord[rel_j]
         rhs = 0.5 * float(diag @ (x_ord * x_ord)) + float(off @ (x_ord[:-1] * x_ord[1:]))
         rhs += 0.5 * float(rel_w @ (pair * pair))
@@ -222,14 +222,15 @@ def build_relaxation(instance: Instance, ordering: Ordering) -> Relaxation:
 
 def default_relaxation(instance: Instance) -> Relaxation:
     """Run the path-cover pipeline on the instance's support graph and
-    build the instance's relaxation on that cover."""
+    build the instance's relaxation on that cover, whose edge mask indexes
+    the edges build_relaxation reads from support_graph(instance)."""
     return build_relaxation(instance, path_cover(support_graph(instance)))
 
 
 def _check_duals(r: Relaxation, duals) -> None:
     """InputError unless duals holds one (alpha, beta_i, beta_j) row per relaxed term."""
-    if np.shape(duals) != (r.rel_w.size, 3):
-        raise InputError(f"duals must have shape ({r.rel_w.size}, 3), not {np.shape(duals)}")
+    if _shape(duals) != (r.rel_w.size, 3):
+        raise InputError(f"duals must have shape ({r.rel_w.size}, 3), not {_shape(duals)}")
 
 
 def assemble_psi(r: Relaxation, duals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

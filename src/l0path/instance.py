@@ -1,5 +1,6 @@
-"""Problem data model: validation, diagonally-dominant splitting,
-instance generators, and JSON file I/O.
+"""Problem data model: validation, the diagonally-dominant split (validate's
+residual diagonal and support_graph's signed edges, which are also the path
+cover's candidates), instance generators, and JSON file I/O.
 
 The objective convention throughout is
 
@@ -38,17 +39,29 @@ DD_TOL = 1e-9
 
 def _integer(value, what: str) -> int:
     """value as a Python int, or InputError when it is not an integer:
-    operator.index refuses 1.5, 3.0 and "3" alike."""
+    operator.index refuses 1.5, 3.0 and "3" alike, and bools, which it
+    would take as 0 and 1, are refused before it."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InputError(f"{what} must be an integer, not {value!r}")
+
+
+def _shape(value):
+    """np.shape(value), or "ragged" for nested sequences of unequal lengths,
+    which have no shape."""
     try:
-        return operator.index(value)
-    except TypeError:
-        raise InputError(f"{what} must be an integer, not {value!r}") from None
+        return np.shape(value)
+    except ValueError:
+        return "ragged"
 
 
 def _check_point(n: int, x, z) -> None:
     """InputError unless x and z both have shape (n,)."""
-    if np.shape(x) != (n,) or np.shape(z) != (n,):
-        raise InputError(f"x and z must have shape ({n},), not {np.shape(x)} and {np.shape(z)}")
+    if _shape(x) != (n,) or _shape(z) != (n,):
+        raise InputError(f"x and z must have shape ({n},), not {_shape(x)} and {_shape(z)}")
 
 
 def _freeze(obj, take=None, **dtypes) -> None:
@@ -164,45 +177,26 @@ def _terms(i, j, w, sign) -> tuple[Term, ...]:
 
 
 @dataclass(frozen=True, eq=False)
-class DDForm:
-    """Diagonally-dominant split of Q.
-
-    (1/2) x'Qx == (1/2) sum_i D_i x_i^2 + (1/2) sum_terms w (x_i + sign x_j)^2
-    with D_i = Q_ii - sum_{j != i} |Q_ij| >= 0. The terms are held as
-    arrays (term_i, term_j, term_w, term_sign), one entry per term, in
-    the Instance's (i, j) order; all are read-only copies of those given.
-    """
-
-    D: np.ndarray
-    term_i: np.ndarray
-    term_j: np.ndarray
-    term_w: np.ndarray
-    term_sign: np.ndarray
-
-    def __post_init__(self):
-        _freeze(self, D=np.float64, term_i=np.int64, term_j=np.int64, term_w=np.float64, term_sign=np.int64)
-
-    def quad(self, x: np.ndarray) -> float:
-        """Evaluate (1/2) x'Qx through the split form."""
-        pair = x[self.term_i] + self.term_sign * x[self.term_j]
-        return 0.5 * float(self.D @ (x * x)) + 0.5 * float(self.term_w @ (pair * pair))
-
-
-@dataclass(frozen=True, eq=False)
 class SupportGraph:
     """Undirected graph with an edge wherever Q_ij != 0, weighted |Q_ij|.
 
-    Edge k joins i[k] < j[k] with weight w[k]; the arrays are read-only
-    copies, sorted by (i, j).
+    Edge k joins i[k] < j[k] with weight w[k] and sign[k], the sign (+1 or
+    -1) of Q_ij; the arrays are read-only copies, sorted by (i, j). The
+    edges are also the terms of the diagonally-dominant split:
+
+        (1/2) x'Qx == (1/2) sum_v D_v x_v^2 + (1/2) sum_k w[k] (x_i[k] + sign[k] x_j[k])^2
+
+    with D = validate(instance).
     """
 
     n: int
     i: np.ndarray
     j: np.ndarray
     w: np.ndarray
+    sign: np.ndarray
 
     def __post_init__(self):
-        _freeze(self, i=np.int64, j=np.int64, w=np.float64)
+        _freeze(self, i=np.int64, j=np.int64, w=np.float64, sign=np.int64)
 
 
 def _first_storage_fault(instance: Instance) -> tuple[NotSymmetricStorage | None, np.ndarray]:
@@ -231,8 +225,10 @@ def _first_storage_fault(instance: Instance) -> tuple[NotSymmetricStorage | None
     return NotSymmetricStorage(f"zero-valued off-diagonal ({i}, {j})"), order
 
 
-def validate(instance: Instance) -> DDForm:
-    """Check diagonal dominance; return the split.
+def validate(instance: Instance) -> np.ndarray:
+    """Check diagonal dominance; return the residual diagonal D of the
+    split (see SupportGraph), D_i = Q_ii - sum_{j != i} |Q_ij|, as a
+    read-only float64 array.
 
     Raises NotDiagonallyDominant at the first variable whose residual D_i
     falls below -1e-9. Residuals in [-1e-9, 0) are clamped to zero.
@@ -242,27 +238,27 @@ def validate(instance: Instance) -> DDForm:
     on_diag = qi == qj
     diag = np.zeros(n)
     diag[qi[on_diag]] = qv[on_diag]
-    ti, tj, tv = qi[~on_diag], qj[~on_diag], qv[~on_diag]
-    tw = np.abs(tv)
+    off = ~on_diag
     # ufunc.at adds in index order: both endpoints of each triplet in
     # storage order, as a loop of += over the triplets would
     absrow = np.zeros(n)
-    np.add.at(absrow, np.stack((ti, tj), axis=1).ravel(), np.repeat(tw, 2))
+    np.add.at(absrow, np.stack((qi[off], qj[off]), axis=1).ravel(), np.repeat(np.abs(qv[off]), 2))
     residual = diag - absrow
     below = residual < -DD_TOL
     if below.any():
         i = int(np.argmax(below))
         raise NotDiagonallyDominant(i, float(residual[i]))
     residual = np.maximum(residual, 0.0)
-    sign = np.where(tv > 0, 1, -1)
-    return DDForm(D=residual, term_i=ti, term_j=tj, term_w=tw, term_sign=sign)
+    residual.setflags(write=False)
+    return residual
 
 
 def support_graph(instance: Instance) -> SupportGraph:
-    """Edges (i, j, |Q_ij|) of the nonzero off-diagonals, in the Instance's (i, j) order."""
+    """Edges (i, j, |Q_ij|, sign Q_ij) of the nonzero off-diagonals, in the Instance's (i, j) order."""
     qi, qj, qv = instance.qi, instance.qj, instance.qv
     nz = qi != qj
-    return SupportGraph(n=instance.n, i=qi[nz], j=qj[nz], w=np.abs(qv[nz]))
+    v = qv[nz]
+    return SupportGraph(n=instance.n, i=qi[nz], j=qj[nz], w=np.abs(v), sign=np.where(v > 0, 1, -1))
 
 
 def _rng(seed: int) -> np.random.Generator:

@@ -129,7 +129,8 @@ def to_tridiagonal(instance: Instance) -> TridiagProblem:
         k = beyond[0]
         raise InputError(
             f"Q entry ({int(qi[k])}, {int(qj[k])}) is off the tridiagonal band; "
-            "reorder the instance (see the decompose command) first"
+            "solve-decomp accepts any sparse diagonally dominant Q, and certifies "
+            "a path stored in another order at its first iteration"
         )
     on = qi == qj
     # an Instance stores every cell at most once, so plain assignment

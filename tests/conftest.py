@@ -51,10 +51,12 @@ def permute(instance, pi):
 
 
 def make_graph(n, edges):
-    """Build a SupportGraph from (i, j, w) edges, i < j, in any order."""
+    """Build a SupportGraph from (i, j, w) edges, i < j, in any order, with
+    every coupling negative, as the generators make them (the cover reads
+    no signs)."""
     e = np.array(edges, dtype=np.float64).reshape(-1, 3)
     order = np.lexsort((e[:, 2], e[:, 1], e[:, 0]))
-    return SupportGraph(n=n, i=e[order, 0], j=e[order, 1], w=e[order, 2])
+    return SupportGraph(n=n, i=e[order, 0], j=e[order, 1], w=e[order, 2], sign=np.full(len(e), -1))
 
 
 # 4-variable running example: star coupling around variable 1 plus a

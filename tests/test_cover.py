@@ -571,7 +571,7 @@ def test_import_leaves_networkx_unloaded(tmp_path):
     probe = (
         "import sys; import numpy as np; import l0path\n"
         "from l0path import SupportGraph, default_relaxation, path_cover, read_instance\n"
-        "path_cover(SupportGraph(3, np.array([0, 0, 1]), np.array([1, 2, 2]), np.array([3.0, 2.0, 1.0])))\n"
+        "path_cover(SupportGraph(3, np.array([0, 0, 1]), np.array([1, 2, 2]), np.array([3.0, 2.0, 1.0]), -np.ones(3)))\n"
         f"default_relaxation(read_instance({str(tmp_path / 'inst.txt')!r}))\n"
         "print('networkx' in sys.modules)"
     )

@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 import l0path.decomp as decomp
 from l0path import (
-    DDForm,
     InfeasiblePair,
     InputError,
     Instance,
@@ -156,11 +155,14 @@ def test_relaxation_arrays_are_read_only_copies():
     assert np.array_equal(r.pi, want)
 
 
-def test_build_relaxation_template_mismatch_is_numerical(example_instance, monkeypatch):
-    true_quad = DDForm.quad
-    monkeypatch.setattr(DDForm, "quad", lambda self, x: true_quad(self, x) + 1.0)
+def test_build_relaxation_template_mismatch_is_numerical(example_instance):
+    # the split and the template both read validate's D and the support
+    # graph, so only an ordering that does not put a retained edge on
+    # consecutive positions, here (0, 1) at positions 0 and 2, breaks them apart
+    ordering = path_cover(support_graph(example_instance))
+    assert ordering.pi.tolist() == [0, 1, 2, 3] and ordering.retained[0]
     with pytest.raises(TemplateMismatch) as info:
-        decomp.build_relaxation(example_instance, path_cover(support_graph(example_instance)))
+        decomp.build_relaxation(example_instance, dataclasses.replace(ordering, pi=np.array([0, 2, 1, 3])))
     assert isinstance(info.value, NumericalError)
 
 
@@ -189,6 +191,10 @@ def _point(extra):
     return lambda inst, r: np.zeros(inst.n + extra)
 
 
+def _ragged_point(inst, r):
+    return [0.0] * (inst.n - 1) + [[0.0, 1.0]]
+
+
 @pytest.mark.parametrize(
     "call, args",
     [
@@ -206,12 +212,17 @@ def _point(extra):
         (Instance.objective, (_point(-1), _point(0))),
         (Instance.objective, (_point(1), _point(1))),
         (Instance.objective, (lambda inst, r: np.zeros((inst.n, 1)), _point(0))),
+        # ragged lists have no shape: numpy's ValueError leaked out of these
+        (h_eval, (lambda inst, r: [[0.0] * 3] * (r.rel_w.size - 1) + [[0.0]],)),
+        (subgradient, (_duals(0, 3), _ragged_point, _point(0))),
+        (upper_bound, (_ragged_point, _point(0))),
     ],
     ids=[
         "h_eval-cols", "h_eval-rows", "assemble_psi-cols", "assemble_psi-rows",
         "subgradient-cols", "subgradient-rows", "subgradient-x", "subgradient-z",
         "upper_bound-x", "upper_bound-z", "upper_bound-both",
         "objective-x", "objective-both", "objective-2d",
+        "h_eval-ragged", "subgradient-ragged-x", "upper_bound-ragged-x",
     ],
 )
 def test_wrongly_shaped_inputs_are_input_errors(call, args):
@@ -578,6 +589,9 @@ def test_run_config_validation(example_instance):
         run(example_instance, r, RunConfig(max_iter=0))
     with pytest.raises(InputError):
         run(example_instance, r, RunConfig(max_iter=2.5))
+    # operator.index takes bools: True ran one iteration
+    with pytest.raises(InputError, match="max_iter must be an integer"):
+        run(example_instance, r, RunConfig(max_iter=True))
     # numpy integers are integers
     assert run(example_instance, r, RunConfig(eps=1e-15, max_iter=np.int64(3))).iterations == 3
 

@@ -9,7 +9,6 @@ import pytest
 
 import l0path
 from l0path import (
-    DDForm,
     InputError,
     Instance,
     NotDiagonallyDominant,
@@ -36,9 +35,9 @@ from conftest import EXAMPLE_A, EXAMPLE_C, EXAMPLE_Q, make_graph, make_instance,
 
 
 def test_validate_example_split(example_instance):
-    dd = validate(example_instance)
-    assert np.allclose(dd.D, [1.5, 2.7, 2.0, 1.2])
-    terms = zip(dd.term_i.tolist(), dd.term_j.tolist(), dd.term_w.tolist(), dd.term_sign.tolist())
+    assert np.allclose(validate(example_instance), [1.5, 2.7, 2.0, 1.2])
+    g = support_graph(example_instance)
+    terms = zip(g.i.tolist(), g.j.tolist(), g.w.tolist(), g.sign.tolist())
     assert list(terms) == [
         (0, 1, 1.5, -1),
         (1, 2, 1.0, -1),
@@ -48,9 +47,9 @@ def test_validate_example_split(example_instance):
 
 def test_validate_diagonal_only():
     inst = make_instance([1.0, 1.0], [0.0, 0.0], [(0, 0, 2.0), (1, 1, 3.0)])
-    dd = validate(inst)
-    assert dd.term_i.size == dd.term_j.size == dd.term_w.size == dd.term_sign.size == 0
-    assert np.allclose(dd.D, [2.0, 3.0])
+    g = support_graph(inst)
+    assert g.i.size == g.j.size == g.w.size == g.sign.size == 0
+    assert np.allclose(validate(inst), [2.0, 3.0])
 
 
 def test_validate_rejects_dominance_violation():
@@ -150,8 +149,15 @@ def test_shape_faults_raise_input_error(kwargs):
         lambda: gen_lattice2d(3, "3", 0.3, 0.1, 0),
         lambda: Instance(n="3", a=[1.0] * 3, c=[1.0] * 3, qi=[0, 1, 2], qj=[0, 1, 2], qv=[1.0] * 3),
         lambda: Instance(n=3.0, a=[1.0] * 3, c=[1.0] * 3, qi=[0, 1, 2], qj=[0, 1, 2], qv=[1.0] * 3),
+        # operator.index takes bools: these were seed 0's n = 1 instance
+        lambda: gen_tridiagonal(True, False),
+        lambda: gen_lattice2d(3, 3, 0.3, 0.1, True),
+        lambda: Instance(n=True, a=[1.0], c=[1.0], qi=[0], qj=[0], qv=[1.0]),
     ],
-    ids=["seed-1.5", "seed-1.9", "seed-3.0", "seed-str", "tridiag-n", "signal-n", "rows", "cols", "n-str", "n-3.0"],
+    ids=[
+        "seed-1.5", "seed-1.9", "seed-3.0", "seed-str", "tridiag-n", "signal-n", "rows", "cols", "n-str", "n-3.0",
+        "n-and-seed-bool", "lattice-seed-bool", "n-bool",
+    ],
 )
 def test_seeds_and_sizes_must_be_integers(make):
     with pytest.raises(InputError, match="must be an integer"):
@@ -188,8 +194,7 @@ def test_only_the_instance_module_checks_storage():
 # that the test passes as a view of a buffer it keeps writing to
 OWNED_ARRAYS = {
     "Instance": (Instance, dict(n=2, a=[0.5, 0.5], c=[-1.0, 2.0], qi=[0, 0, 1], qj=[0, 1, 1], qv=[3.0, -1.0, 3.0]), "qv"),
-    "DDForm": (DDForm, dict(D=[2.0, 2.0], term_i=[0], term_j=[1], term_w=[1.0], term_sign=[-1]), "D"),
-    "SupportGraph": (SupportGraph, dict(n=2, i=[0], j=[1], w=[1.0]), "w"),
+    "SupportGraph": (SupportGraph, dict(n=2, i=[0], j=[1], w=[1.0], sign=[-1]), "w"),
     "TridiagProblem": (TridiagProblem, dict(m=3, a=[1.0] * 3, c=[-4.0] * 3, diag=[2.0] * 3, off=[0.0, 0.0]), "c"),
     "Relaxation": (
         Relaxation,
@@ -235,10 +240,11 @@ def test_instance_stores_triplets_in_ij_order(seed):
         other = dataclasses.replace(inst, qi=inst.qi[p], qj=inst.qj[p], qv=inst.qv[p])
         for name in ("qi", "qj", "qv"):
             assert getattr(other, name).tobytes() == getattr(inst, name).tobytes(), name
-        for one, two in ((validate(inst), validate(other)), (support_graph(inst), support_graph(other))):
-            for f in dataclasses.fields(one):
-                got, want = getattr(two, f.name), getattr(one, f.name)
-                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), f.name
+        assert validate(other).tobytes() == validate(inst).tobytes()
+        one, two = support_graph(inst), support_graph(other)
+        for f in dataclasses.fields(one):
+            got, want = getattr(two, f.name), getattr(one, f.name)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), f.name
 
 
 # SHA-256 of the stored bytes of each array, recorded before the Instance
@@ -324,29 +330,33 @@ def test_callers_meta_cannot_reach_run():
 def test_validate_reads_the_checked_data():
     buf = np.array([3.0, -1.0, 3.0])
     inst = Instance(n=2, a=np.ones(2), c=-np.ones(2), qi=np.array([0, 0, 1]), qj=np.array([0, 1, 1]), qv=buf[:])
-    want = validate(inst).D.copy()
+    want = validate(inst).copy()
     assert want.tolist() == [2.0, 2.0]
     buf[:] = np.nan
-    assert np.array_equal(validate(inst).D, want)
+    assert np.array_equal(validate(inst), want)
 
 
 def test_dd_form_reconstructs_quadratic():
+    # the split: validate's residual diagonal plus one signed square per
+    # edge of the support graph
     rng = rng_for(11)
     for _ in range(10):
         inst = random_dd_instance(rng, int(rng.integers(2, 12)))
-        dd = validate(inst)
+        D, g = validate(inst), support_graph(inst)
         q = inst.dense_q()
         for _ in range(10):
             x = rng.standard_normal(inst.n)
             direct = 0.5 * x @ q @ x
-            assert abs(dd.quad(x) - direct) <= 1e-9 * (1.0 + abs(direct))
+            pair = x[g.i] + g.sign * x[g.j]
+            split = 0.5 * D @ (x * x) + 0.5 * g.w @ (pair * pair)
+            assert abs(split - direct) <= 1e-9 * (1.0 + abs(direct))
 
 
 def test_support_graph_weights(example_instance):
     g = support_graph(example_instance)
     want = make_graph(4, [(0, 1, 1.5), (1, 2, 1.0), (1, 3, 0.8)])
     assert g.n == want.n
-    for got_a, want_a in ((g.i, want.i), (g.j, want.j), (g.w, want.w)):
+    for got_a, want_a in ((g.i, want.i), (g.j, want.j), (g.w, want.w), (g.sign, want.sign)):
         assert got_a.dtype == want_a.dtype and np.array_equal(got_a, want_a)
         assert not got_a.flags.writeable
 
@@ -395,10 +405,46 @@ def test_generators_deterministic_and_dominant():
         validate(one)
 
 
+# SHA-256 of validate(inst) and support_graph(inst).sign, recorded when
+# validate returned the split as an object whose D and term_sign held them
+SPLIT_DIGESTS = {
+    "tridiagonal": (
+        "0d924d80db66f3f5781dabf3d2848e2f1eae8c80308135e345a58dd4d2c59ee2",
+        "ba9a1778d581ab8b7c2f0f40786ffc9f11b160000acdf258613b802cf46d61fa",
+    ),
+    "signal1d": (
+        "e10dc5a499f130aa7ab8b9bb17ba0df08e43382bfd08b91dbd2e03e711f5cdea",
+        "c80a17673aa3c620f955b53433262f72c351eecccd3679f0a3c50b7e4ee77f13",
+    ),
+    "lattice2d": (
+        "00a1ec020e1c1fde09685bdf9de4dc3235ec1128ff807c3b35d29a7a01b50248",
+        "85ae98a61d8c46c891b84e682824c4a79ff779f8c8d3911c85c04147ba80b2bf",
+    ),
+    "random_dd": (
+        "a8c4a7004f666ff3370f8191a9e013bf2c0475ae4c0b075707bbd27825046417",
+        "24f2b07dabafd0d0e547fc7301ec0f28220dedc5b6f31f006a984b280a8de133",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SPLIT_DIGESTS)
+def test_split_keeps_its_bytes(name):
+    inst = {
+        "tridiagonal": lambda: gen_tridiagonal(40, 1),
+        "signal1d": lambda: gen_signal1d(30, 0.3, 0.1, 2),
+        "lattice2d": lambda: gen_lattice2d(5, 6, 0.3, 0.1, 3),
+        "random_dd": lambda: random_dd_instance(rng_for(5), 14),
+    }[name]()
+    D, sign = validate(inst), support_graph(inst).sign
+    assert D.dtype == np.float64 and D.shape == (inst.n,) and not D.flags.writeable
+    assert sign.dtype == np.int64 and not sign.flags.writeable
+    got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (D, sign))
+    assert got == SPLIT_DIGESTS[name]
+
+
 def test_signal1d_residual_diagonal():
     # data term contributes exactly 2 beyond the smoothing couplings
-    dd = validate(gen_signal1d(25, 0.3, 0.1, seed=9))
-    assert np.allclose(dd.D, 2.0)
+    assert np.allclose(validate(gen_signal1d(25, 0.3, 0.1, seed=9)), 2.0)
 
 
 def test_lattice_indexing_row_major():

@@ -1,7 +1,7 @@
 """The setup layer's array code against the per-triplet and per-term loops
-it replaces: `Instance` construction with `validate`, `support_graph`,
-`DDForm.quad` and `build_relaxation` must give the same split, the same
-relaxation bytes and the same errors as the loops."""
+it replaces: `Instance` construction with `validate`, `support_graph` and
+`build_relaxation` must give the same split, the same relaxation bytes and
+the same errors as the loops."""
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from l0path import (
 from l0path.decomp import build_relaxation
 from l0path.instance import DD_TOL
 
-from conftest import first_failing_pivot, make_graph, make_instance, random_dd_instance, rng_for
+from conftest import first_failing_pivot, make_instance, random_dd_instance, rng_for
 
 
 # Reference oracles: the loops the array code replaces.
@@ -58,22 +58,6 @@ def validate_loop(n, trips):
     return np.maximum(residual, 0.0), tuple(terms)
 
 
-def support_graph_loop(instance):
-    return tuple(
-        sorted(
-            (int(i), int(j), abs(float(v)))
-            for i, j, v in zip(instance.qi, instance.qj, instance.qv)
-            if i != j and v != 0.0
-        )
-    )
-
-
-def split_terms(dd):
-    """The split's terms as Term tuples, in array order."""
-    arrays = (dd.term_i, dd.term_j, dd.term_w, dd.term_sign)
-    return [Term(*t) for t in zip(*(a.tolist() for a in arrays))]
-
-
 def quad_loop(D, terms, x):
     val = 0.5 * float(D @ (x * x))
     for t in terms:
@@ -86,14 +70,15 @@ def retained_pairs(g, ordering):
     return list(zip(g.i[ordering.retained].tolist(), g.j[ordering.retained].tolist()))
 
 
-def build_relaxation_loop(instance, dd, pi, retained):
+def build_relaxation_loop(instance, pi, retained):
     """(pi, segments, block_diag, block_off, retained, relaxed) of the
-    relaxation that keeps the (i, j) pairs `retained` on the ordering pi."""
+    relaxation that keeps the (i, j) pairs `retained` on the ordering pi,
+    from the loop's own split of the instance."""
     n = instance.n
     inv = np.empty(n, dtype=np.int64)
     inv[pi] = np.arange(n, dtype=np.int64)
     keep = set(retained)
-    terms = split_terms(dd)
+    D, terms = validate_loop(n, triplets(instance))
     ret_pos, rel_pos = [], []
     for t in terms:
         p, q = int(inv[t.i]), int(inv[t.j])
@@ -110,7 +95,7 @@ def build_relaxation_loop(instance, dd, pi, retained):
             rel_pos.append(pos_term)
     ret_pos.sort(key=lambda t: (t.i, t.j))
     rel_pos.sort(key=lambda t: (t.i, t.j))
-    diag = dd.D[pi]
+    diag = D[pi]
     off = np.zeros(max(n - 1, 0))
     joined = np.zeros(max(n - 1, 0), dtype=bool)
     for t in ret_pos:
@@ -130,7 +115,7 @@ def build_relaxation_loop(instance, dd, pi, retained):
     for _ in range(3):
         x = rng.standard_normal(n)
         x_ord = x[pi]
-        lhs = quad_loop(dd.D, terms, x)
+        lhs = quad_loop(D, terms, x)
         rhs = 0.0
         for (s, e), dg, of in zip(segments, block_diag, block_off):
             xs = x_ord[s:e]
@@ -226,20 +211,14 @@ def test_validate_and_support_graph_match_loops(case):
     want, want_err = outcome(validate_loop, len(a), trips)
     assert got_err == want_err
     if want is not None:
-        inst = make_instance(a, c, trips)
         D, terms = want
-        assert same_bytes(got.D, D)
-        assert same_bytes(got.term_i, np.array([t.i for t in terms], dtype=np.int64))
-        assert same_bytes(got.term_j, np.array([t.j for t in terms], dtype=np.int64))
-        assert same_bytes(got.term_w, np.array([t.w for t in terms], dtype=np.float64))
-        assert same_bytes(got.term_sign, np.array([t.sign for t in terms], dtype=np.int64))
-        x = rng_for(7).standard_normal(inst.n)
-        assert got.quad(x) == pytest.approx(quad_loop(D, terms, x), rel=1e-12, abs=1e-12)
-        g, want = support_graph(inst), make_graph(inst.n, support_graph_loop(inst))
-        assert same_bytes(g.i, want.i) and same_bytes(g.j, want.j) and same_bytes(g.w, want.w)
-        # build_relaxation reads the cover's edge mask as a mask over the
-        # split's terms, so the edges and the terms must be the same couplings
-        assert same_bytes(g.i, got.term_i) and same_bytes(g.j, got.term_j) and same_bytes(g.w, got.term_w)
+        assert same_bytes(got, D) and not got.flags.writeable
+        # the support graph's edges are the split's terms
+        g = support_graph(make_instance(a, c, trips))
+        assert same_bytes(g.i, np.array([t.i for t in terms], dtype=np.int64))
+        assert same_bytes(g.j, np.array([t.j for t in terms], dtype=np.int64))
+        assert same_bytes(g.w, np.array([t.w for t in terms], dtype=np.float64))
+        assert same_bytes(g.sign, np.array([t.sign for t in terms], dtype=np.int64))
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -247,15 +226,15 @@ def test_validate_and_support_graph_match_loops(case):
 def test_build_relaxation_matches_loop(case):
     try:
         inst = make_instance(*case)
-        dd = validate(inst)
+        validate(inst)
     except InputError:
         return
     # build_relaxation reads the cover's edge mask as a mask over the
-    # split's terms; the loop looks each term up by its (i, j) pair
+    # graph's edges; the loop looks each term up by its (i, j) pair
     g = support_graph(inst)
     ordering = path_cover(g)
     got, got_err = outcome(build_relaxation, inst, ordering)
-    want, want_err = outcome(build_relaxation_loop, inst, dd, ordering.pi, retained_pairs(g, ordering))
+    want, want_err = outcome(build_relaxation_loop, inst, ordering.pi, retained_pairs(g, ordering))
     assert got_err == want_err
     if want is not None:
         pi_w, segments, block_diag, block_off, ret, rel = want
@@ -287,11 +266,10 @@ def test_build_relaxation_singular_segments_match_loop():
         inst = random_dd_instance(rng, n)
         tight = None if t % 4 == 0 else set(np.flatnonzero(rng.uniform(size=n) < 0.7).tolist())
         inst = make_instance(inst.a, inst.c, tighten(triplets(inst), n, tight))
-        dd = validate(inst)
         g = support_graph(inst)
         ordering = path_cover(g)
         got, got_err = outcome(build_relaxation, inst, ordering)
-        want, want_err = outcome(build_relaxation_loop, inst, dd, ordering.pi, retained_pairs(g, ordering))
+        want, want_err = outcome(build_relaxation_loop, inst, ordering.pi, retained_pairs(g, ordering))
         assert got_err == want_err
         if want_err is None:
             built += 1

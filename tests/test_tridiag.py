@@ -289,8 +289,10 @@ def test_visited_marks_skipped_positions():
 
 
 def test_to_tridiagonal_requires_band(example_instance):
-    with pytest.raises(InputError, match=r"\(1, 3\) is off the tridiagonal band"):
+    with pytest.raises(InputError, match=r"\(1, 3\) is off the tridiagonal band") as info:
         to_tridiagonal(example_instance)
+    # no command reorders a file; the decomposition solves any order
+    assert "solve-decomp accepts any sparse diagonally dominant Q" in str(info.value)
     # the Instance stores its triplets by (i, j), so the off-band entry
     # named is the first in that order, whatever order they were given in
     two_off = make_instance(
