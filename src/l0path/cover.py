@@ -131,7 +131,7 @@ def b2_subgraph_bipartite(g: SupportGraph) -> np.ndarray:
     n, m = g.n, w.size
     from_left = color[i] == 0
     tail, head = np.where(from_left, i, j), np.where(from_left, j, i)
-    if w[0] > 0 and np.all(w == w[0]):
+    if np.all(w == w[0]):
         return _b2_max_flow(g, color, tail, head)
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import min_weight_full_bipartite_matching

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from ._kernels import segments_kernel
-from .cover import Ordering, path_cover
+from .cover import path_cover
 from .errors import (
     InfeasiblePair,
     InputError,
@@ -34,7 +34,7 @@ from .errors import (
 # subgradient runs f_star_subgradient's branches as array code and never
 # calls it; the name stays bound here for the benchmark's call counters
 from .fenchel import f_star, f_star_subgradient  # noqa: F401
-from .instance import Instance, Term, _check_point, _freeze, _integer, _shape, _terms, support_graph, validate
+from .instance import Instance, Term, _check_point, _freeze, _integer, _real, _shape, _terms, support_graph, validate
 from .oracle import fixed_z_qp
 # h_eval solves its segments with segments_kernel and never calls
 # solve_tridiag; the name stays bound here for the benchmark's tracer
@@ -66,7 +66,8 @@ class Relaxation:
     where off[p] is the signed coupling of the retained term (p, p + 1)
     and zero at every cut between segments. The relaxed terms, the
     graph's other edges, are the arrays rel_i, rel_j, rel_w and rel_sign,
-    sorted by (i, j). All arrays are read-only copies.
+    sorted by (i, j). All arrays are read-only copies; a and c are read
+    from instance, gathered at pi.
 
     `segments`, `retained` and `relaxed` are tuple views of these arrays,
     built at first use. No solve step reads them: they exist for the
@@ -76,8 +77,6 @@ class Relaxation:
 
     instance: Instance
     pi: np.ndarray
-    a_ord: np.ndarray
-    c_ord: np.ndarray
     bounds: np.ndarray
     diag: np.ndarray
     off: np.ndarray
@@ -87,8 +86,8 @@ class Relaxation:
     rel_sign: np.ndarray
 
     def __post_init__(self):
-        _freeze(self, pi=np.int64, a_ord=np.float64, c_ord=np.float64, bounds=np.int64, diag=np.float64,
-                off=np.float64, rel_i=np.int64, rel_j=np.int64, rel_w=np.float64, rel_sign=np.int64)
+        _freeze(self, pi=np.int64, bounds=np.int64, diag=np.float64, off=np.float64, rel_i=np.int64,
+                rel_j=np.int64, rel_w=np.float64, rel_sign=np.int64)
 
     @cached_property
     def segments(self) -> tuple[tuple[int, int], ...]:
@@ -138,15 +137,16 @@ class RunResult:
     reason: str
 
 
-def build_relaxation(instance: Instance, ordering: Ordering) -> Relaxation:
-    """Split the instance, permute it, separate retained from relaxed terms, and build the template.
+def build_relaxation(instance: Instance) -> Relaxation:
+    """Split the instance, cover its support graph with paths, permute it,
+    separate retained from relaxed terms, and build the template.
 
-    `ordering` is path_cover's Ordering for support_graph(instance), as
-    default_relaxation passes it: pi puts every retained edge on
-    consecutive positions. The split is validate(instance)'s residual
-    diagonal, so NotDiagonallyDominant comes from here, and the edges of
-    support_graph(instance), the graph the cover's mask was computed on;
-    the Relaxation keeps instance as the one it answers for.
+    validate(instance) runs first, so NotDiagonallyDominant comes before
+    any graph work. The split is its residual diagonal and the edges of
+    support_graph(instance), built once: path_cover runs on that graph,
+    its pi puts every retained edge on consecutive positions, and its edge
+    mask indexes the same edge arrays the terms are read from. The
+    Relaxation keeps instance as the one it answers for.
     Each retained weight is added to both incident template diagonals; the
     template off-diagonal is the signed original coupling. Segments are
     the maximal position runs joined by retained terms. The template is
@@ -154,10 +154,10 @@ def build_relaxation(instance: Instance, ordering: Ordering) -> Relaxation:
     being trusted. One segments_kernel call, as h_eval makes it, raises
     SegmentNotPD for the first segment that fails a pivot; the sweep's
     pivots read only the template, so no h_eval on it fails them later.
-    The arrays are read-only copies of the inputs.
     """
     D = validate(instance)
     g = support_graph(instance)
+    ordering = path_cover(g)
     n = instance.n
     pi = ordering.pi
     inv = np.empty(n, dtype=np.int64)
@@ -170,8 +170,6 @@ def build_relaxation(instance: Instance, ordering: Ordering) -> Relaxation:
     rel = np.flatnonzero(~kept)
     rel = rel[np.lexsort((q[rel], p[rel]))]
 
-    a_ord = instance.a[pi]
-    c_ord = instance.c[pi]
     ret_p, ret_w, ret_sign = p[ret], g.w[ret], g.sign[ret]
     diag = D[pi]
     # ufunc.at adds in index order: both endpoints of each retained term,
@@ -201,15 +199,13 @@ def build_relaxation(instance: Instance, ordering: Ordering) -> Relaxation:
                 f"({lhs} vs {rhs})"
             )
 
-    fail = segments_kernel(bounds, a_ord, c_ord, diag, off)[3]
+    fail = segments_kernel(bounds, instance.a[pi], instance.c[pi], diag, off)[3]
     if fail >= 0:
         raise SegmentNotPD(int(bounds[fail]), int(bounds[fail + 1]))
 
     return Relaxation(
         instance=instance,
         pi=pi,
-        a_ord=a_ord,
-        c_ord=c_ord,
         bounds=bounds,
         diag=diag,
         off=off,
@@ -221,10 +217,10 @@ def build_relaxation(instance: Instance, ordering: Ordering) -> Relaxation:
 
 
 def default_relaxation(instance: Instance) -> Relaxation:
-    """Run the path-cover pipeline on the instance's support graph and
-    build the instance's relaxation on that cover, whose edge mask indexes
-    the edges build_relaxation reads from support_graph(instance)."""
-    return build_relaxation(instance, path_cover(support_graph(instance)))
+    """The instance's relaxation on the path cover of its support graph:
+    build_relaxation(instance), looked up at call time so that the
+    benchmark's tracer times the build apart from this entry point."""
+    return build_relaxation(instance)
 
 
 def _check_duals(r: Relaxation, duals) -> None:
@@ -240,15 +236,16 @@ def assemble_psi(r: Relaxation, duals: np.ndarray) -> tuple[np.ndarray, np.ndarr
     (signed at the second), the betas shift a downward. The shifts go in
     through ufunc.at on the interleaved (i, j) endpoints, which applies
     them one at a time in term order, so every entry rounds exactly as a
-    loop of `+=` over the terms would. Raises InputError unless duals has
-    shape (len(r.rel_w), 3).
+    loop of `+=` over the terms would. The shifts start from fresh
+    gathers of the instance's a and c at pi. Raises InputError unless
+    duals has shape (len(r.rel_w), 3).
     """
     _check_duals(r, duals)
     alpha, beta1, beta2 = np.asarray(duals, dtype=np.float64).T
     half_w = 0.5 * r.rel_w
     ends = np.stack((r.rel_i, r.rel_j), axis=1).ravel()
-    a_psi = r.a_ord.copy()
-    c_psi = r.c_ord.copy()
+    a_psi = r.instance.a[r.pi]
+    c_psi = r.instance.c[r.pi]
     np.subtract.at(a_psi, ends, np.stack((half_w * beta1, half_w * beta2), axis=1).ravel())
     np.add.at(c_psi, ends, np.stack((half_w * alpha, half_w * r.rel_sign * alpha), axis=1).ravel())
     return a_psi, c_psi
@@ -359,7 +356,7 @@ def run(instance: Instance, r: Relaxation, config: RunConfig) -> RunResult:
     """
     if config.schedule not in ("geometric", "harmonic"):
         raise InputError(f"unknown step schedule {config.schedule!r}")
-    if not config.eps > 0:
+    if not _real(config.eps, "eps") > 0:
         raise InputError("eps must be positive")
     max_iter = _integer(config.max_iter, "max_iter")
     if max_iter < 1:

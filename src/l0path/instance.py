@@ -49,6 +49,15 @@ def _integer(value, what: str) -> int:
     raise InputError(f"{what} must be an integer, not {value!r}")
 
 
+def _real(value, what: str):
+    """value unchanged, or InputError when it is not a real number:
+    numbers.Real decides, and bools, which it takes as 0 and 1, are
+    refused before it. Callers check the range themselves."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise InputError(f"{what} must be a real number, not {value!r}")
+    return value
+
+
 def _shape(value):
     """np.shape(value), or "ragged" for nested sequences of unequal lengths,
     which have no shape."""
@@ -96,9 +105,10 @@ class Instance:
     Construction copies the arrays read-only and meta to a new dict, so
     nothing a caller holds can change checked data. It raises InputError on
     an n that is not an integer (operator.index decides), bad shapes, a
-    non-finite a, c, qv or offset, or an M that is not a finite real (nor
-    a bool), and NotSymmetricStorage naming the first triplet in the
-    given order that is off the upper triangle, a repeat or a zero off-diagonal.
+    non-finite a, c or qv, an offset or M that is not a finite real (a
+    bool is not one, see _real), and NotSymmetricStorage naming the first
+    triplet in the given order that is off the upper triangle, a repeat or
+    a zero off-diagonal.
     """
 
     n: int
@@ -122,12 +132,14 @@ class Instance:
         fault, order = _first_storage_fault(self)
         if fault is not None:
             raise fault
-        for name in ("a", "c", "qv", "offset"):
+        for name in ("a", "c", "qv"):
             if not np.isfinite(getattr(self, name)).all():
                 raise InputError(f"{name} has a non-finite entry")
+        if not abs(_real(self.offset, "offset")) <= sys.float_info.max:
+            raise InputError("offset has a non-finite entry")
         object.__setattr__(self, "meta", dict(self.meta))
         m_box = self.meta.get("M", 0.0)  # decomp.run reads M as the big-M box radius
-        if isinstance(m_box, bool) or not isinstance(m_box, numbers.Real) or not abs(m_box) <= sys.float_info.max:
+        if not abs(_real(m_box, "meta M")) <= sys.float_info.max:
             raise InputError("meta M must be a finite real number")
         _freeze(self, order, qi=np.int64, qj=np.int64, qv=np.float64)  # faults were named in the given order
 
@@ -186,7 +198,9 @@ class SupportGraph:
 
         (1/2) x'Qx == (1/2) sum_v D_v x_v^2 + (1/2) sum_k w[k] (x_i[k] + sign[k] x_j[k])^2
 
-    with D = validate(instance).
+    with D = validate(instance). Construction raises InputError unless the
+    four arrays have one length, 0 <= i < j < n, (i, j) strictly
+    increases, every w is finite and positive and every sign is +1 or -1.
     """
 
     n: int
@@ -197,6 +211,14 @@ class SupportGraph:
 
     def __post_init__(self):
         _freeze(self, i=np.int64, j=np.int64, w=np.float64, sign=np.int64)
+        n, i, j, w, sign = self.n, self.i, self.j, self.w, self.sign
+        if not (i.ndim == 1 and i.shape == j.shape == w.shape == sign.shape):
+            raise InputError("edge arrays i, j, w and sign must have one length")
+        # with 0 <= j < n, i * n + j increases exactly when (i, j) does
+        if not (((0 <= i) & (i < j) & (j < n)).all() and (np.diff(i * n + j) > 0).all()):
+            raise InputError(f"edges must join 0 <= i < j < n = {n}, strictly increasing in (i, j)")
+        if not (((0 < w) & (w < np.inf)).all() and (np.abs(sign) == 1).all()):
+            raise InputError("edge weights must be finite and positive, and signs +1 or -1")
 
 
 def _first_storage_fault(instance: Instance) -> tuple[NotSymmetricStorage | None, np.ndarray]:
@@ -331,8 +353,9 @@ def gen_signal1d(n: int, sigma: float, mu: float, seed: int) -> Instance:
     n = _integer(n, "n")
     if n < 2:
         raise InputError("n must be >= 2")
-    if not sigma >= 0:
+    if not _real(sigma, "sigma") >= 0:
         raise InputError("sigma must be >= 0")
+    _real(mu, "mu")
     rng = _rng(seed)
     truth = _smooth_sparse_truth(n, rng)
     y = truth + rng.normal(0.0, sigma, n)
@@ -359,8 +382,9 @@ def gen_lattice2d(rows: int, cols: int, sigma: float, mu: float, seed: int) -> I
     rows, cols = _integer(rows, "rows"), _integer(cols, "cols")
     if rows < 2 or cols < 2:
         raise InputError("rows and cols must be >= 2")
-    if not sigma > 0:
+    if not _real(sigma, "sigma") > 0:
         raise InputError("sigma must be > 0")
+    _real(mu, "mu")
     rng = _rng(seed)
     n = rows * cols
     truth = np.zeros((rows, cols))

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import networkx as nx
 import numpy as np
@@ -689,7 +690,9 @@ def test_matching_kernel_matches_networkx_on_tied_graphs():
         make_graph(2, [(0, 1, 1.5)]),
         # two triangles and an isolated vertex
         make_graph(7, [(0, 1, 1.0), (0, 2, 2.0), (1, 2, 3.0), (4, 5, 1.0), (4, 6, 1.0), (5, 6, 1.0)]),
-        make_graph(4, [(0, 1, 0.0), (1, 2, 1.0), (0, 2, 1.0), (2, 3, 0.0)]),
+        # zero-weight arcs: the kernel takes bare arrays, and a SupportGraph
+        # refuses weights that are not positive
+        SimpleNamespace(n=4, i=np.array([0, 0, 1, 2]), j=np.array([1, 2, 2, 3]), w=np.array([0.0, 1.0, 1.0, 0.0])),
     ],
     ids=["empty", "no-edges", "single-edge", "disconnected", "zero-weight"],
 )

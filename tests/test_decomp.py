@@ -13,6 +13,7 @@ from l0path import (
     InfeasiblePair,
     InputError,
     Instance,
+    NotDiagonallyDominant,
     NumericalError,
     RunConfig,
     SegmentNotPD,
@@ -54,8 +55,8 @@ def random_duals(rng, r, scale=2.0):
 
 
 def assemble_psi_loop(r, duals):
-    a_psi = r.a_ord.copy()
-    c_psi = r.c_ord.copy()
+    a_psi = r.instance.a[r.pi]
+    c_psi = r.instance.c[r.pi]
     for t, term in enumerate(r.relaxed):
         alpha, b1, b2 = duals[t]
         half_w = 0.5 * term.w
@@ -141,29 +142,67 @@ def test_build_relaxation_diagonal_instance():
     assert r.relaxed == ()
 
 
-def test_relaxation_arrays_are_read_only_copies():
+def test_relaxation_arrays_are_read_only_copies(monkeypatch):
     inst = gen_lattice2d(4, 5, 0.3, 0.1, 0)
-    ordering = path_cover(support_graph(inst))
-    r = decomp.build_relaxation(inst, ordering)
+    orderings = []
+
+    def recording_cover(g):
+        orderings.append(path_cover(g))
+        return orderings[-1]
+
+    monkeypatch.setattr(decomp, "path_cover", recording_cover)
+    r = decomp.build_relaxation(inst)
     arrays = [f.name for f in dataclasses.fields(r) if isinstance(getattr(r, f.name), np.ndarray)]
-    assert len(arrays) == 10
+    assert len(arrays) == 8
     for name in arrays:
         assert not getattr(r, name).flags.writeable, name
     # the relaxation keeps its own permutation, not the ordering's
+    (ordering,) = orderings
     want = ordering.pi.copy()
     ordering.pi[:] = ordering.pi[::-1]
     assert np.array_equal(r.pi, want)
 
 
-def test_build_relaxation_template_mismatch_is_numerical(example_instance):
+def test_build_relaxation_template_mismatch_is_numerical(monkeypatch, example_instance):
     # the split and the template both read validate's D and the support
-    # graph, so only an ordering that does not put a retained edge on
+    # graph, so only a cover whose ordering does not put a retained edge on
     # consecutive positions, here (0, 1) at positions 0 and 2, breaks them apart
     ordering = path_cover(support_graph(example_instance))
     assert ordering.pi.tolist() == [0, 1, 2, 3] and ordering.retained[0]
+    monkeypatch.setattr(decomp, "path_cover", lambda g: dataclasses.replace(ordering, pi=np.array([0, 2, 1, 3])))
     with pytest.raises(TemplateMismatch) as info:
-        decomp.build_relaxation(example_instance, dataclasses.replace(ordering, pi=np.array([0, 2, 1, 3])))
+        decomp.build_relaxation(example_instance)
     assert isinstance(info.value, NumericalError)
+
+
+def test_default_relaxation_builds_the_support_graph_once(monkeypatch):
+    # the cover's mask and the relaxation's terms index one graph object
+    graphs, covered = [], []
+
+    def recording_graph(inst):
+        graphs.append(support_graph(inst))
+        return graphs[-1]
+
+    def recording_cover(g):
+        covered.append(g)
+        return path_cover(g)
+
+    monkeypatch.setattr(decomp, "support_graph", recording_graph)
+    monkeypatch.setattr(decomp, "path_cover", recording_cover)
+    r = default_relaxation(gen_lattice2d(4, 5, 0.3, 0.1, 0))
+    assert len(graphs) == 1 and len(covered) == 1 and covered[0] is graphs[0]
+    assert r.rel_w.size == graphs[0].w.size - np.count_nonzero(r.off)
+
+
+def test_default_relaxation_refuses_a_non_dominant_instance_before_the_cover(monkeypatch):
+    def no_cover(g):
+        raise AssertionError("path_cover ran on a non-dominant instance")
+
+    monkeypatch.setattr(decomp, "path_cover", no_cover)
+    inst = make_instance([1.0] * 3, [-1.0] * 3, [(0, 0, 0.5), (0, 1, -1.0), (1, 1, 2.0), (1, 2, 0.5), (2, 2, 1.0)])
+    with pytest.raises(NotDiagonallyDominant) as info:
+        default_relaxation(inst)
+    assert info.value.index == 0
 
 
 def test_singular_segment_is_segment_not_pd():
@@ -274,7 +313,8 @@ def test_assemble_psi_pinned(example_instance):
 def test_assemble_psi_symmetric_beta_shift(example_instance):
     r = example_relaxation(example_instance)
     a_psi, _ = assemble_psi(r, np.array([[0.0, 1.0, 1.0]]))
-    assert a_psi[1] - r.a_ord[1] == a_psi[3] - r.a_ord[3]
+    a_ord = r.instance.a[r.pi]
+    assert a_psi[1] - a_ord[1] == a_psi[3] - a_ord[3]
 
 
 @settings(derandomize=True, deadline=None)
@@ -594,6 +634,20 @@ def test_run_config_validation(example_instance):
         run(example_instance, r, RunConfig(max_iter=True))
     # numpy integers are integers
     assert run(example_instance, r, RunConfig(eps=1e-15, max_iter=np.int64(3))).iterations == 3
+
+
+@pytest.mark.parametrize(
+    "eps",
+    # True ran as 1.0 and stopped on "gap" after one iteration; None, "0.1"
+    # and [0.1] raised TypeError, and 1j > 0 does too
+    [True, np.True_, None, "0.1", [0.1], 1j],
+    ids=["bool", "numpy_bool", "none", "str", "list", "complex"],
+)
+def test_run_refuses_an_eps_that_is_not_real(example_instance, eps, monkeypatch):
+    points = record_duals(monkeypatch)
+    with pytest.raises(InputError, match="eps must be a real number, not "):
+        run(example_instance, example_relaxation(example_instance), RunConfig(eps=eps))
+    assert points == []
 
 
 _LATTICE = gen_lattice2d(6, 6, 0.3, 0.1, 1)

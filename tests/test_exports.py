@@ -9,8 +9,8 @@ MODULES = ("instance", "tridiag", "fenchel", "cover", "decomp", "oracle", "error
 
 # public names that stay module-level on purpose: the fill order serves
 # Instance's cached refit order, main is the console entry point, and
-# build_relaxation is default_relaxation's second stage, called through the
-# module global so that the benchmark's tracer can time it
+# build_relaxation is default_relaxation's body, called through the module
+# global so that the benchmark's tracer times it apart from its entry point
 NOT_EXPORTED = {"oracle.fill_reducing_order", "cli.main", "decomp.build_relaxation"}
 
 

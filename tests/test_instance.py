@@ -199,10 +199,10 @@ OWNED_ARRAYS = {
     "Relaxation": (
         Relaxation,
         dict(
-            instance=gen_tridiagonal(3, 0), pi=[2, 0, 1], a_ord=[1.0] * 3, c_ord=[-1.0, 0.5, 2.0], bounds=[0, 2, 3], diag=[3.0, 3.0, 2.0],
+            instance=gen_tridiagonal(3, 0), pi=[2, 0, 1], bounds=[0, 2, 3], diag=[3.0, 3.0, 2.0],
             off=[-1.0, 0.0], rel_i=[1], rel_j=[2], rel_w=[0.5], rel_sign=[1],
         ),
-        "c_ord",
+        "diag",
     ),
 }
 
@@ -297,18 +297,61 @@ def test_generated_instances_keep_their_bytes(name):
 def test_replace_with_a_non_numeric_box_radius_fails_at_construction():
     # run read M only after a finished ascent, and float("wide") threw the
     # run away with a ValueError
-    with pytest.raises(InputError, match="meta M must be a finite real number"):
+    with pytest.raises(InputError, match="meta M must be a real number, not 'wide'"):
         dataclasses.replace(gen_lattice2d(3, 3, 0.3, 0.1, 0), meta={"M": "wide"})
 
 
+# values that are not real numbers get _real's message, which names them;
+# real numbers past the float range get the range check's
+NOT_REAL = "meta M must be a real number, not "
+NOT_FINITE = "meta M must be a finite real number"
+
+
 @pytest.mark.parametrize(
-    "m_box",
-    [True, np.True_, np.inf, np.nan, -np.inf, "1", None, 10**400, 1j],
+    "m_box, message",
+    [
+        (True, NOT_REAL), (np.True_, NOT_REAL), (np.inf, NOT_FINITE), (np.nan, NOT_FINITE), (-np.inf, NOT_FINITE),
+        ("1", NOT_REAL), (None, NOT_REAL), (10**400, NOT_FINITE), (1j, NOT_REAL),
+    ],
     ids=["bool", "numpy_bool", "inf", "nan", "-inf", "str", "none", "int_past_float", "complex"],
 )
-def test_constructor_rejects_a_box_radius_that_is_not_a_finite_real(example_instance, m_box):
-    with pytest.raises(InputError, match="meta M must be a finite real number"):
+def test_constructor_rejects_a_box_radius_that_is_not_a_finite_real(example_instance, m_box, message):
+    with pytest.raises(InputError, match=f"^{message}"):
         dataclasses.replace(example_instance, meta={"M": m_box})
+
+
+@pytest.mark.parametrize(
+    "offset",
+    # the list was stored and write_instance then raised TypeError; the bools
+    # and 1j passed np.isfinite; None and "1.0" raised TypeError
+    [[1.0, 2.0], True, np.True_, None, "1.0", 1j],
+    ids=["list", "bool", "numpy_bool", "none", "str", "complex"],
+)
+def test_constructor_rejects_an_offset_that_is_not_real(offset):
+    with pytest.raises(InputError, match="^offset must be a real number, not "):
+        make_instance(EXAMPLE_A, EXAMPLE_C, EXAMPLE_Q, offset=offset)
+
+
+@pytest.mark.parametrize(
+    "make, what",
+    [
+        # accepted, with sigma 1 and mu 1
+        (lambda: gen_signal1d(10, True, 0.1, 0), "sigma"),
+        (lambda: gen_lattice2d(3, 3, np.True_, 0.1, 0), "sigma"),
+        (lambda: gen_lattice2d(3, 3, 0.3, True, 0), "mu"),
+        # TypeError or ValueError from a comparison or float()
+        (lambda: gen_lattice2d(3, 3, None, 0.1, 0), "sigma"),
+        (lambda: gen_signal1d(10, "0.3", 0.1, 0), "sigma"),
+        (lambda: gen_signal1d(10, 0.3, "x", 0), "mu"),
+        (lambda: gen_signal1d(10, 0.3, None, 0), "mu"),
+        (lambda: gen_lattice2d(3, 3, 0.3, [0.1], 0), "mu"),
+    ],
+    ids=["signal-sigma-bool", "lattice-sigma-numpy-bool", "lattice-mu-bool", "lattice-sigma-none", "signal-sigma-str",
+         "signal-mu-str", "signal-mu-none", "lattice-mu-list"],
+)
+def test_generators_refuse_a_sigma_or_mu_that_is_not_real(make, what):
+    with pytest.raises(InputError, match=f"^{what} must be a real number, not "):
+        make()
 
 
 @pytest.mark.parametrize("m_box", [3, 2.5, np.float64(2.0), np.int64(4), 0])
@@ -359,6 +402,40 @@ def test_support_graph_weights(example_instance):
     for got_a, want_a in ((g.i, want.i), (g.j, want.j), (g.w, want.w), (g.sign, want.sign)):
         assert got_a.dtype == want_a.dtype and np.array_equal(got_a, want_a)
         assert not got_a.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        ([0, 1], [1, 1], [1.0, 1.0], [-1, -1]),
+        ([0, 0], [1, 1], [1.0, 2.0], [-1, -1]),
+        ([1], [0], [1.0], [-1]),
+        ([0, 0], [2, 1], [1.0, 1.0], [-1, -1]),
+        ([1, 0], [2, 1], [1.0, 1.0], [-1, -1]),
+        ([0], [1], [-1.0], [-1]),
+        ([0], [1], [0.0], [-1]),
+        ([0], [1], [np.nan], [-1]),
+        ([0], [1], [np.inf], [-1]),
+        ([0], [1], [1.0], [0]),
+        ([0], [1], [1.0], [2]),
+        ([0], [3], [1.0], [-1]),
+        ([-1], [1], [1.0], [-1]),
+        ([0, 1], [1, 2], [1.0], [-1, -1]),
+        ([0], [1], [1.0, 1.0], [-1]),
+        ([0, 1], [1, 2], [1.0, 1.0], [-1]),
+        ([[0]], [[1]], [[1.0]], [[-1]]),
+    ],
+    ids=[
+        "loop", "repeated-pair", "i-above-j", "unsorted-j", "unsorted-i", "negative-weight", "zero-weight", "nan-weight",
+        "inf-weight", "zero-sign", "sign-2", "j-out-of-range", "negative-i", "short-w", "long-w", "short-sign", "2-d",
+    ],
+)
+def test_support_graph_refuses_edges_off_its_contract(edges):
+    # path_cover returned an ordering for most of these; the rest raised
+    # scipy's ValueError or numpy's IndexError
+    i, j, w, sign = map(np.array, edges)
+    with pytest.raises(InputError):
+        SupportGraph(n=3, i=i, j=j, w=w, sign=sign)
 
 
 def test_permute_identity(example_instance):

@@ -230,10 +230,11 @@ def test_build_relaxation_matches_loop(case):
     except InputError:
         return
     # build_relaxation reads the cover's edge mask as a mask over the
-    # graph's edges; the loop looks each term up by its (i, j) pair
+    # graph's edges; the loop looks each term up by its (i, j) pair, on
+    # the same deterministic cover
     g = support_graph(inst)
     ordering = path_cover(g)
-    got, got_err = outcome(build_relaxation, inst, ordering)
+    got, got_err = outcome(build_relaxation, inst)
     want, want_err = outcome(build_relaxation_loop, inst, ordering.pi, retained_pairs(g, ordering))
     assert got_err == want_err
     if want is not None:
@@ -268,7 +269,7 @@ def test_build_relaxation_singular_segments_match_loop():
         inst = make_instance(inst.a, inst.c, tighten(triplets(inst), n, tight))
         g = support_graph(inst)
         ordering = path_cover(g)
-        got, got_err = outcome(build_relaxation, inst, ordering)
+        got, got_err = outcome(build_relaxation, inst)
         want, want_err = outcome(build_relaxation_loop, inst, ordering.pi, retained_pairs(g, ordering))
         assert got_err == want_err
         if want_err is None:
