@@ -294,8 +294,9 @@ def subgradient(
 ) -> np.ndarray:
     """Ascent direction at the current duals, one row per relaxed term.
 
-    rho = (1/2)w * (-conjugate subgradient + the primal pairing terms);
-    the (1/2)w scaling is folded here rather than into the step size.
+    rho = (1/2)w * (-conjugate subgradient + the primal pairing terms),
+    the true supergradient of h; run divides each row by its (1/2)w
+    before stepping.
     The conjugate subgradient is fenchel.f_star_subgradient in masked
     form: the same branches in the same order, the same tie rule, and
     the same floating-point operations per term. Raises InputError on
@@ -340,8 +341,12 @@ def run(instance: Instance, r: Relaxation, config: RunConfig) -> RunResult:
     """Projection-free subgradient ascent on the dual function.
 
     Duals start at zero, so iteration 1 is the plain segment relaxation
-    with every coupling term dropped. Geometric steps GEOMETRIC_RATIO^(1-k)
-    move along the normalized direction; harmonic steps 1/k are applied raw.
+    with every coupling term dropped. Each relaxed term's duals move along
+    rho / ((1/2)w), its supergradient over half its weight: f* and the
+    optimal duals do not depend on w, so neither does the step. This is a
+    fixed positive diagonal change of dual variables. Geometric steps
+    GEOMETRIC_RATIO^(1-k) move along that direction normalized; harmonic
+    steps 1/k multiply it as it is.
     Every inner minimizer is evaluated as an incumbent, and each newly
     seen support, whatever its size, additionally gets its restricted QP
     re-solved by fixed_z_qp, a sparse LDL' factorisation of Q on the
@@ -432,15 +437,16 @@ def run(instance: Instance, r: Relaxation, config: RunConfig) -> RunResult:
         if k == max_iter:
             break
 
-        rho = subgradient(r, duals, xbar, zbar)
-        norm = float(np.linalg.norm(rho))
+        # every w > 0, so the direction vanishes exactly when rho does
+        direction = subgradient(r, duals, xbar, zbar) / (0.5 * r.rel_w)[:, None]
+        norm = float(np.linalg.norm(direction))
         if norm == 0.0:
             reason = "stationary"
             break
         if config.schedule == "geometric":
-            duals = duals + step * rho / norm
+            duals = duals + step * direction / norm
         else:
-            duals = duals + step * rho
+            duals = duals + step * direction
 
     m_box = instance.meta.get("M")
     if m_box is not None and best_x is not None:

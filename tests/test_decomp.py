@@ -274,13 +274,15 @@ def test_wrongly_shaped_inputs_are_input_errors(call, args):
 
 # SHA-256 of the space-separated float.hex of every record's h over 20
 # harmonic iterations, recorded before the relaxation took the cover's edge
-# mask. h uses no BLAS call (f_star on Python floats, ufunc.at, the C
+# mask; random-dd-12 was re-recorded when the dual step stopped scaling
+# with the term weights (every lattice weight is 2, so 20x20 kept its
+# bits). h uses no BLAS call (f_star on Python floats, ufunc.at, the C
 # segment kernel, a Python sum), so its bits do not depend on the BLAS
 # build; the upper bound goes through `@` and is not pinned. A change to
 # the ascent re-records these and says so.
 H_TRAJECTORY_DIGESTS = {
     "lattice-20x20": "ec13c979cb9e7e1991ca569d7bacde5204117802479a8746857b26adfdff3e15",
-    "random-dd-12": "e396dfb1349179ca512bf1439e98abf9f2fba5b3ef3417c3b90c4ccc476eb2bd",
+    "random-dd-12": "ff1ed7f0b2712f19c58493865124843b0ddd3be98848ea8e0b7a5dd9388631a2",
 }
 
 
@@ -294,6 +296,35 @@ def test_dual_trajectory_keeps_its_bits(name):
     assert res.iterations == 20
     digest = hashlib.sha256(" ".join(float(rec.h).hex() for rec in res.records).encode()).hexdigest()
     assert digest == H_TRAJECTORY_DIGESTS[name]
+
+
+@pytest.mark.parametrize("schedule", ["harmonic", "geometric"])
+def test_first_step_divides_each_term_by_half_its_weight(schedule, monkeypatch):
+    inst = random_dd_instance(np.random.Generator(np.random.Philox(key=0)), 12, 0.4)
+    r = default_relaxation(inst)
+    assert np.unique(r.rel_w).size > 1
+    zeros = np.zeros((r.rel_w.size, 3))
+    _, xbar, zbar = h_eval(r, zeros)
+    want = subgradient(r, zeros, xbar, zbar) / (0.5 * r.rel_w)[:, None]
+    if schedule == "geometric":
+        want = want / np.linalg.norm(want)
+    points = record_duals(monkeypatch)
+    run(inst, r, RunConfig(schedule, eps=1e-12, max_iter=2))
+    assert len(points) == 2
+    # the first step length is 1 under both schedules (1/1 and
+    # GEOMETRIC_RATIO^0), and the first point is zero
+    assert np.array_equal(points[1], want)
+
+
+def test_weighted_instances_certify_in_few_iterations():
+    # with steps proportional to the weights, 25 of these 30 stopped on
+    # "gap" within 300 iterations, at a median of 45.5
+    results = []
+    for key in range(30):
+        inst = random_dd_instance(np.random.Generator(np.random.Philox(key=key)), 12, 0.4)
+        results.append(run(inst, default_relaxation(inst), RunConfig("harmonic", eps=0.05, max_iter=300)))
+    assert sum(res.reason == "gap" for res in results) >= 28
+    assert np.median([res.iterations for res in results]) <= 10
 
 
 def test_assemble_psi_zero_duals(example_instance):
